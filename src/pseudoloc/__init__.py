@@ -77,6 +77,7 @@ from .resolvers import (
     is_locating_set,
     k_dimensional_value,
     k_metric,
+    lex_first_cover,
     resolves,
     strong_resolves,
 )

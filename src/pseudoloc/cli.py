@@ -12,7 +12,7 @@ import json
 import sys
 
 from .closed_form import PARAMETER_NAMES, compute_parameter
-from .corpus import CORE_PARAMETERS, CorpusSpec, random_pseudotree, verify_corpus
+from .corpus import CorpusSpec, random_pseudotree, verify_corpus
 from .errors import (
     GraphConstructionError,
     KOutOfRange,
@@ -129,7 +129,7 @@ def _cmd_profile(args) -> int:
 
 def _cmd_verify(args) -> int:
     if args.params == "all":
-        params = list(CORE_PARAMETERS)
+        params = list(PARAMETER_NAMES)
     else:
         params = [p.strip() for p in args.params.split(",") if p.strip()]
         unknown = [p for p in params if p not in PARAMETER_NAMES]

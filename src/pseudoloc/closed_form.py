@@ -434,21 +434,25 @@ def closed_result(
 
 
 def oracle_result(
-    g: Graph, param: str, k: int | None = None, max_n: int | None = None
+    g: Graph,
+    param: str,
+    k: int | None = None,
+    max_n: int | None = None,
+    dm: DistanceMatrix | None = None,
 ) -> ParameterResult:
-    """Brute-force ground truth for the same parameter."""
+    """Exact-search ground truth for the same parameter."""
     if param == "dimk":
         if k is None:
             raise KOutOfRange("dimk requires k")
-        lo, hi = valid_k_range(g)
-        if not lo <= k <= hi:
-            raise KOutOfRange(f"k={k} outside [{lo}, {hi}]")
+        if not isinstance(k, int) or k < 2:
+            raise KOutOfRange(f"k must be an integer >= 2, got {k}")
+        # brute_force_dimension rejects k above the k-dimensional value
         variant = k_metric(k)
     elif param == "dim2":
         variant = k_metric(2)
     else:
         variant = _ORACLE_VARIANTS[param]
-    return brute_force_dimension(g, variant, max_n=max_n)
+    return brute_force_dimension(g, variant, max_n=max_n, dm=dm)
 
 
 def compute_parameter(

@@ -14,16 +14,14 @@ import multiprocessing
 from dataclasses import dataclass
 from typing import Callable, Iterator
 
-from .closed_form import closed_result, oracle_result, valid_k_range
+from .closed_form import PARAMETER_NAMES, closed_result, oracle_result, valid_k_range
 from .errors import SizeCapExceeded
-from .graph import Graph, cap_override, encode_graph6, from_edge_list
+from .graph import Graph, cap_override, distance_matrix, encode_graph6, from_edge_list
 from .resolvers import ParameterResult
 from .structure import profile
 
 TREE_ENUM_CAP = 12
 UNICYCLIC_ENUM_CAP = 10
-
-CORE_PARAMETERS = ("dmd", "dim", "sdim", "ddim", "dim2", "dimk", "edim", "mdim", "ldim")
 
 STATUS_AGREE = "Agree"
 STATUS_IN_BOUNDS = "InBounds"
@@ -377,11 +375,12 @@ def _expand_parameters(g: Graph, parameters) -> list[tuple[str, int | None]]:
 def verify_graph(g: Graph, parameters, oracle_cap: int | None = None) -> list[VerificationRecord]:
     """Closed-vs-oracle records for one graph, in deterministic order."""
     g6 = encode_graph6(g)
-    prof = profile(g)
+    dm = distance_matrix(g)
+    prof = profile(g, dm)
     records = []
     for param, k in _expand_parameters(g, parameters):
         closed = closed_result(g, param, k=k, prof=prof)
-        oracle = oracle_result(g, param, k=k, max_n=oracle_cap)
+        oracle = oracle_result(g, param, k=k, max_n=oracle_cap, dm=dm)
         name = f"dimk[{k}]" if param == "dimk" else param
         records.append(
             VerificationRecord(
@@ -421,7 +420,7 @@ def corpus_graphs(spec: CorpusSpec) -> Iterator[Graph]:
 
 def verify_corpus(
     spec: CorpusSpec,
-    parameters=CORE_PARAMETERS,
+    parameters=PARAMETER_NAMES,
     jobs: int = 1,
     report_path=None,
     oracle_cap: int | None = None,

@@ -27,11 +27,20 @@ GRAPH6_HEADER = ">>graph6<<"
 
 
 def cap_override() -> int | None:
-    """Value of the PSEUDOLOC_MAX_N override, or None when unset."""
+    """Value of the PSEUDOLOC_MAX_N override, or None when unset.
+
+    Raises ValueError naming the variable unless it is an integer >= 1.
+    """
     raw = os.environ.get(CAP_ENV_VAR)
     if raw is None or raw == "":
         return None
-    return int(raw)
+    try:
+        value = int(raw)
+    except ValueError:
+        value = 0
+    if value < 1:
+        raise ValueError(f"{CAP_ENV_VAR} must be an integer >= 1, got {raw!r}")
+    return value
 
 
 def graph_cap() -> int:

@@ -1,13 +1,20 @@
-"""Resolution predicates for the nine location variants and brute-force oracles.
+"""Resolution predicates for the nine location variants and the exact oracle.
 
-The oracles are the ground truth every closed form is verified against, so
-they stay deliberately direct: subset enumeration in a fixed order
-(size-ascending, lexicographic) over precomputed resolver bitmasks.
+Every variant is a cover problem over vertex bitmasks: a set locates iff it
+meets each constraint mask of the graph at least `need` times (one mask per
+pair it must tell apart, plus the closed neighbourhoods for the dominating
+variant).  The oracle, the ground truth every closed form is verified
+against, solves that problem with one exact search, `lex_first_cover`, which
+also gives the domination number.
+
+Witness contract: the oracle's witness is the lexicographically first
+locating set of minimum size, the set that enumerating subsets by increasing
+size in `itertools.combinations` order would find first.  The tests keep
+that direct enumerator as the reference.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 
 from .errors import KOutOfRange, SizeCapExceeded
@@ -117,26 +124,21 @@ def edge_distance(dm: DistanceMatrix, v: int, e: tuple[int, int]) -> int:
 
 
 class _LocatingContext:
-    """Precomputed per-pair resolver bitmasks for one graph and variant."""
+    """One graph and variant as a cover problem: a set locates iff it meets
+    every constraint mask at least `need` times and has at least `floor`
+    members."""
 
     def __init__(self, g: Graph, variant: Variant, dm: DistanceMatrix | None = None):
         self.g = g
-        self.variant = variant
         self.dm = dm if dm is not None else distance_matrix(g)
-        self.full = (1 << g.n) - 1
         self.need = variant.k if variant.kind == "kmetric" else 1
-        self.pair_masks: list[int] = []
-        self.level_masks: list[list[int]] = []  # doubly only
-        self.domination_masks: list[int] = []  # mld only
+        self.floor = min(2, g.n) if variant.kind == "doubly" else 1
+        self.constraints: list[int] = []
         kind = variant.kind
         if kind in ("metric", "kmetric", "mld", "local"):
             self._vertex_pair_masks(adjacent_only=(kind == "local"))
             if kind == "mld":
-                for v in range(g.n):
-                    mask = 1 << v
-                    for w in g.adjacency[v]:
-                        mask |= 1 << w
-                    self.domination_masks.append(mask)
+                self.constraints += closed_neighbourhoods(g)
         elif kind == "strong":
             self._strong_pair_masks()
         elif kind == "edge":
@@ -149,7 +151,6 @@ class _LocatingContext:
 
     def _vertex_pair_masks(self, adjacent_only: bool) -> None:
         dm, n = self.dm, self.g.n
-        keep_full = self.need > 1
         for x in range(n):
             row_x = dm[x]
             targets = (w for w in self.g.adjacency[x] if w > x) if adjacent_only else range(x + 1, n)
@@ -159,8 +160,7 @@ class _LocatingContext:
                 for v in range(n):
                     if row_x[v] != row_y[v]:
                         mask |= 1 << v
-                if keep_full or mask != self.full:
-                    self.pair_masks.append(mask)
+                self.constraints.append(mask)
 
     def _strong_pair_masks(self) -> None:
         dm, n = self.dm, self.g.n
@@ -173,8 +173,7 @@ class _LocatingContext:
                 for w in range(n):
                     if row_x[w] == row_y[w] + dxy or row_y[w] == row_x[w] + dxy:
                         mask |= 1 << w
-                if mask != self.full:
-                    self.pair_masks.append(mask)
+                self.constraints.append(mask)
 
     def _dist_to_item(self, v: int, item) -> int:
         if isinstance(item, tuple):
@@ -192,10 +191,11 @@ class _LocatingContext:
                 for v in range(n):
                     if vec_i[v] != vec_j[v]:
                         mask |= 1 << v
-                self.pair_masks.append(mask)
+                self.constraints.append(mask)
 
     def _doubly_level_masks(self) -> None:
         dm, n = self.dm, self.g.n
+        full = (1 << n) - 1
         for x in range(n):
             row_x = dm[x]
             for y in range(x + 1, n):
@@ -204,31 +204,87 @@ class _LocatingContext:
                 for v in range(n):
                     diff = row_x[v] - row_y[v]
                     levels[diff] = levels.get(diff, 0) | (1 << v)
-                # a set fails this pair iff it sits inside one level
-                self.level_masks.append([m for m in levels.values() if m.bit_count() >= 2])
+                # a set fails this pair iff it sits inside one level, so it must
+                # meet the complement of each level (singletons are below the floor)
+                self.constraints += [full & ~m for m in levels.values() if m.bit_count() >= 2]
 
-    def qualifies(self, mask: int) -> bool:
-        kind = self.variant.kind
-        if kind == "doubly":
-            if mask.bit_count() < 2:
-                return False
-            for levels in self.level_masks:
-                for level in levels:
-                    if mask & ~level == 0:
-                        return False
-            return True
-        if kind == "mld":
-            covered = 0
-            m = mask
-            while m:
-                b = m & (-m)
-                m ^= b
-                covered |= self.domination_masks[b.bit_length() - 1]
-            if covered != self.full:
-                return False
-        if self.need > 1:
-            return all((pm & mask).bit_count() >= self.need for pm in self.pair_masks)
-        return all(pm & mask for pm in self.pair_masks)
+
+def closed_neighbourhoods(g: Graph) -> list[int]:
+    """N[v] of every vertex v, as bitmasks."""
+    masks = []
+    for v in range(g.n):
+        mask = 1 << v
+        for w in g.adjacency[v]:
+            mask |= 1 << w
+        masks.append(mask)
+    return masks
+
+
+def lex_first_cover(n: int, masks, need: int = 1, floor: int = 1) -> tuple[int, ...] | None:
+    """The lexicographically first of the smallest sets S of vertices 0..n-1
+    with |S & m| >= need for every mask m and |S| >= floor; None if none exists.
+
+    Deepens over |S| from `floor`; a size below the disjoint-packing bound
+    fails at the root.  At each size a DFS adds vertices in increasing order
+    and cuts only branches that hold no solution or only solutions that a
+    lexicographically smaller set of the same size beats, so the first set it
+    meets is the one itertools.combinations would meet first.
+    """
+    cons: list[int] = []
+    for m in sorted(set(masks), key=int.bit_count):
+        if all(c & ~m for c in cons):  # meeting a kept subset of m often enough meets m
+            cons.append(m)
+    if cons and cons[0].bit_count() < need:
+        return None
+    # the packing takes tight masks first, and of those the ones that meet fewest others
+    clashes = {c: sum(1 for d in cons if c & d) for c in cons}
+
+    def search(start: int, chosen: int, open_: list[int], budget: int) -> int | None:
+        if not open_:
+            return chosen | (((1 << budget) - 1) << start) if start + budget <= n else None
+        allowed = -1 << start
+        top = n - budget  # the last first pick that leaves room for the others
+        rows = []
+        for c in open_:
+            cand = c & allowed
+            deficit = need - (c & chosen).bit_count()
+            slack = cand.bit_count() - deficit
+            if deficit > budget or slack < 0:
+                return None
+            top = min(top, cand.bit_length() - 1)  # picks only grow: c needs one by here
+            rows.append((slack, clashes[c], cand, deficit))
+        rows.sort()
+        used = packed = 0
+        for _, _, cand, deficit in rows:
+            if not cand & used:  # pairwise disjoint masks need separate picks
+                used |= cand
+                packed += deficit
+        if packed > budget:
+            return None
+        picks = allowed & ((2 << top) - 1)
+        while picks:
+            b = picks & -picks
+            picks ^= b
+            # a skipped smaller vertex that lies in every open mask holding b
+            # could replace b: a lexicographically smaller set of the same size
+            inside = -1
+            for c in open_:
+                if c & b:
+                    inside &= c
+            if inside & (b - 1) & ~chosen:
+                continue
+            hit = chosen | b
+            still_open = [c for c in open_ if (c & hit).bit_count() < need]
+            found = search(b.bit_length(), hit, still_open, budget - 1)
+            if found is not None:
+                return found
+        return None
+
+    for size in range(floor, n + 1):
+        found = search(0, 0, cons, size)
+        if found is not None:
+            return tuple(v for v in range(n) if found >> v & 1)
+    return None
 
 
 def is_locating_set(g: Graph, s, variant: Variant, dm: DistanceMatrix | None = None) -> bool:
@@ -242,7 +298,9 @@ def is_locating_set(g: Graph, s, variant: Variant, dm: DistanceMatrix | None = N
     mask = 0
     for v in members:
         mask |= 1 << v
-    return ctx.qualifies(mask)
+    if len(members) < ctx.floor:
+        return False
+    return all((c & mask).bit_count() >= ctx.need for c in ctx.constraints)
 
 
 def _oracle_cap(variant: Variant, max_n: int | None) -> int:
@@ -260,35 +318,31 @@ def brute_force_dimension(
     max_n: int | None = None,
     dm: DistanceMatrix | None = None,
 ) -> ParameterResult:
-    """Minimum locating-set size by exhaustive search, with the first witness.
-
-    Subsets are enumerated by increasing size, lexicographically within each
-    size, so the reported witness is reproducible.
+    """Minimum locating-set size by exact search, with a reproducible witness:
+    the lexicographically first locating set of that size (lex_first_cover).
     """
     cap = _oracle_cap(variant, max_n)
-    if g.n > cap:
-        raise SizeCapExceeded(f"n={g.n} exceeds oracle cap {cap} for {variant}")
-    if variant.kind == "kmetric" and g.n >= 2:
-        kmax = k_dimensional_value(g, dm)
+    ctx = None
+    if variant.kind == "kmetric":
+        # k is range-checked before the cap, as the closed form checks it; the
+        # k-dimensional value is the smallest pair mask
+        ctx = _LocatingContext(g, variant, dm)
+        kmax = min((m.bit_count() for m in ctx.constraints), default=0)
         if variant.k > kmax:
             raise KOutOfRange(f"no {variant.k}-locating set exists (k-dimensional value {kmax})")
-    ctx = _LocatingContext(g, variant, dm)
-    start = 2 if variant.kind == "doubly" and g.n >= 2 else 1
-    if variant.kind == "kmetric":
-        start = max(start, variant.k)
-    for size in range(start, g.n + 1):
-        for combo in itertools.combinations(range(g.n), size):
-            mask = 0
-            for v in combo:
-                mask |= 1 << v
-            if ctx.qualifies(mask):
-                return ParameterResult(
-                    value=size,
-                    witness=combo,
-                    method=METHOD_BRUTE_FORCE,
-                    theorem_tag=TAG_BRUTE_FORCE,
-                )
-    raise RuntimeError(f"no locating set found for {variant} (unreachable)")
+    if g.n > cap:
+        raise SizeCapExceeded(f"n={g.n} exceeds oracle cap {cap} for {variant}")
+    if ctx is None:
+        ctx = _LocatingContext(g, variant, dm)
+    witness = lex_first_cover(g.n, ctx.constraints, ctx.need, ctx.floor)
+    if witness is None:
+        raise RuntimeError(f"no locating set found for {variant} (unreachable)")
+    return ParameterResult(
+        value=len(witness),
+        witness=witness,
+        method=METHOD_BRUTE_FORCE,
+        theorem_tag=TAG_BRUTE_FORCE,
+    )
 
 
 def k_dimensional_value(g: Graph, dm: DistanceMatrix | None = None) -> int:

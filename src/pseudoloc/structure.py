@@ -13,6 +13,7 @@ from dataclasses import dataclass, field
 
 from .errors import NotPseudotree, NotUnicyclic, SizeCapExceeded
 from .graph import DistanceMatrix, Graph, cap_override, distance_matrix, from_edge_list, girth_and_cycle
+from .resolvers import closed_neighbourhoods, lex_first_cover
 
 DEFAULT_SOLVER_CAP = 64
 
@@ -465,44 +466,7 @@ def independence_number(graph_like) -> int:
 
 
 def domination_number(g: Graph) -> int:
-    """Exact minimum dominating set size via set-cover branch and bound."""
+    """Exact domination number: the smallest cover of the closed neighbourhoods."""
     if g.n > solver_cap():
         raise SizeCapExceeded(f"n={g.n} exceeds solver cap {solver_cap()}")
-    closed = [0] * g.n
-    for v in range(g.n):
-        mask = 1 << v
-        for w in g.adjacency[v]:
-            mask |= 1 << w
-        closed[v] = mask
-    full = (1 << g.n) - 1
-    max_cover = max(m.bit_count() for m in closed)
-
-    # greedy initial upper bound
-    covered, best = 0, 0
-    while covered != full:
-        v = max(range(g.n), key=lambda x: (closed[x] & ~covered).bit_count())
-        covered |= closed[v]
-        best += 1
-
-    best_holder = [best]
-
-    def search(covered: int, size: int) -> None:
-        if covered == full:
-            if size < best_holder[0]:
-                best_holder[0] = size
-            return
-        remaining = (full & ~covered).bit_count()
-        if size + (remaining + max_cover - 1) // max_cover >= best_holder[0]:
-            return
-        # branch on the dominators of one uncovered vertex
-        u = (full & ~covered)
-        u = (u & (-u)).bit_length() - 1
-        candidates = sorted(
-            [u] + list(g.adjacency[u]),
-            key=lambda w: -(closed[w] & ~covered).bit_count(),
-        )
-        for w in candidates:
-            search(covered | closed[w], size + 1)
-
-    search(0, 0)
-    return best_holder[0]
+    return len(lex_first_cover(g.n, closed_neighbourhoods(g)))

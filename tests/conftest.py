@@ -6,7 +6,17 @@ import itertools
 
 import pytest
 
-from pseudoloc import Graph, enumerate_trees, enumerate_unicyclic, from_edge_list
+from pseudoloc import (
+    Graph,
+    distance_matrix,
+    doubly_resolves,
+    edge_distance,
+    enumerate_trees,
+    enumerate_unicyclic,
+    from_edge_list,
+    resolves,
+    strong_resolves,
+)
 
 
 def path_graph(n: int) -> Graph:
@@ -132,6 +142,45 @@ def gamma_by_enumeration(g: Graph) -> int:
             if covered == everything:
                 return size
     return g.n
+
+
+def _locates(g: Graph, dm, s: tuple[int, ...], variant) -> bool:
+    """The definition of each variant, pair by pair, straight from the predicates."""
+    kind = variant.kind
+    pairs = list(itertools.combinations(range(g.n), 2))
+    if kind == "doubly":
+        return all(any(doubly_resolves(dm, u, v, x, y) for u in s for v in s) for x, y in pairs)
+    if kind == "strong":
+        return all(any(strong_resolves(dm, w, x, y) for w in s) for x, y in pairs)
+    if kind in ("edge", "mixed"):
+        items = list(g.edges) if kind == "edge" else list(range(g.n)) + list(g.edges)
+
+        def dist(v, item):
+            return edge_distance(dm, v, item) if isinstance(item, tuple) else dm.d(v, item)
+
+        return all(
+            any(dist(v, a) != dist(v, b) for v in s) for a, b in itertools.combinations(items, 2)
+        )
+    if kind == "local":
+        pairs = list(g.edges)
+    need = variant.k if kind == "kmetric" else 1
+    if not all(sum(1 for v in s if resolves(dm, v, x, y)) >= need for x, y in pairs):
+        return False
+    if kind == "mld":
+        dominated = set(s).union(*(g.adjacency[v] for v in s))
+        return len(dominated) == g.n
+    return True
+
+
+def dimension_by_enumeration(g: Graph, variant) -> tuple[int, tuple[int, ...]]:
+    """(size, witness): the first locating set in size-ascending
+    itertools.combinations order, tested with the definitional predicates."""
+    dm = distance_matrix(g)
+    for size in range(1, g.n + 1):
+        for combo in itertools.combinations(range(g.n), size):
+            if _locates(g, dm, combo, variant):
+                return size, combo
+    raise AssertionError(f"no locating set for {variant}")
 
 
 # cached corpora shared across test modules

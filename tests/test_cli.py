@@ -101,6 +101,14 @@ class TestCompute:
         assert code == 3
 
 
+    @pytest.mark.parametrize("raw", ["abc", "0", "-1"])
+    def test_invalid_cap_variable_exit_2(self, capsys, monkeypatch, raw):
+        line = encode_graph6(path_graph(5))
+        monkeypatch.setenv("PSEUDOLOC_MAX_N", raw)
+        code, _, err = run_cli(capsys, ["compute", "--param", "dim"], stdin_text=line + "\n")
+        assert code == 2 and "PSEUDOLOC_MAX_N" in err
+
+
 class TestProfile:
     def test_c5p13_json(self, capsys):
         g6 = encode_graph6(

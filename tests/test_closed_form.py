@@ -184,6 +184,14 @@ class TestDimk:
         with pytest.raises(KOutOfRange):
             closed_result(c5, "dimk")
 
+    def test_oracle_k_out_of_range(self, c5, spider122):
+        for g, k in ((c5, 1), (path_graph(5), 99), (spider122, 4)):
+            with pytest.raises(KOutOfRange):
+                oracle_result(g, "dimk", k=k)
+        # k is checked before the oracle cap, as the closed form checks it
+        with pytest.raises(KOutOfRange):
+            oracle_result(path_graph(20), "dimk", k=99)
+
 
 class TestEdim:
     def test_spider(self, spider122):

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import itertools
+import random
 
 import pytest
 
@@ -14,23 +15,26 @@ from pseudoloc import (
     MIXED,
     MLD,
     STRONG,
+    KOutOfRange,
     SizeCapExceeded,
     boundary_and_sr_graph,
     brute_force_dimension,
     distance_matrix,
     doubly_resolves,
+    encode_graph6,
     edge_distance,
     from_edge_list,
     independence_number,
     is_locating_set,
     k_dimensional_value,
     k_metric,
+    lex_first_cover,
     resolves,
     strong_resolves,
 )
 from pseudoloc.corpus import CorpusSpec, random_pseudotree
 
-from conftest import cycle_graph, path_graph
+from conftest import cycle_graph, dimension_by_enumeration, path_graph
 
 ALL_VARIANTS = (METRIC, DOUBLY, STRONG, EDGE, MIXED, LOCAL, MLD, k_metric(2))
 
@@ -111,6 +115,13 @@ class TestBruteForce:
         )
         assert a == b
 
+    def test_single_vertex(self):
+        k1 = from_edge_list(1, [])
+        for variant in (METRIC, DOUBLY, STRONG, EDGE, MIXED, LOCAL, MLD):
+            assert brute_force_dimension(k1, variant).witness == (0,)
+        with pytest.raises(KOutOfRange):
+            brute_force_dimension(k1, k_metric(2))
+
     def test_cap(self):
         with pytest.raises(SizeCapExceeded):
             brute_force_dimension(path_graph(17), METRIC)
@@ -131,6 +142,42 @@ class TestBruteForce:
                         for x, y in itertools.combinations(range(g.n), 2)
                     )
                     assert is_locating_set(g, combo, k_metric(2), dm) == expected
+
+
+class TestExactSearch:
+    """lex_first_cover against direct enumeration in itertools.combinations order."""
+
+    def test_random_masks(self):
+        rng = random.Random(7)
+        for _ in range(400):
+            n = rng.randint(1, 9)
+            masks = [rng.getrandbits(n) for _ in range(rng.randint(0, 8))]
+            need, floor = rng.randint(1, 3), rng.randint(1, 3)
+            expected = next(
+                (
+                    combo
+                    for size in range(floor, n + 1)
+                    for combo in itertools.combinations(range(n), size)
+                    if all(sum(1 for v in combo if m >> v & 1) >= need for m in masks)
+                ),
+                None,
+            )
+            assert lex_first_cover(n, masks, need, floor) == expected, (n, masks, need, floor)
+
+    def test_oracle_equals_enumeration_to_n8(self, tree_classes_by_n, unicyclic_classes_by_n):
+        # every variant and every k of the k-range: same value and same witness
+        graphs = [g for n in range(2, 9) for g in tree_classes_by_n[n]]
+        graphs += [g for n in range(3, 9) for g in unicyclic_classes_by_n[n]]
+        checked = 0
+        for g in graphs:
+            variants = [METRIC, DOUBLY, STRONG, EDGE, MIXED, LOCAL, MLD]
+            variants += [k_metric(k) for k in range(2, k_dimensional_value(g) + 1)]
+            for variant in variants:
+                res = brute_force_dimension(g, variant)
+                expected = dimension_by_enumeration(g, variant)
+                assert (res.value, res.witness) == expected, (encode_graph6(g), str(variant))
+                checked += 1
+        assert checked == 1629
 
 
 class TestKDimensionalValue:

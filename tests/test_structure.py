@@ -14,6 +14,7 @@ from pseudoloc import (
     boundary_and_sr_graph,
     classify,
     closed_necklace,
+    compute_parameter,
     domination_number,
     from_edge_list,
     geodesic_triple_exists,
@@ -218,6 +219,15 @@ class TestExactSolvers:
             g = random_pseudotree(CorpusSpec(family="unicyclic", max_n=9 + seed % 4, seed=seed))
             assert independence_number(g) == alpha_by_enumeration(range(g.n), g.edges)
             assert domination_number(g) == gamma_by_enumeration(g)
+
+    def test_gamma_at_the_cap(self):
+        # a 32-vertex path with one pendant per vertex
+        comb = from_edge_list(64, [(i, i + 1) for i in range(31)] + [(i, 32 + i) for i in range(32)])
+        assert domination_number(comb) == 32
+        assert domination_number(path_graph(64)) == 22
+        assert domination_number(cycle_graph(64)) == 22
+        res = compute_parameter(comb, "ddim", method="closed")
+        assert (res.value, res.theorem_tag) == (32, "DDIM_TREE")
 
     def test_known_formulas_to_n12(self):
         for n in range(3, 13):
