@@ -189,11 +189,14 @@ def dim_closed(g: Graph, prof: PseudotreeProfile) -> ParameterResult:
 
 
 def sdim_sr_formula(
-    g: Graph, prof: PseudotreeProfile, sr: StrongResolvingGraph | None = None
+    g: Graph,
+    prof: PseudotreeProfile,
+    sr: StrongResolvingGraph | None = None,
+    dm: DistanceMatrix | None = None,
 ) -> ParameterResult:
     """sdim = |boundary| - alpha(strong resolving graph); exact for any graph."""
     if sr is None:
-        sr = boundary_and_sr_graph(g)
+        sr = boundary_and_sr_graph(g, dm)
     return _exact(
         sr.order - independence_number(sr), "SDIM_PARTALPHA", method=METHOD_SR_FORMULA
     )
@@ -208,7 +211,10 @@ def sdim_even_fast(prof: PseudotreeProfile) -> ParameterResult:
 
 
 def sdim_closed(
-    g: Graph, prof: PseudotreeProfile, sr: StrongResolvingGraph | None = None
+    g: Graph,
+    prof: PseudotreeProfile,
+    sr: StrongResolvingGraph | None = None,
+    dm: DistanceMatrix | None = None,
 ) -> ParameterResult:
     kind = prof.kind
     if kind is FamilyKind.PATH:
@@ -218,7 +224,7 @@ def sdim_closed(
     if kind is FamilyKind.CYCLE:
         half = (prof.girth + 1) // 2
         return _exact(half, "SDIM_CYCLE", witness=tuple(sorted(prof.cycle[:half])))
-    via_sr = sdim_sr_formula(g, prof, sr)
+    via_sr = sdim_sr_formula(g, prof, sr, dm)
     if prof.girth % 2 == 0:
         fast = sdim_even_fast(prof)
         if fast.value != via_sr.value:  # the two exact routes must agree
@@ -388,13 +394,14 @@ def ldim_closed(g: Graph, prof: PseudotreeProfile) -> ParameterResult:
 # Umbrella dispatch
 
 
-def valid_k_range(g: Graph) -> tuple[int, int]:
-    return 2, k_dimensional_value(g)
+def valid_k_range(g: Graph, dm: DistanceMatrix | None = None) -> tuple[int, int]:
+    return 2, k_dimensional_value(g, dm)
 
 
 def _singleton_result(param: str) -> ParameterResult:
-    if param == "dimk":
-        raise KOutOfRange("k-metric dimension is undefined on a single vertex")
+    if param in ("dim2", "dimk"):
+        # dim2 is the k-metric dimension at k = 2; no vertex pair means no k
+        raise KOutOfRange(f"{param}: the k-metric dimension is undefined on a single vertex")
     return _exact(1, "SINGLETON", witness=(0,))
 
 
@@ -403,8 +410,13 @@ def closed_result(
     param: str,
     k: int | None = None,
     prof: PseudotreeProfile | None = None,
+    dm: DistanceMatrix | None = None,
 ) -> ParameterResult:
-    """Closed-form (or certified-interval) result; never calls the oracle."""
+    """Closed-form (or certified-interval) result; never calls the oracle.
+
+    One distance matrix serves the profile, the SR graph of sdim and the
+    k-range of dimk; pass dm to reuse one already built.
+    """
     if param not in PARAMETER_NAMES:
         raise ValueError(f"unknown parameter {param!r}")
     if param == "dimk" and k is None:
@@ -412,19 +424,21 @@ def closed_result(
     if g.n == 1:
         return _singleton_result(param)
     if prof is None:
-        prof = profile(g)
+        if dm is None:
+            dm = distance_matrix(g)
+        prof = profile(g, dm)
     if param == "dmd":
         return dmd_closed(g, prof)
     if param == "dim":
         return dim_closed(g, prof)
     if param == "sdim":
-        return sdim_closed(g, prof)
+        return sdim_closed(g, prof, dm=dm)
     if param == "ddim":
         return ddim_closed(g, prof)
     if param == "dim2":
         return dim2_closed(g, prof)
     if param == "dimk":
-        return dimk_closed(g, prof, k)
+        return dimk_closed(g, prof, k, dm)
     if param == "edim":
         dim_res = dim_closed(g, prof)
         return edim_closed(g, prof, dim_res.value if dim_res.is_exact else None)

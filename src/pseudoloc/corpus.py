@@ -10,13 +10,12 @@ rooted-branching-tree codes.
 from __future__ import annotations
 
 import json
-import multiprocessing
 from dataclasses import dataclass
 from typing import Callable, Iterator
 
 from .closed_form import PARAMETER_NAMES, closed_result, oracle_result, valid_k_range
 from .errors import SizeCapExceeded
-from .graph import Graph, cap_override, distance_matrix, encode_graph6, from_edge_list
+from .graph import DistanceMatrix, Graph, cap_override, distance_matrix, encode_graph6, from_edge_list
 from .resolvers import ParameterResult
 from .structure import profile
 
@@ -361,11 +360,11 @@ def compare_results(closed: ParameterResult, oracle: ParameterResult) -> str:
     return STATUS_IN_BOUNDS if closed.contains(oracle.value) else STATUS_VIOLATION
 
 
-def _expand_parameters(g: Graph, parameters) -> list[tuple[str, int | None]]:
+def _expand_parameters(g: Graph, parameters, dm: DistanceMatrix) -> list[tuple[str, int | None]]:
     out: list[tuple[str, int | None]] = []
     for p in parameters:
         if p == "dimk":
-            lo, hi = valid_k_range(g)
+            lo, hi = valid_k_range(g, dm)
             out.extend(("dimk", k) for k in range(lo, hi + 1))
         else:
             out.append((p, None))
@@ -378,8 +377,8 @@ def verify_graph(g: Graph, parameters, oracle_cap: int | None = None) -> list[Ve
     dm = distance_matrix(g)
     prof = profile(g, dm)
     records = []
-    for param, k in _expand_parameters(g, parameters):
-        closed = closed_result(g, param, k=k, prof=prof)
+    for param, k in _expand_parameters(g, parameters, dm):
+        closed = closed_result(g, param, k=k, prof=prof, dm=dm)
         oracle = oracle_result(g, param, k=k, max_n=oracle_cap, dm=dm)
         name = f"dimk[{k}]" if param == "dimk" else param
         records.append(
@@ -438,6 +437,10 @@ def verify_corpus(
     violations = 0
     try:
         if jobs > 1:
+            # imported here: it costs every other process, such as each
+            # `pseudoloc compute`, about 1.5 MB of resident memory
+            import multiprocessing
+
             payload = [(list(g.edges), g.n, parameters, oracle_cap) for g in graphs]
             with multiprocessing.get_context("fork").Pool(jobs) as pool:
                 batches = pool.imap(_verify_worker, payload, chunksize=4)

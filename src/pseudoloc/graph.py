@@ -2,13 +2,18 @@
 
 Vertices are dense 0-based integers.  Every constructor validates that the
 graph is simple and connected; everything downstream relies on both.
+
+A distance row is also kept packed: one Python integer with a fixed-width
+field per vertex, field v holding d(u, v).  Whole-row comparisons and
+updates are then a few integer operations instead of a loop over vertices.
 """
 
 from __future__ import annotations
 
 import os
+import re
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .errors import (
     Disconnected,
@@ -24,6 +29,8 @@ DEFAULT_GRAPH_CAP = 64
 CAP_ENV_VAR = "PSEUDOLOC_MAX_N"
 
 GRAPH6_HEADER = ">>graph6<<"
+_G6_INVALID = re.compile(r"[^?-~]")  # graph6 characters are chr(63)..chr(126)
+_G6_BITS = {chr(c): format(c - 63, "06b") for c in range(63, 127)}
 
 
 def cap_override() -> int | None:
@@ -76,15 +83,62 @@ class Graph:
         return f"Graph(n={self.n}, edges={list(self.edges)})"
 
 
+def field_width(n: int) -> int:
+    """Bits per vertex field of a packed row on n vertices: one byte while
+    every distance + 1 (at most n) fits, doubled until it does."""
+    width = 8
+    while n >= 1 << width:
+        width *= 2
+    return width
+
+
+def field_ones(n: int, width: int) -> int:
+    """The packed row with 1 in each of its n fields."""
+    return int.from_bytes((1).to_bytes(width // 8, "little") * n, "little")
+
+
+def pack_row(values, width: int) -> int:
+    if width == 8:
+        return int.from_bytes(bytes(values), "little")
+    size = width // 8
+    return int.from_bytes(b"".join(v.to_bytes(size, "little") for v in values), "little")
+
+
+def unpack_row(row: int, n: int, width: int) -> tuple[int, ...]:
+    if width == 8:
+        return tuple(row.to_bytes(n, "little"))
+    size = width // 8
+    data = row.to_bytes(n * size, "little")
+    return tuple(int.from_bytes(data[i : i + size], "little") for i in range(0, len(data), size))
+
+
 @dataclass(frozen=True)
 class DistanceMatrix:
-    """All-pairs hop distances of a connected graph."""
+    """All-pairs hop distances of a connected graph.
+
+    `rows[u][v]` is d(u, v); `packed[u]` is the same row packed, with a
+    `width`-bit field per vertex.
+    """
 
     rows: tuple[tuple[int, ...], ...]
+    packed: tuple[int, ...] = field(default=(), compare=False, repr=False)
+
+    def __post_init__(self):
+        if len(self.packed) != len(self.rows):
+            packed = tuple(pack_row(row, self.width) for row in self.rows)
+            object.__setattr__(self, "packed", packed)
 
     @property
     def n(self) -> int:
         return len(self.rows)
+
+    @property
+    def width(self) -> int:
+        return field_width(len(self.rows))
+
+    @property
+    def ones(self) -> int:
+        return field_ones(len(self.rows), self.width)
 
     def d(self, u: int, v: int) -> int:
         return self.rows[u][v]
@@ -215,9 +269,9 @@ def parse_graph6(text: str) -> Graph:
         s = s[len(GRAPH6_HEADER) :]
     if not s:
         raise MalformedGraph6("empty graph6 input")
-    for ch in s:
-        if not (63 <= ord(ch) <= 126):
-            raise MalformedGraph6(f"invalid graph6 character {ch!r}")
+    bad = _G6_INVALID.search(s)
+    if bad:
+        raise MalformedGraph6(f"invalid graph6 character {bad.group()!r}")
     if s[0] == "~":
         if len(s) >= 2 and s[1] == "~":
             raise MalformedGraph6("graph6 orders above 258047 are not supported")
@@ -240,39 +294,104 @@ def parse_graph6(text: str) -> Graph:
         raise MalformedGraph6(
             f"graph6 body has {len(body)} bytes, expected {nbytes} for n={n}"
         )
-    bits: list[int] = []
-    for ch in body:
-        value = ord(ch) - 63
-        for s6 in range(5, -1, -1):
-            bits.append((value >> s6) & 1)
-    if any(bits[nbits:]):
+    bits = "".join(map(_G6_BITS.__getitem__, body))  # body bit k is bits[k]
+    if "1" in bits[nbits:]:
         raise MalformedGraph6("nonzero padding bits in graph6 body")
+    # walk the set bits only; column j holds bits k = first + i for the
+    # pairs (i, j), i < j, where first = j(j-1)/2
     pairs = []
-    idx = 0
-    for j in range(1, n):
-        for i in range(j):
-            if bits[idx]:
-                pairs.append((i, j))
-            idx += 1
+    j, first = 1, 0
+    k = bits.find("1")
+    while k >= 0:
+        while k >= first + j:
+            first += j
+            j += 1
+        pairs.append((k - first, j))
+        k = bits.find("1", k + 1)
     return from_edge_list(n, pairs)
 
 
-def distance_matrix(g: Graph) -> DistanceMatrix:
-    """BFS-exact hop distances between all vertex pairs."""
-    rows = []
-    for src in range(g.n):
-        dist = [-1] * g.n
-        dist[src] = 0
-        queue = deque([src])
-        while queue:
-            u = queue.popleft()
-            du = dist[u]
+def _strip_leaves(g: Graph) -> tuple[list[bool], list[int], list[int]]:
+    """Remove degree-1 vertices until none is left.
+
+    Returns (alive, order, parent): alive marks the 2-core, order lists the
+    removed vertices as they went, and parent[u] is the neighbour u still had
+    when it went (-1 for the last vertex of a tree, whose core is empty).
+    """
+    degree = list(map(len, g.adjacency))
+    alive = [True] * g.n
+    parent = [-1] * g.n
+    order = [v for v in range(g.n) if degree[v] == 1]
+    for u in order:  # order grows while it is walked: it is the queue
+        alive[u] = False
+        for w in g.adjacency[u]:
+            if alive[w]:
+                parent[u] = w
+                degree[w] -= 1
+                if degree[w] == 1:
+                    order.append(w)
+    return alive, order, parent
+
+
+def _core_row(g: Graph, src: int, alive: list[bool]) -> list[int]:
+    """BFS distances from src to the vertices marked alive, -1 elsewhere."""
+    dist = [-1] * g.n
+    dist[src] = 0
+    frontier = [src]
+    d = 0
+    while frontier:
+        d += 1
+        reached = []
+        for u in frontier:
             for w in g.adjacency[u]:
-                if dist[w] < 0:
-                    dist[w] = du + 1
-                    queue.append(w)
-        rows.append(tuple(dist))
-    return DistanceMatrix(rows=tuple(rows))
+                if dist[w] < 0 and alive[w]:
+                    dist[w] = d
+                    reached.append(w)
+        frontier = reached
+    return dist
+
+
+def distance_matrix(g: Graph) -> DistanceMatrix:
+    """Exact hop distances between all vertex pairs, for any connected graph.
+
+    Leaf stripping leaves the 2-core (for a tree, its last stripped vertex)
+    with a tree hanging off each core vertex by bridges.  Shortest paths
+    between core vertices stay in the core, so a core vertex c is at
+    d_core(c, r) + depth(x) from a vertex x of the tree hanging off r; BFS
+    runs only inside the core.  Every other vertex w hangs off its parent p
+    by a bridge: w is one closer than p to the vertices on its side of the
+    bridge and one farther from all others, so in packed form
+    row[w] = row[p] + ONES - 2 * BELOW[w].  No field borrows, since each
+    vertex below w is at least 1 from p.
+    """
+    n = g.n
+    width = field_width(n)
+    alive, order, parent = _strip_leaves(g)
+    twice_below = [2 << (v * width) for v in range(n)]
+    for u in order:  # children go before their parents
+        if parent[u] >= 0:
+            twice_below[parent[u]] += twice_below[u]
+    root = list(range(n))
+    depth = [0] * n
+    for u in reversed(order):
+        p = parent[u]
+        if p >= 0:
+            root[u] = root[p]
+            depth[u] = depth[p] + 1
+    rows: list = [None] * n
+    packed = [0] * n
+    for c in [v for v in range(n) if alive[v]] or order[-1:]:
+        within = _core_row(g, c, alive)
+        dist = [within[r] + h for r, h in zip(root, depth)]
+        rows[c] = tuple(dist)
+        packed[c] = pack_row(dist, width)
+    ones = field_ones(n, width)
+    for u in reversed(order):
+        p = parent[u]
+        if p >= 0:
+            packed[u] = packed[p] + ones - twice_below[u]
+            rows[u] = unpack_row(packed[u], n, width)
+    return DistanceMatrix(rows=tuple(rows), packed=tuple(packed))
 
 
 def girth_and_cycle(g: Graph) -> tuple[int, list[int]] | None:
@@ -286,17 +405,7 @@ def girth_and_cycle(g: Graph) -> tuple[int, list[int]] | None:
     if g.m > g.n:
         raise NotPseudotree(f"m={g.m} > n={g.n}: more than one cycle")
     # m == n: strip leaves until only the cycle remains
-    degree = [g.degree(v) for v in range(g.n)]
-    alive = [True] * g.n
-    queue = deque(v for v in range(g.n) if degree[v] == 1)
-    while queue:
-        u = queue.popleft()
-        alive[u] = False
-        for w in g.adjacency[u]:
-            if alive[w]:
-                degree[w] -= 1
-                if degree[w] == 1:
-                    queue.append(w)
+    alive = _strip_leaves(g)[0]
     core = [v for v in range(g.n) if alive[v]]
     start = core[0]
     cycle_neighbors = [w for w in g.adjacency[start] if alive[w]]

@@ -346,17 +346,28 @@ def brute_force_dimension(
 
 
 def k_dimensional_value(g: Graph, dm: DistanceMatrix | None = None) -> int:
-    """Largest k admitting a k-locating set: the minimum pair resolver count."""
+    """Largest k admitting a k-locating set: the minimum pair resolver count.
+
+    The resolvers of x and y are the nonzero fields of packed row x XOR
+    packed row y, counted with one mask, add, or and bit count.  Every pair
+    has at least two (x and y themselves), so a pair with two ends the search.
+    """
     if g.n < 2:
         raise ValueError("k-dimensional value needs at least 2 vertices")
     if dm is None:
         dm = distance_matrix(g)
+    packed, ones = dm.packed, dm.ones
+    low = ones * ((1 << (dm.width - 1)) - 1)  # all but the top bit of each field
+    top = ones << (dm.width - 1)
     best = g.n
-    for x in range(g.n):
-        row_x = dm[x]
-        for y in range(x + 1, g.n):
-            row_y = dm[y]
-            count = sum(1 for v in range(g.n) if row_x[v] != row_y[v])
+    for x, row_x in enumerate(packed):
+        for row_y in packed[x + 1 :]:
+            diff = row_x ^ row_y
+            # a field's top bit ends up set iff the field is nonzero; no carry
+            # leaves a field, since (diff & low) + low < 2 ** width
+            count = ((((diff & low) + low) | diff) & top).bit_count()
             if count < best:
+                if count == 2:
+                    return 2
                 best = count
     return best

@@ -149,15 +149,25 @@ class PseudotreeProfile:
 
 
 def _twin_pairs(g: Graph) -> tuple[tuple[int, int], ...]:
-    adj_sets = [set(g.adjacency[v]) for v in range(g.n)]
-    pairs = []
-    for u in range(g.n):
-        for v in range(u + 1, g.n):
-            if adj_sets[u] == adj_sets[v]:
-                pairs.append((u, v))
-            elif adj_sets[u] | {u} == adj_sets[v] | {v}:
-                pairs.append((u, v))
-    return tuple(pairs)
+    """Pairs with equal open or equal closed neighbourhoods, sorted."""
+    groups: dict[tuple[int, ...], list[int]] = {}
+    for v, nbrs in enumerate(g.adjacency):
+        groups.setdefault(nbrs, []).append(v)
+    pairs = [
+        (u, v)
+        for members in groups.values()
+        if len(members) > 1
+        for i, u in enumerate(members)
+        for v in members[i + 1 :]
+    ]
+    # closed twins are adjacent, since each lies in the other's N[.]
+    adj = g.adjacency
+    pairs += [
+        (u, v)
+        for u, v in g.edges
+        if len(adj[u]) == len(adj[v]) and set(adj[u]) | {u} == set(adj[v]) | {v}
+    ]
+    return tuple(sorted(pairs))
 
 
 def profile(g: Graph, dm: DistanceMatrix | None = None) -> PseudotreeProfile:
@@ -166,21 +176,26 @@ def profile(g: Graph, dm: DistanceMatrix | None = None) -> PseudotreeProfile:
     if dm is None:
         dm = distance_matrix(g)
 
-    leaves = tuple(v for v in range(g.n) if g.degree(v) == 1)
+    degree = [len(a) for a in g.adjacency]
+    # the tuples below are built from lists: tuple() of a generator allocates
+    # a guessed size and resizes, and CPython frees the result into the free
+    # list of its final size, so over many calls those lists fill up (~2 MB)
+    leaves = tuple([v for v in range(g.n) if degree[v] == 1])
     leaf_set = set(leaves)
     supports = tuple(
         sorted({w for v in leaves for w in g.adjacency[v]})
     )
     strong_supports = tuple(
-        v for v in supports if sum(1 for w in g.adjacency[v] if w in leaf_set) >= 2
+        [v for v in supports if sum(1 for w in g.adjacency[v] if w in leaf_set) >= 2]
     )
 
-    majors = [v for v in range(g.n) if g.degree(v) >= 3]
+    majors = [v for v in range(g.n) if degree[v] >= 3]
     terminal_map: dict[int, list[int]] = {}
     for u in leaves:
         best, best_d, strict = None, None, False
+        row_u = dm[u]
         for w in majors:
-            duw = dm.d(u, w)
+            duw = row_u[w]
             if best_d is None or duw < best_d:
                 best, best_d, strict = w, duw, True
             elif duw == best_d:
@@ -189,7 +204,7 @@ def profile(g: Graph, dm: DistanceMatrix | None = None) -> PseudotreeProfile:
             terminal_map.setdefault(best, []).append(u)
     terminal_map_t = {w: tuple(sorted(t)) for w, t in terminal_map.items()}
     exterior_major = tuple(sorted(terminal_map_t))
-    strong_exterior_major = tuple(w for w in exterior_major if len(terminal_map_t[w]) >= 2)
+    strong_exterior_major = tuple([w for w in exterior_major if len(terminal_map_t[w]) >= 2])
     strong_leaves = tuple(
         sorted(u for w in strong_exterior_major for u in terminal_map_t[w])
     )
@@ -229,18 +244,18 @@ def profile(g: Graph, dm: DistanceMatrix | None = None) -> PseudotreeProfile:
                         stack.append(w)
             tree_members[v] = sorted(members)
             # branch-active: T_v contains a branching vertex
-            is_active = g.degree(v) >= 4 or any(
-                g.degree(w) >= 3 for w in members if w != v
+            is_active = degree[v] >= 4 or any(
+                degree[w] >= 3 for w in members if w != v
             )
             if is_active:
                 active.append(v)
             # thread: T_v is a path and deg(v) == 3
-            if len(members) >= 2 and g.degree(v) == 3 and not is_active:
+            if len(members) >= 2 and degree[v] == 3 and not is_active:
                 path = []
                 cur = next(w for w in g.adjacency[v] if w not in cycle_set)
                 prev = v
                 path.append(cur)
-                while g.degree(cur) == 2:
+                while degree[cur] == 2:
                     nxt = next(w for w in g.adjacency[cur] if w != prev)
                     prev, cur = cur, nxt
                     path.append(cur)
@@ -347,17 +362,31 @@ class StrongResolvingGraph:
 
 
 def boundary_and_sr_graph(g: Graph, dm: DistanceMatrix | None = None) -> StrongResolvingGraph:
-    """Mutually-maximally-distant pairs and the boundary they span."""
+    """Mutually-maximally-distant pairs and the boundary they span.
+
+    Adjacent rows differ by at most 1 in every field, so each field of
+    row[w] - row[v] + ONES is 0, 1 or 2, and field u is 2 exactly when w is
+    farther than v from u.  OR-ing that over the neighbours w of v and
+    keeping bit 1 of each field marks the u that v is not maximally distant
+    from; u and v are mutually maximally distant iff neither is marked.
+    """
     if dm is None:
         dm = distance_matrix(g)
+    packed, ones, width = dm.packed, dm.ones, dm.width
+    near = []  # near[v]: field u set iff v is maximally distant from u
+    for v, row_v in enumerate(packed):
+        far = 0
+        for w in g.adjacency[v]:
+            far |= packed[w] + ones - row_v
+        near.append(~(far >> 1) & ones)
     edges = []
-    for u in range(g.n):
-        row_u = dm[u]
-        for v in range(u + 1, g.n):
-            duv = row_u[v]
-            if all(row_u[w] <= duv for w in g.adjacency[v]) and all(
-                dm.d(v, w) <= duv for w in g.adjacency[u]
-            ):
+    for u, near_u in enumerate(near):
+        later = near_u >> ((u + 1) * width)  # field v > u moved to field v - u - 1
+        while later:
+            b = later & -later
+            later ^= b
+            v = u + 1 + (b.bit_length() - 1) // width
+            if near[v] >> (u * width) & 1:
                 edges.append((u, v))
     boundary = tuple(sorted({x for e in edges for x in e}))
     return StrongResolvingGraph(boundary=boundary, mmd_edges=tuple(edges))

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import itertools
+import operator
 
 import pytest
 
@@ -181,6 +182,53 @@ def dimension_by_enumeration(g: Graph, variant) -> tuple[int, tuple[int, ...]]:
             if _locates(g, dm, combo, variant):
                 return size, combo
     raise AssertionError(f"no locating set for {variant}")
+
+
+# definitional references for the packed-row kernels: plain loops over
+# vertices and vertex pairs, no packed rows
+
+
+def distance_rows_by_bfs(g: Graph) -> tuple[tuple[int, ...], ...]:
+    """All-pairs distances by one breadth-first search per source."""
+    rows = []
+    for src in range(g.n):
+        dist = [-1] * g.n
+        dist[src] = 0
+        queue = [src]
+        for u in queue:
+            for w in g.adjacency[u]:
+                if dist[w] < 0:
+                    dist[w] = dist[u] + 1
+                    queue.append(w)
+        rows.append(tuple(dist))
+    return tuple(rows)
+
+
+def k_dimensional_by_pairs(rows) -> int:
+    """The fewest vertices resolving a pair, over all pairs."""
+    return min(
+        sum(map(operator.ne, rows[x], rows[y])) for x, y in itertools.combinations(range(len(rows)), 2)
+    )
+
+
+def mmd_pairs_by_definition(g: Graph, rows) -> list[tuple[int, int]]:
+    """Pairs u < v where no neighbour of v is farther from u, and vice versa."""
+    return [
+        (u, v)
+        for u, v in itertools.combinations(range(g.n), 2)
+        if all(rows[u][w] <= rows[u][v] for w in g.adjacency[v])
+        and all(rows[v][w] <= rows[u][v] for w in g.adjacency[u])
+    ]
+
+
+def twin_pairs_by_definition(g: Graph) -> list[tuple[int, int]]:
+    """Pairs u < v with N(u) = N(v) or N[u] = N[v]."""
+    nbrs = [set(a) for a in g.adjacency]
+    return [
+        (u, v)
+        for u, v in itertools.combinations(range(g.n), 2)
+        if nbrs[u] == nbrs[v] or nbrs[u] | {u} == nbrs[v] | {v}
+    ]
 
 
 # cached corpora shared across test modules

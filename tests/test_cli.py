@@ -60,6 +60,14 @@ class TestCompute:
         )
         assert code == 5
 
+    @pytest.mark.parametrize("method", ["closed", "brute"])
+    def test_dim2_on_one_vertex_exit_5(self, capsys, method):
+        # dim2 is the k-metric dimension at k = 2: undefined without a vertex pair
+        code, out, err = run_cli(
+            capsys, ["compute", "--param", "dim2", "--method", method], stdin_text="@\n"
+        )
+        assert code == 5 and not out and err.startswith("error:")
+
     def test_k_without_dimk_rejected(self, capsys):
         code, _, _ = run_cli(
             capsys, ["compute", "--param", "dim", "--k", "3"], stdin_text="C~\n"

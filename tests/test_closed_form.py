@@ -257,8 +257,14 @@ class TestComputeParameter:
 
     def test_singleton(self):
         g = from_edge_list(1, [])
-        for param in ("dmd", "dim", "sdim", "ddim", "dim2", "edim", "mdim", "ldim"):
+        for param in ("dmd", "dim", "sdim", "ddim", "edim", "mdim", "ldim"):
             assert compute_parameter(g, param).value == 1
+        # dim2 is the k-metric dimension at k = 2, undefined without a vertex pair
+        for method in ("auto", "closed", "brute"):
+            with pytest.raises(KOutOfRange):
+                compute_parameter(g, "dim2", method=method)
+            with pytest.raises(KOutOfRange):
+                compute_parameter(g, "dimk", k=2, method=method)
 
 
 class TestCorpusAgreement:

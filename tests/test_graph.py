@@ -134,6 +134,23 @@ class TestGraph6:
         again = parse_graph6(encode_graph6(g))
         assert again.edges == g.edges and again.n == g.n
 
+    @pytest.mark.parametrize("n", [1, 2, 62, 63, 64])
+    def test_roundtrip_at_encoding_boundaries(self, n):
+        # 62 is the last order written in one character, 63 the first in the "~" form
+        if n == 1:
+            graphs = [from_edge_list(1, [])]
+        else:
+            families = ("tree", "unicyclic") if n >= 3 else ("tree",)
+            graphs = [
+                random_pseudotree(CorpusSpec(family=family, max_n=n, seed=seed))
+                for family in families
+                for seed in range(5)
+            ]
+        for g in graphs:
+            text = encode_graph6(g)
+            assert text.startswith("~") == (n >= 63)
+            assert parse_graph6(text) == g
+
     def test_large_n_two_byte_order(self, monkeypatch):
         monkeypatch.setenv("PSEUDOLOC_MAX_N", "70")
         g = path_graph(64)
