@@ -9,7 +9,7 @@ bounded-by-theorem method and can be upgraded to the oracle on request.
 from __future__ import annotations
 
 from .errors import KOutOfRange, SizeCapExceeded
-from .graph import DistanceMatrix, Graph, distance_matrix, is_bipartite
+from .graph import DistanceMatrix, Graph, distance_matrix
 from .resolvers import (
     DOUBLY,
     EDGE,
@@ -302,13 +302,19 @@ def _i_r(ter: int, low: int, r: int) -> int:
 
 
 def dimk_closed(
-    g: Graph, prof: PseudotreeProfile, k: int, dm: DistanceMatrix | None = None
+    g: Graph,
+    prof: PseudotreeProfile,
+    k: int,
+    dm: DistanceMatrix | None = None,
+    kmax: int | None = None,
 ) -> ParameterResult:
+    """k-metric dimension; kmax, the k-dimensional value, is computed when not given."""
     if dm is None:
         dm = distance_matrix(g)
     if not isinstance(k, int) or k < 2:
         raise KOutOfRange(f"k must be an integer >= 2, got {k}")
-    kmax = k_dimensional_value(g, dm)
+    if kmax is None:
+        kmax = k_dimensional_value(g, dm)
     if k > kmax:
         raise KOutOfRange(f"k={k} exceeds the k-dimensional value {kmax}")
     kind = prof.kind
@@ -385,7 +391,7 @@ def mdim_closed(g: Graph, prof: PseudotreeProfile) -> ParameterResult:
 def ldim_closed(g: Graph, prof: PseudotreeProfile) -> ParameterResult:
     if prof.kind.is_tree:
         return _exact(1, "LDIM_BIPARTITE", witness=(0,))
-    if is_bipartite(g):
+    if prof.girth % 2 == 0:  # a unicyclic graph is bipartite iff its girth is even
         return _exact(1, "LDIM_PARITY", witness=(0,))
     return _exact(2, "LDIM_PARITY", witness=(prof.cycle[0], prof.cycle[1]))
 
@@ -411,11 +417,14 @@ def closed_result(
     k: int | None = None,
     prof: PseudotreeProfile | None = None,
     dm: DistanceMatrix | None = None,
+    kmax: int | None = None,
 ) -> ParameterResult:
     """Closed-form (or certified-interval) result; never calls the oracle.
 
-    One distance matrix serves the profile, the SR graph of sdim and the
-    k-range of dimk; pass dm to reuse one already built.
+    The profile reads no distances.  Only sdim on a proper unicyclic graph
+    (its SR graph) and dimk (the k-dimensional value and the terminal
+    distances) read a distance matrix, and build one when dm is None; pass
+    dm to reuse one already built, and kmax to reuse the k-dimensional value.
     """
     if param not in PARAMETER_NAMES:
         raise ValueError(f"unknown parameter {param!r}")
@@ -424,9 +433,7 @@ def closed_result(
     if g.n == 1:
         return _singleton_result(param)
     if prof is None:
-        if dm is None:
-            dm = distance_matrix(g)
-        prof = profile(g, dm)
+        prof = profile(g)
     if param == "dmd":
         return dmd_closed(g, prof)
     if param == "dim":
@@ -438,7 +445,7 @@ def closed_result(
     if param == "dim2":
         return dim2_closed(g, prof)
     if param == "dimk":
-        return dimk_closed(g, prof, k, dm)
+        return dimk_closed(g, prof, k, dm, kmax)
     if param == "edim":
         dim_res = dim_closed(g, prof)
         return edim_closed(g, prof, dim_res.value if dim_res.is_exact else None)

@@ -15,7 +15,7 @@ from typing import Callable, Iterator
 
 from .closed_form import PARAMETER_NAMES, closed_result, oracle_result, valid_k_range
 from .errors import SizeCapExceeded
-from .graph import DistanceMatrix, Graph, cap_override, distance_matrix, encode_graph6, from_edge_list
+from .graph import Graph, cap_override, distance_matrix, encode_graph6, from_edge_list, girth_and_cycle
 from .resolvers import ParameterResult
 from .structure import profile
 
@@ -148,61 +148,48 @@ def tree_canonical_form(g: Graph) -> Graph:
     return from_edge_list(g.n, [(new_id[u], new_id[v]) for u, v in g.edges])
 
 
+def _least_cycle_order(g: Graph) -> tuple[dict[int, list[int]], list[int], tuple]:
+    """The adjacency without cycle edges, the cycle order whose sequence of
+    rooted branching-tree codes is least over rotations and reflections, and
+    that sequence.
+
+    Every edge between two cycle vertices is a cycle edge, so from a cycle
+    vertex the trimmed adjacency reaches exactly its branching tree.
+    """
+    _, cycle = girth_and_cycle(g)  # type: ignore[misc]
+    on_cycle = set(cycle)
+    trimmed = {
+        x: [w for w in nbrs if not (x in on_cycle and w in on_cycle)]
+        for x, nbrs in enumerate(g.adjacency)
+    }
+    codes = {v: _tree_code(trimmed, v, -1) for v in cycle}
+    best, best_order = None, cycle
+    for seq in (cycle, cycle[::-1]):
+        for shift in range(len(seq)):
+            rotated = seq[shift:] + seq[:shift]
+            key = tuple([codes[v] for v in rotated])
+            if best is None or key < best:
+                best, best_order = key, rotated
+    return trimmed, best_order, best
+
+
 def unicyclic_canonical_key(g: Graph) -> tuple:
     """Complete isomorphism invariant for unicyclic graphs.
 
     The cycle's sequence of rooted branching-tree codes, minimized over
     rotation and reflection.
     """
-    prof = profile(g)
-    adj = {v: list(g.adjacency[v]) for v in range(g.n)}
-    cycle = prof.cycle
-    gsize = len(cycle)
-    cycle_set = set(cycle)
-    codes = []
-    for v in cycle:
-        trimmed = {
-            x: [w for w in adj[x] if not (x == v and w in cycle_set)] for x in prof.branching_trees[v]
-        }
-        codes.append(_tree_code(trimmed, v, -1))
-    best = None
-    for seq in (codes, codes[::-1]):
-        for shift in range(gsize):
-            rotated = tuple(seq[(shift + i) % gsize] for i in range(gsize))
-            if best is None or rotated < best:
-                best = rotated
-    return (gsize, best)
+    _, order, codes = _least_cycle_order(g)
+    return (len(order), codes)
 
 
 def unicyclic_canonical_form(g: Graph) -> Graph:
     """Deterministic canonical relabeling of a unicyclic graph."""
-    prof = profile(g)
-    adj = {v: list(g.adjacency[v]) for v in range(g.n)}
-    cycle = prof.cycle
-    gsize = len(cycle)
-    cycle_set = set(cycle)
-    trimmed_adj: dict[int, dict[int, list[int]]] = {}
-    codes = {}
-    for v in cycle:
-        trimmed = {
-            x: [w for w in adj[x] if not (x == v and w in cycle_set)] for x in prof.branching_trees[v]
-        }
-        trimmed_adj[v] = trimmed
-        codes[v] = _tree_code(trimmed, v, -1)
-    best = None
-    best_order = None
-    for seq in (list(cycle), list(cycle)[::-1]):
-        for shift in range(gsize):
-            rotated = seq[shift:] + seq[:shift]
-            key = tuple(codes[v] for v in rotated)
-            if best is None or key < best:
-                best = key
-                best_order = rotated
-    order: list[int] = []
+    trimmed, best_order, _ = _least_cycle_order(g)
     tails: list[list[int]] = []
     for v in best_order:
         tail: list[int] = []
-        _relabel_rooted(trimmed_adj[v], v, -1, tail)
+        _relabel_rooted(trimmed, v, -1, tail)
         tails.append(tail)
     order = [t[0] for t in tails]
     for t in tails:
@@ -360,25 +347,24 @@ def compare_results(closed: ParameterResult, oracle: ParameterResult) -> str:
     return STATUS_IN_BOUNDS if closed.contains(oracle.value) else STATUS_VIOLATION
 
 
-def _expand_parameters(g: Graph, parameters, dm: DistanceMatrix) -> list[tuple[str, int | None]]:
-    out: list[tuple[str, int | None]] = []
-    for p in parameters:
-        if p == "dimk":
-            lo, hi = valid_k_range(g, dm)
-            out.extend(("dimk", k) for k in range(lo, hi + 1))
-        else:
-            out.append((p, None))
-    return out
-
-
 def verify_graph(g: Graph, parameters, oracle_cap: int | None = None) -> list[VerificationRecord]:
-    """Closed-vs-oracle records for one graph, in deterministic order."""
+    """Closed-vs-oracle records for one graph, in deterministic order.
+
+    One distance matrix, one profile and one k-range serve every record.
+    """
     g6 = encode_graph6(g)
     dm = distance_matrix(g)
-    prof = profile(g, dm)
+    prof = profile(g)
+    kmax = valid_k_range(g, dm)[1] if "dimk" in parameters else None
+    expanded: list[tuple[str, int | None]] = []
+    for p in parameters:
+        if p == "dimk":
+            expanded.extend(("dimk", k) for k in range(2, kmax + 1))
+        else:
+            expanded.append((p, None))
     records = []
-    for param, k in _expand_parameters(g, parameters, dm):
-        closed = closed_result(g, param, k=k, prof=prof, dm=dm)
+    for param, k in expanded:
+        closed = closed_result(g, param, k=k, prof=prof, dm=dm, kmax=kmax)
         oracle = oracle_result(g, param, k=k, max_n=oracle_cap, dm=dm)
         name = f"dimk[{k}]" if param == "dimk" else param
         records.append(

@@ -4,6 +4,8 @@ Everything the closed forms condition on lives here: family classification,
 the full profile (leaves, exterior major vertices, branching trees, threads,
 branch-active vertices, antipodal pair counts, twins), plus the boundary/MMD
 machinery, the closed necklace, and exact independence/domination solvers.
+The profile reads no distances: each leaf's terminal vertex is the end of its
+leg.  Only the boundary/MMD machinery builds a distance matrix.
 """
 
 from __future__ import annotations
@@ -170,11 +172,9 @@ def _twin_pairs(g: Graph) -> tuple[tuple[int, int], ...]:
     return tuple(sorted(pairs))
 
 
-def profile(g: Graph, dm: DistanceMatrix | None = None) -> PseudotreeProfile:
-    """Compute the full structural profile of a pseudotree in one pass."""
+def profile(g: Graph) -> PseudotreeProfile:
+    """Compute the full structural profile of a pseudotree in one pass; no distances."""
     kind = classify(g)
-    if dm is None:
-        dm = distance_matrix(g)
 
     degree = [len(a) for a in g.adjacency]
     # the tuples below are built from lists: tuple() of a generator allocates
@@ -189,20 +189,18 @@ def profile(g: Graph, dm: DistanceMatrix | None = None) -> PseudotreeProfile:
         [v for v in supports if sum(1 for w in g.adjacency[v] if w in leaf_set) >= 2]
     )
 
-    majors = [v for v in range(g.n) if degree[v] >= 3]
+    # a leaf's terminal vertex ends its leg, the walk along degree-2 vertices:
+    # every other major vertex lies beyond it, so it is the unique nearest one.
+    # A leg that ends in a leaf spans a path, which has no major vertex.
     terminal_map: dict[int, list[int]] = {}
     for u in leaves:
-        best, best_d, strict = None, None, False
-        row_u = dm[u]
-        for w in majors:
-            duw = row_u[w]
-            if best_d is None or duw < best_d:
-                best, best_d, strict = w, duw, True
-            elif duw == best_d:
-                strict = False
-        if best is not None and strict:
-            terminal_map.setdefault(best, []).append(u)
-    terminal_map_t = {w: tuple(sorted(t)) for w, t in terminal_map.items()}
+        prev, cur = u, g.adjacency[u][0]
+        while degree[cur] == 2:
+            a, b = g.adjacency[cur]
+            prev, cur = cur, (b if a == prev else a)
+        if degree[cur] >= 3:
+            terminal_map.setdefault(cur, []).append(u)
+    terminal_map_t = {w: tuple(t) for w, t in terminal_map.items()}  # leaves ascend
     exterior_major = tuple(sorted(terminal_map_t))
     strong_exterior_major = tuple([w for w in exterior_major if len(terminal_map_t[w]) >= 2])
     strong_leaves = tuple(

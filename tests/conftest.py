@@ -8,6 +8,7 @@ import operator
 import pytest
 
 from pseudoloc import (
+    CorpusSpec,
     Graph,
     distance_matrix,
     doubly_resolves,
@@ -15,6 +16,7 @@ from pseudoloc import (
     enumerate_trees,
     enumerate_unicyclic,
     from_edge_list,
+    random_pseudotree,
     resolves,
     strong_resolves,
 )
@@ -26,6 +28,15 @@ def path_graph(n: int) -> Graph:
 
 def cycle_graph(n: int) -> Graph:
     return from_edge_list(n, [(i, (i + 1) % n) for i in range(n)])
+
+
+def random_pseudotrees(n: int, count: int) -> list[Graph]:
+    """Seeds 0..count-1, trees at even seeds and unicyclic graphs at odd ones."""
+    families = ("tree", "unicyclic")
+    return [
+        random_pseudotree(CorpusSpec(family=families[seed % 2], max_n=n, seed=seed))
+        for seed in range(count)
+    ]
 
 
 @pytest.fixture
@@ -229,6 +240,22 @@ def twin_pairs_by_definition(g: Graph) -> list[tuple[int, int]]:
         for u, v in itertools.combinations(range(g.n), 2)
         if nbrs[u] == nbrs[v] or nbrs[u] | {u} == nbrs[v] | {v}
     ]
+
+
+def terminal_map_by_distances(g: Graph) -> dict[int, tuple[int, ...]]:
+    """Each leaf under its unique nearest major vertex by BFS distance; a leaf
+    with no major vertex, or with two at the least distance, is left out."""
+    rows = distance_rows_by_bfs(g)
+    majors = [v for v in range(g.n) if len(g.adjacency[v]) >= 3]
+    out: dict[int, list[int]] = {}
+    for u in range(g.n):
+        if len(g.adjacency[u]) != 1 or not majors:
+            continue
+        nearest = min(rows[u][w] for w in majors)
+        at_nearest = [w for w in majors if rows[u][w] == nearest]
+        if len(at_nearest) == 1:
+            out.setdefault(at_nearest[0], []).append(u)
+    return {w: tuple(leaves) for w, leaves in out.items()}
 
 
 # cached corpora shared across test modules

@@ -1,0 +1,111 @@
+"""What reads no distances: the profile's terminal map against the nearest
+major vertex by BFS, closed forms with distance_matrix made to raise,
+canonical forms without the profile, and one k-dimensional value per
+verified graph."""
+
+from __future__ import annotations
+
+import importlib
+
+import pytest
+
+from pseudoloc import (
+    closed_result,
+    enumerate_trees,
+    enumerate_unicyclic,
+    is_bipartite,
+    ldim_closed,
+    profile,
+    verify_graph,
+)
+from pseudoloc.closed_form import PARAMETER_NAMES
+
+from conftest import cycle_graph, path_graph, random_pseudotrees, terminal_map_by_distances
+
+DISTANCE_FREE = ("dmd", "dim", "dim2", "edim", "mdim", "ldim")
+MODULES_THAT_BUILD_DISTANCES = ("closed_form", "structure", "resolvers", "graph")
+
+
+@pytest.fixture
+def no_distances(monkeypatch):
+    """distance_matrix raises wherever the closed forms and the profile could call it."""
+
+    def refuse(g):
+        raise AssertionError("distance_matrix called")
+
+    for name in MODULES_THAT_BUILD_DISTANCES:
+        monkeypatch.setattr(importlib.import_module(f"pseudoloc.{name}"), "distance_matrix", refuse)
+
+
+class TestTerminalMap:
+    def assert_matches(self, graphs):
+        for g in graphs:
+            assert profile(g).terminal_map == terminal_map_by_distances(g), g.edges
+
+    def test_trees_up_to_10(self, tree_classes_by_n):
+        for graphs in tree_classes_by_n.values():
+            self.assert_matches(graphs)
+        self.assert_matches(enumerate_trees(10, dedup=True))
+
+    def test_unicyclic_up_to_9(self, unicyclic_classes_by_n):
+        for graphs in unicyclic_classes_by_n.values():
+            self.assert_matches(graphs)
+
+    def test_random_at_64(self):
+        self.assert_matches(random_pseudotrees(64, 200))
+
+    def test_small_and_cyclic(self, paw):
+        self.assert_matches([path_graph(2), paw] + [cycle_graph(n) for n in range(3, 9)])
+        assert profile(path_graph(2)).terminal_map == {}
+        assert profile(paw).terminal_map == {0: (3,)}
+
+
+class TestClosedFormsWithoutDistances:
+    def test_profile_and_six_parameters(self, no_distances, tree_classes_by_n, unicyclic_classes_by_n):
+        graphs = tree_classes_by_n[8] + unicyclic_classes_by_n[8] + random_pseudotrees(64, 20)
+        for g in graphs:
+            for param in DISTANCE_FREE:
+                assert closed_result(g, param).theorem_tag
+
+    def test_sdim_on_paths_trees_and_cycles(self, no_distances, tree_classes_by_n):
+        graphs = [path_graph(9), cycle_graph(8), cycle_graph(9)] + tree_classes_by_n[8]
+        graphs += random_pseudotrees(64, 20)[::2]  # the trees
+        for g in graphs:
+            assert closed_result(g, "sdim").is_exact
+
+    def test_sdim_on_proper_unicyclic_builds_distances(self, no_distances, paw):
+        with pytest.raises(AssertionError, match="distance_matrix called"):
+            closed_result(paw, "sdim")
+
+
+class TestSharedWork:
+    def test_canonical_forms_without_profile(self, monkeypatch, unicyclic_classes_by_n):
+        def refuse(g):
+            raise AssertionError("profile called")
+
+        monkeypatch.setattr(importlib.import_module("pseudoloc.corpus"), "profile", refuse)
+        # connected unicyclic graphs on 3..8 vertices (OEIS A001429)
+        counts = [len(list(enumerate_unicyclic(n, dedup=True))) for n in range(3, 9)]
+        assert counts == [1, 2, 5, 13, 33, 89]
+        assert list(enumerate_unicyclic(8, dedup=True)) == unicyclic_classes_by_n[8]
+
+    def test_one_k_dimensional_value_per_verified_graph(self, monkeypatch, unicyclic_classes_by_n):
+        closed_form = importlib.import_module("pseudoloc.closed_form")
+        kdv = closed_form.k_dimensional_value
+        calls = []
+
+        def counted(g, dm=None):
+            calls.append(g)
+            return kdv(g, dm)
+
+        monkeypatch.setattr(closed_form, "k_dimensional_value", counted)
+        graphs = unicyclic_classes_by_n[6]
+        for g in graphs:
+            records = verify_graph(g, PARAMETER_NAMES)
+            assert [r.parameter for r in records if r.parameter.startswith("dimk")]
+        assert len(calls) == len(graphs)
+
+    def test_ldim_reads_girth_parity(self, unicyclic_classes_by_n):
+        for graphs in unicyclic_classes_by_n.values():
+            for g in graphs:
+                assert ldim_closed(g, profile(g)).value == (1 if is_bipartite(g) else 2)

@@ -14,7 +14,6 @@ from pseudoloc import (
     k_dimensional_value,
     profile,
 )
-from pseudoloc.corpus import CorpusSpec, random_pseudotree
 from pseudoloc.graph import field_width, unpack_row
 from pseudoloc.structure import _twin_pairs
 
@@ -24,6 +23,7 @@ from conftest import (
     k_dimensional_by_pairs,
     mmd_pairs_by_definition,
     path_graph,
+    random_pseudotrees,
     twin_pairs_by_definition,
 )
 
@@ -42,14 +42,6 @@ def assert_kernels_match(g):
     assert sr.mmd_edges == tuple(pairs)
     assert sr.boundary == tuple(sorted({x for e in pairs for x in e}))
     assert _twin_pairs(g) == tuple(twin_pairs_by_definition(g))
-
-
-def random_pseudotrees(n, count):
-    families = ("tree", "unicyclic")
-    return [
-        random_pseudotree(CorpusSpec(family=families[seed % 2], max_n=n, seed=seed))
-        for seed in range(count)
-    ]
 
 
 class TestFieldWidth:
