@@ -69,6 +69,7 @@ from .resolvers import (
     MIXED,
     MLD,
     STRONG,
+    OracleConstraints,
     ParameterResult,
     Variant,
     brute_force_dimension,

@@ -22,6 +22,7 @@ from .resolvers import (
     MIXED,
     MLD,
     STRONG,
+    OracleConstraints,
     ParameterResult,
     Variant,
     brute_force_dimension,
@@ -459,9 +460,13 @@ def oracle_result(
     param: str,
     k: int | None = None,
     max_n: int | None = None,
-    dm: DistanceMatrix | None = None,
+    constraints: OracleConstraints | None = None,
 ) -> ParameterResult:
-    """Exact-search ground truth for the same parameter."""
+    """Exact-search ground truth for the same parameter.
+
+    Pass the graph's OracleConstraints to share its distances and masks
+    across parameters.
+    """
     if param == "dimk":
         if k is None:
             raise KOutOfRange("dimk requires k")
@@ -473,7 +478,7 @@ def oracle_result(
         variant = k_metric(2)
     else:
         variant = _ORACLE_VARIANTS[param]
-    return brute_force_dimension(g, variant, max_n=max_n, dm=dm)
+    return brute_force_dimension(g, variant, max_n=max_n, constraints=constraints)
 
 
 def compute_parameter(
@@ -488,10 +493,12 @@ def compute_parameter(
         raise ValueError(f"unknown method {method!r}")
     if method == "brute":
         return oracle_result(g, param, k=k, max_n=max_n)
-    result = closed_result(g, param, k=k)
+    # dimk's closed form reads distances; the oracle reuses that matrix
+    dm = distance_matrix(g) if param == "dimk" else None
+    result = closed_result(g, param, k=k, dm=dm)
     if method == "closed" or result.is_exact:
         return result
     try:
-        return oracle_result(g, param, k=k, max_n=max_n)
+        return oracle_result(g, param, k=k, max_n=max_n, constraints=OracleConstraints(g, dm))
     except SizeCapExceeded:
         return result

@@ -9,6 +9,7 @@ rooted-branching-tree codes.
 
 from __future__ import annotations
 
+import itertools
 import json
 from dataclasses import dataclass
 from typing import Callable, Iterator
@@ -16,7 +17,7 @@ from typing import Callable, Iterator
 from .closed_form import PARAMETER_NAMES, closed_result, oracle_result, valid_k_range
 from .errors import SizeCapExceeded
 from .graph import Graph, cap_override, distance_matrix, encode_graph6, from_edge_list, girth_and_cycle
-from .resolvers import ParameterResult
+from .resolvers import OracleConstraints, ParameterResult
 from .structure import profile
 
 TREE_ENUM_CAP = 12
@@ -202,11 +203,22 @@ def unicyclic_canonical_form(g: Graph) -> Graph:
 # Enumerators
 
 
+def _check_tree_order(n: int) -> None:
+    if not 2 <= n <= _tree_cap():
+        raise SizeCapExceeded(f"tree enumeration supports 2 <= n <= {_tree_cap()}, got {n}")
+
+
+def _check_unicyclic_order(n: int) -> None:
+    if not 3 <= n <= _unicyclic_cap():
+        raise SizeCapExceeded(
+            f"unicyclic enumeration supports 3 <= n <= {_unicyclic_cap()}, got {n}"
+        )
+
+
 def enumerate_trees(n: int, dedup: bool = False) -> Iterator[Graph]:
     """All labeled trees on n vertices (Prüfer order), or one canonical
     representative per isomorphism class when dedup is set."""
-    if not 2 <= n <= _tree_cap():
-        raise SizeCapExceeded(f"tree enumeration supports 2 <= n <= {_tree_cap()}, got {n}")
+    _check_tree_order(n)
     if dedup:
         yield from _tree_classes(n)
         return
@@ -214,40 +226,50 @@ def enumerate_trees(n: int, dedup: bool = False) -> Iterator[Graph]:
         yield prufer_decode(seq, n)
 
 
+def _tree_class_levels() -> Iterator[list[Graph]]:
+    """Canonical representatives of all tree classes on 2, 3, 4, ... vertices,
+    level by level: each level grows every class of the one before by a leaf."""
+    level = [from_edge_list(2, [(0, 1)])]
+    while True:
+        yield level
+        n = level[0].n + 1
+        reps: dict[tuple, Graph] = {}
+        for smaller in level:
+            for v in range(smaller.n):
+                grown = from_edge_list(n, list(smaller.edges) + [(v, n - 1)])
+                key = tree_canonical_key(grown)
+                if key not in reps:
+                    reps[key] = tree_canonical_form(grown)
+        level = [reps[k] for k in sorted(reps)]
+
+
 def _tree_classes(n: int) -> list[Graph]:
-    """Canonical representatives of all tree classes, by leaf extension."""
+    """The tree classes on n vertices: level n of _tree_class_levels."""
+    return next(itertools.islice(_tree_class_levels(), n - 2, None))
+
+
+def _unicyclic_classes(n: int, trees: list[Graph]) -> list[Graph]:
+    """Canonical representatives of all unicyclic classes on n vertices, from
+    the tree classes on n vertices plus one chord."""
     reps: dict[tuple, Graph] = {}
-    if n == 2:
-        return [from_edge_list(2, [(0, 1)])]
-    for smaller in _tree_classes(n - 1):
-        for v in range(smaller.n):
-            grown = from_edge_list(n, list(smaller.edges) + [(v, n - 1)])
-            key = tree_canonical_key(grown)
-            if key not in reps:
-                reps[key] = tree_canonical_form(grown)
-    return [reps[k] for k in sorted(reps)]
+    for tree in trees:
+        edge_set = set(tree.edges)
+        for u in range(n):
+            for v in range(u + 1, n):
+                if (u, v) in edge_set:
+                    continue
+                candidate = from_edge_list(n, list(tree.edges) + [(u, v)])
+                key = unicyclic_canonical_key(candidate)
+                if key not in reps:
+                    reps[key] = unicyclic_canonical_form(candidate)
+    return [reps[key] for key in sorted(reps)]
 
 
 def enumerate_unicyclic(n: int, dedup: bool = False) -> Iterator[Graph]:
     """All connected unicyclic graphs on n vertices (tree plus one chord)."""
-    if not 3 <= n <= _unicyclic_cap():
-        raise SizeCapExceeded(
-            f"unicyclic enumeration supports 3 <= n <= {_unicyclic_cap()}, got {n}"
-        )
+    _check_unicyclic_order(n)
     if dedup:
-        reps: dict[tuple, Graph] = {}
-        for tree in _tree_classes(n):
-            edge_set = set(tree.edges)
-            for u in range(n):
-                for v in range(u + 1, n):
-                    if (u, v) in edge_set:
-                        continue
-                    candidate = from_edge_list(n, list(tree.edges) + [(u, v)])
-                    key = unicyclic_canonical_key(candidate)
-                    if key not in reps:
-                        reps[key] = unicyclic_canonical_form(candidate)
-        for key in sorted(reps):
-            yield reps[key]
+        yield from _unicyclic_classes(n, _tree_classes(n))
         return
     seen: set[frozenset] = set()
     for tree in enumerate_trees(n):
@@ -350,11 +372,14 @@ def compare_results(closed: ParameterResult, oracle: ParameterResult) -> str:
 def verify_graph(g: Graph, parameters, oracle_cap: int | None = None) -> list[VerificationRecord]:
     """Closed-vs-oracle records for one graph, in deterministic order.
 
-    One distance matrix, one profile and one k-range serve every record.
+    One distance matrix, one profile, one k-range and one set of oracle
+    constraints serve every record; dim2 and dimk[2], the same k-metric
+    problem, share one oracle search.
     """
     g6 = encode_graph6(g)
     dm = distance_matrix(g)
     prof = profile(g)
+    constraints = OracleConstraints(g, dm)
     kmax = valid_k_range(g, dm)[1] if "dimk" in parameters else None
     expanded: list[tuple[str, int | None]] = []
     for p in parameters:
@@ -362,10 +387,14 @@ def verify_graph(g: Graph, parameters, oracle_cap: int | None = None) -> list[Ve
             expanded.extend(("dimk", k) for k in range(2, kmax + 1))
         else:
             expanded.append((p, None))
+    oracles: dict[tuple[str, int | None], ParameterResult] = {}
     records = []
     for param, k in expanded:
         closed = closed_result(g, param, k=k, prof=prof, dm=dm, kmax=kmax)
-        oracle = oracle_result(g, param, k=k, max_n=oracle_cap, dm=dm)
+        key = ("dimk", 2) if param == "dim2" else (param, k)
+        if key not in oracles:
+            oracles[key] = oracle_result(g, param, k=k, max_n=oracle_cap, constraints=constraints)
+        oracle = oracles[key]
         name = f"dimk[{k}]" if param == "dimk" else param
         records.append(
             VerificationRecord(
@@ -385,14 +414,32 @@ def _verify_worker(args) -> list[VerificationRecord]:
     return verify_graph(from_edge_list(n, edges), parameters, oracle_cap)
 
 
+def _class_corpus(family: str, max_n: int) -> Iterator[Graph]:
+    """One canonical representative per class for every order up to max_n;
+    the tree class levels are grown once for the whole corpus."""
+    levels = _tree_class_levels()
+    if family == "unicyclic":
+        next(levels)  # unicyclic orders start at 3
+    for n in range(2 if family == "tree" else 3, max_n + 1):
+        if family == "tree":
+            _check_tree_order(n)
+            yield from next(levels)
+        else:
+            _check_unicyclic_order(n)
+            yield from _unicyclic_classes(n, next(levels))
+
+
 def corpus_graphs(spec: CorpusSpec) -> Iterator[Graph]:
     family = spec.family.lower()
+    if family in ("tree", "unicyclic") and spec.dedup:
+        yield from _class_corpus(family, spec.max_n)
+        return
     if family == "tree":
         lo = 2
-        gen: Callable[[int], Iterator[Graph]] = lambda n: enumerate_trees(n, dedup=spec.dedup)
+        gen: Callable[[int], Iterator[Graph]] = enumerate_trees
     elif family == "unicyclic":
         lo = 3
-        gen = lambda n: enumerate_unicyclic(n, dedup=spec.dedup)
+        gen = enumerate_unicyclic
     elif family == "path":
         lo = 2
         gen = lambda n: iter([from_edge_list(n, [(i, i + 1) for i in range(n - 1)])])

@@ -3,9 +3,10 @@
 Every variant is a cover problem over vertex bitmasks: a set locates iff it
 meets each constraint mask of the graph at least `need` times (one mask per
 pair it must tell apart, plus the closed neighbourhoods for the dominating
-variant).  The oracle, the ground truth every closed form is verified
-against, solves that problem with one exact search, `lex_first_cover`, which
-also gives the domination number.
+variant).  `OracleConstraints` builds one graph's masks once, from its
+packed distance rows, for every variant that reads them.  The oracle, the
+ground truth every closed form is verified against, solves that problem with
+one exact search, `lex_first_cover`, which also gives the domination number.
 
 Witness contract: the oracle's witness is the lexicographically first
 locating set of minimum size, the set that enumerating subsets by increasing
@@ -16,9 +17,10 @@ that direct enumerator as the reference.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 from .errors import KOutOfRange, SizeCapExceeded
-from .graph import DistanceMatrix, Graph, cap_override, distance_matrix
+from .graph import DistanceMatrix, Graph, cap_override, distance_matrix, field_ones
 
 DEFAULT_ORACLE_CAP = 16
 DEFAULT_KMETRIC_CAP = 12
@@ -123,47 +125,98 @@ def edge_distance(dm: DistanceMatrix, v: int, e: tuple[int, int]) -> int:
     return min(dm.d(v, e[0]), dm.d(v, e[1]))
 
 
-class _LocatingContext:
-    """One graph and variant as a cover problem: a set locates iff it meets
-    every constraint mask at least `need` times and has at least `floor`
-    members."""
+# byte value -> ASCII "0" for 0, "1" otherwise: gathers nonzero fields into a bit string
+_NONZERO = b"0" + b"1" * 255
 
-    def __init__(self, g: Graph, variant: Variant, dm: DistanceMatrix | None = None):
+
+def _nonzero_field_masks(diffs: list[int], n: int, width: int) -> list[int]:
+    """For each packed row difference, the n-bit mask of its nonzero fields."""
+    if width == 8:
+        return [int(d.to_bytes(n, "little").translate(_NONZERO)[::-1], 2) for d in diffs]
+    # wider fields: leave only each nonzero field's top bit (the carry trick of
+    # k_dimensional_value), then gather the byte holding it
+    size = width // 8
+    ones = field_ones(n, width)
+    low = ones * ((1 << (width - 1)) - 1)
+    top = ones << (width - 1)
+    tops = ((((d & low) + low) | d) & top for d in diffs)
+    return [
+        int(t.to_bytes(n * size, "little")[size - 1 :: size].translate(_NONZERO)[::-1], 2)
+        for t in tops
+    ]
+
+
+class OracleConstraints:
+    """One graph's oracle constraints: a set locates under a variant iff it
+    meets every constraint mask at least `need` times and has at least
+    `floor` members.
+
+    The distance matrix and the masks are built on first use and kept for the
+    life of this object, so every variant of one graph reads the same
+    vertex-pair masks (dim, dim2, dimk, ddim with the closed neighbourhoods,
+    mdim), edge rows and edge-pair masks (edim, mdim).  A pair mask gathers
+    the nonzero fields of two XORed packed rows.  Create one per graph and
+    drop it with the graph; nothing is cached on the Graph or DistanceMatrix.
+    """
+
+    def __init__(self, g: Graph, dm: DistanceMatrix | None = None):
         self.g = g
-        self.dm = dm if dm is not None else distance_matrix(g)
-        self.need = variant.k if variant.kind == "kmetric" else 1
-        self.floor = min(2, g.n) if variant.kind == "doubly" else 1
-        self.constraints: list[int] = []
+        if dm is not None:
+            self.dm = dm
+
+    @cached_property
+    def dm(self) -> DistanceMatrix:
+        return distance_matrix(self.g)
+
+    def _masks(self, diffs: list[int]) -> list[int]:
+        return _nonzero_field_masks(diffs, self.g.n, self.dm.width)
+
+    @cached_property
+    def vertex_pairs(self) -> list[int]:
+        """Resolvers of each vertex pair x < y, in lexicographic pair order."""
+        packed = self.dm.packed
+        return self._masks([px ^ py for x, px in enumerate(packed) for py in packed[x + 1 :]])
+
+    @cached_property
+    def _edge_rows(self) -> list[int]:
+        """Packed distances to each edge, in edge order: the fieldwise minimum
+        of its endpoint rows.  Adjacent rows differ by at most 1 per field, so
+        bit 1 of each field of row_u + ONES - row_v marks where row_u is larger."""
+        packed, ones = self.dm.packed, self.dm.ones
+        return [packed[u] - ((packed[u] + ones - packed[v]) >> 1 & ones) for u, v in self.g.edges]
+
+    @cached_property
+    def _edge_pairs(self) -> list[int]:
+        rows = self._edge_rows
+        return self._masks([ei ^ ej for i, ei in enumerate(rows) for ej in rows[i + 1 :]])
+
+    def problem(self, variant: Variant) -> tuple[list[int], int, int]:
+        """(masks, need, floor) of the cover problem for variant."""
         kind = variant.kind
-        if kind in ("metric", "kmetric", "mld", "local"):
-            self._vertex_pair_masks(adjacent_only=(kind == "local"))
-            if kind == "mld":
-                self.constraints += closed_neighbourhoods(g)
-        elif kind == "strong":
-            self._strong_pair_masks()
+        need = variant.k if kind == "kmetric" else 1
+        floor = min(2, self.g.n) if kind == "doubly" else 1
+        if kind in ("metric", "kmetric"):
+            masks = self.vertex_pairs
+        elif kind == "mld":
+            masks = self.vertex_pairs + closed_neighbourhoods(self.g)
+        elif kind == "local":
+            # m gathers: cheaper than all n(n-1)/2 pairs when ldim runs alone
+            packed = self.dm.packed
+            masks = self._masks([packed[x] ^ packed[y] for x, y in self.g.edges])
         elif kind == "edge":
-            self._item_pair_masks(list(g.edges))
+            masks = self._edge_pairs
         elif kind == "mixed":
-            items: list = list(range(g.n)) + list(g.edges)
-            self._item_pair_masks(items)
-        elif kind == "doubly":
-            self._doubly_level_masks()
+            to_edges = self._masks([px ^ e for px in self.dm.packed for e in self._edge_rows])
+            masks = self.vertex_pairs + to_edges + self._edge_pairs
+        elif kind == "strong":
+            masks = self._strong_pair_masks()
+        else:
+            masks = self._doubly_level_masks()
+        return masks, need, floor
 
-    def _vertex_pair_masks(self, adjacent_only: bool) -> None:
+    def _strong_pair_masks(self) -> list[int]:
         dm, n = self.dm, self.g.n
-        for x in range(n):
-            row_x = dm[x]
-            targets = (w for w in self.g.adjacency[x] if w > x) if adjacent_only else range(x + 1, n)
-            for y in targets:
-                row_y = dm[y]
-                mask = 0
-                for v in range(n):
-                    if row_x[v] != row_y[v]:
-                        mask |= 1 << v
-                self.constraints.append(mask)
-
-    def _strong_pair_masks(self) -> None:
-        dm, n = self.dm, self.g.n
+        masks = []
         for x in range(n):
             row_x = dm[x]
             for y in range(x + 1, n):
@@ -173,29 +226,13 @@ class _LocatingContext:
                 for w in range(n):
                     if row_x[w] == row_y[w] + dxy or row_y[w] == row_x[w] + dxy:
                         mask |= 1 << w
-                self.constraints.append(mask)
+                masks.append(mask)
+        return masks
 
-    def _dist_to_item(self, v: int, item) -> int:
-        if isinstance(item, tuple):
-            return edge_distance(self.dm, v, item)
-        return self.dm.d(v, item)
-
-    def _item_pair_masks(self, items: list) -> None:
-        n = self.g.n
-        vectors = [[self._dist_to_item(v, it) for v in range(n)] for it in items]
-        for i in range(len(items)):
-            vec_i = vectors[i]
-            for j in range(i + 1, len(items)):
-                vec_j = vectors[j]
-                mask = 0
-                for v in range(n):
-                    if vec_i[v] != vec_j[v]:
-                        mask |= 1 << v
-                self.constraints.append(mask)
-
-    def _doubly_level_masks(self) -> None:
+    def _doubly_level_masks(self) -> list[int]:
         dm, n = self.dm, self.g.n
         full = (1 << n) - 1
+        masks = []
         for x in range(n):
             row_x = dm[x]
             for y in range(x + 1, n):
@@ -206,7 +243,8 @@ class _LocatingContext:
                     levels[diff] = levels.get(diff, 0) | (1 << v)
                 # a set fails this pair iff it sits inside one level, so it must
                 # meet the complement of each level (singletons are below the floor)
-                self.constraints += [full & ~m for m in levels.values() if m.bit_count() >= 2]
+                masks += [full & ~m for m in levels.values() if m.bit_count() >= 2]
+        return masks
 
 
 def closed_neighbourhoods(g: Graph) -> list[int]:
@@ -294,13 +332,13 @@ def is_locating_set(g: Graph, s, variant: Variant, dm: DistanceMatrix | None = N
         raise ValueError("locating set must be nonempty")
     if any(not 0 <= v < g.n for v in members):
         raise ValueError("locating set contains out-of-range vertices")
-    ctx = _LocatingContext(g, variant, dm)
+    constraints, need, floor = OracleConstraints(g, dm).problem(variant)
     mask = 0
     for v in members:
         mask |= 1 << v
-    if len(members) < ctx.floor:
+    if len(members) < floor:
         return False
-    return all((c & mask).bit_count() >= ctx.need for c in ctx.constraints)
+    return all((c & mask).bit_count() >= need for c in constraints)
 
 
 def _oracle_cap(variant: Variant, max_n: int | None) -> int:
@@ -316,25 +354,26 @@ def brute_force_dimension(
     g: Graph,
     variant: Variant,
     max_n: int | None = None,
-    dm: DistanceMatrix | None = None,
+    constraints: OracleConstraints | None = None,
 ) -> ParameterResult:
     """Minimum locating-set size by exact search, with a reproducible witness:
     the lexicographically first locating set of that size (lex_first_cover).
+
+    Pass the graph's OracleConstraints to share its distances and masks
+    across variants.
     """
     cap = _oracle_cap(variant, max_n)
-    ctx = None
+    if constraints is None:
+        constraints = OracleConstraints(g)
     if variant.kind == "kmetric":
         # k is range-checked before the cap, as the closed form checks it; the
         # k-dimensional value is the smallest pair mask
-        ctx = _LocatingContext(g, variant, dm)
-        kmax = min((m.bit_count() for m in ctx.constraints), default=0)
+        kmax = min(map(int.bit_count, constraints.vertex_pairs), default=0)
         if variant.k > kmax:
             raise KOutOfRange(f"no {variant.k}-locating set exists (k-dimensional value {kmax})")
     if g.n > cap:
         raise SizeCapExceeded(f"n={g.n} exceeds oracle cap {cap} for {variant}")
-    if ctx is None:
-        ctx = _LocatingContext(g, variant, dm)
-    witness = lex_first_cover(g.n, ctx.constraints, ctx.need, ctx.floor)
+    witness = lex_first_cover(g.n, *constraints.problem(variant))
     if witness is None:
         raise RuntimeError(f"no locating set found for {variant} (unreachable)")
     return ParameterResult(

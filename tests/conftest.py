@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import functools
 import itertools
 import operator
 
@@ -9,6 +10,7 @@ import pytest
 
 from pseudoloc import (
     CorpusSpec,
+    DistanceMatrix,
     Graph,
     distance_matrix,
     doubly_resolves,
@@ -256,6 +258,74 @@ def terminal_map_by_distances(g: Graph) -> dict[int, tuple[int, ...]]:
         if len(at_nearest) == 1:
             out.setdefault(at_nearest[0], []).append(u)
     return {w: tuple(leaves) for w, leaves in out.items()}
+
+
+@functools.lru_cache(maxsize=1)
+def _pairs_resolved_by_definition(g: Graph, items: str) -> dict[tuple, int]:
+    """For items "vertices", "edges" or "mixed" (vertices, then edges): each
+    pair of items (a, b), a before b, mapped to the mask of vertices whose
+    distances to a and b differ (`resolves`, `edge_distance`).  A vertex v
+    leaves unresolved exactly the pairs inside one class of items at equal
+    distance from v.  The last result is kept, since metric, kmetric, mld and
+    local read the same vertex pairs."""
+    dm = DistanceMatrix(rows=distance_rows_by_bfs(g))
+    listed: list = list(range(g.n)) if items != "edges" else []
+    if items != "vertices":
+        listed += list(g.edges)
+    unresolved: dict[tuple, int] = {}
+    for v in range(g.n):
+        at: dict[int, list] = {}
+        for it in listed:
+            d = edge_distance(dm, v, it) if isinstance(it, tuple) else dm.d(it, v)
+            at.setdefault(d, []).append(it)
+        for same in at.values():
+            for pair in itertools.combinations(same, 2):
+                unresolved[pair] = unresolved.get(pair, 0) | 1 << v
+    full = (1 << g.n) - 1
+    return {pair: full & ~unresolved.get(pair, 0) for pair in itertools.combinations(listed, 2)}
+
+
+def constraint_masks_by_definition(g: Graph, variant) -> tuple[list[int], int, int]:
+    """(sorted masks, need, floor) of the oracle's cover problem for variant,
+    from the predicates over BFS rows, with no packed rows.
+
+    Each pair to tell apart gives the mask of the vertices that resolve it;
+    for strong, those that `strong_resolves` it; for doubly, the complement
+    of each class of at least two vertices no two of which `doubly_resolves`
+    it.  The dominating variant adds the closed neighbourhoods.
+    """
+    n, kind = g.n, variant.kind
+    need = variant.k if kind == "kmetric" else 1
+    floor = min(2, n) if kind == "doubly" else 1
+
+    def mask(members) -> int:
+        return sum(1 << v for v in members)
+
+    if kind in ("strong", "doubly"):
+        dm = DistanceMatrix(rows=distance_rows_by_bfs(g))
+        pairs = list(itertools.combinations(range(n), 2))
+    if kind == "strong":
+        masks = [mask(w for w in range(n) if strong_resolves(dm, w, x, y)) for x, y in pairs]
+    elif kind == "doubly":
+        full = (1 << n) - 1
+        masks = []
+        for x, y in pairs:
+            placed = 0
+            for u in range(n):
+                if not placed >> u & 1:
+                    level = mask(v for v in range(n) if not doubly_resolves(dm, u, v, x, y))
+                    placed |= level
+                    if level.bit_count() >= 2:
+                        masks.append(full & ~level)
+    elif kind == "local":
+        resolved = _pairs_resolved_by_definition(g, "vertices")
+        masks = [resolved[e] for e in g.edges]
+    else:
+        items = {"edge": "edges", "mixed": "mixed"}.get(kind, "vertices")
+        masks = list(_pairs_resolved_by_definition(g, items).values())
+        if kind == "mld":
+            masks += [mask((v,) + g.adjacency[v]) for v in range(n)]
+    return sorted(masks), need, floor
 
 
 # cached corpora shared across test modules

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import io
 import json
 import subprocess
@@ -13,6 +14,14 @@ from pseudoloc import encode_graph6, from_edge_list
 from pseudoloc.cli import main
 
 from conftest import cycle_graph, path_graph
+
+# sha256 of `verify --params all --report` over all trees and all unicyclic
+# graphs up to 8 vertices (449 and 1,370 records); a change that alters
+# reports on purpose updates these and says why
+REPORT_DIGESTS = {
+    "tree": "92f8cae36ebd74b89312245ced2967ea306af9bc666d08f3bf6c6d2380e85ffa",
+    "unicyclic": "88d5d34d62beebf69e4400a4baf95b1d77532c5fa57acaef4ba71c926d7a06c6",
+}
 
 PAW_EDGELIST = "4\n0 1\n1 2\n2 0\n0 3\n"
 SPIDER_EDGELIST = "6\n0 1\n0 2\n2 3\n0 4\n4 5\n"
@@ -186,6 +195,15 @@ class TestVerify:
         assert code == 0
         lines = report.read_text().splitlines()
         assert json.loads(lines[-1])["summary"]["violations"] == 0
+
+
+    @pytest.mark.parametrize("family", sorted(REPORT_DIGESTS))
+    def test_reports_byte_identical(self, capsys, tmp_path, family):
+        report = tmp_path / "report.jsonl"
+        argv = ["verify", "--family", family, "--max-n", "8", "--params", "all"]
+        code, _, _ = run_cli(capsys, argv + ["--report", str(report)])
+        assert code == 0
+        assert hashlib.sha256(report.read_bytes()).hexdigest() == REPORT_DIGESTS[family]
 
 
 class TestGen:

@@ -1,0 +1,160 @@
+"""The oracle's per-graph constraints against the definitional builder in
+conftest; one oracle search for dim2 and dimk[2]; one distance matrix per
+`auto` request that falls through to the oracle; tree class levels grown
+once per corpus."""
+
+from __future__ import annotations
+
+import importlib
+
+import pytest
+
+from pseudoloc import (
+    DOUBLY,
+    EDGE,
+    LOCAL,
+    METRIC,
+    MIXED,
+    MLD,
+    STRONG,
+    CorpusSpec,
+    OracleConstraints,
+    compute_parameter,
+    distance_matrix,
+    enumerate_trees,
+    enumerate_unicyclic,
+    from_edge_list,
+    k_metric,
+    oracle_result,
+    verify_graph,
+)
+from pseudoloc import corpus
+from pseudoloc.closed_form import PARAMETER_NAMES
+
+from conftest import constraint_masks_by_definition, cycle_graph, path_graph, random_pseudotrees
+
+# the variants whose masks come from packed rows, those on vertex pairs first
+# (the reference keeps its last pair table); strong and doubly loop over tuple
+# rows, and their reference takes about a second per graph at n = 64
+PACKED = (METRIC, k_metric(2), k_metric(3), MLD, LOCAL, EDGE, MIXED)
+VARIANTS = PACKED + (STRONG, DOUBLY)
+
+# C4 with legs: an 8-vertex unicyclic graph where dimk is an interval
+C4_WITH_LEGS = [(0, 1), (1, 2), (2, 3), (3, 0), (0, 4), (4, 5), (1, 6), (2, 7)]
+
+
+def assert_constraints_match(g, variants=VARIANTS):
+    constraints = OracleConstraints(g)
+    for variant in variants:
+        masks, need, floor = constraints.problem(variant)
+        assert (sorted(masks), need, floor) == constraint_masks_by_definition(g, variant), (
+            variant,
+            g.edges,
+        )
+
+
+class TestAgainstDefinition:
+    def test_all_trees_up_to_9(self, tree_classes_by_n):
+        for n in range(2, 10):
+            for g in tree_classes_by_n[n]:
+                assert_constraints_match(g)
+
+    def test_all_unicyclic_up_to_8(self, unicyclic_classes_by_n):
+        for n in range(3, 9):
+            for g in unicyclic_classes_by_n[n]:
+                assert_constraints_match(g)
+
+    def test_random_pseudotrees_n64(self):
+        graphs = random_pseudotrees(64, 40)
+        for g in graphs:
+            assert_constraints_match(g, PACKED)
+        for g in graphs[:2]:  # one tree, one unicyclic graph
+            assert_constraints_match(g, (STRONG, DOUBLY))
+
+    @pytest.mark.parametrize("make", [path_graph, cycle_graph])
+    def test_distances_in_the_top_bit_of_a_byte(self, monkeypatch, make):
+        monkeypatch.setenv("PSEUDOLOC_MAX_N", "300")
+        g = make(255)
+        assert distance_matrix(g).width == 8
+        assert_constraints_match(g, PACKED)
+
+    @pytest.mark.parametrize("make", [path_graph, cycle_graph])
+    def test_fields_wider_than_a_byte(self, monkeypatch, make):
+        monkeypatch.setenv("PSEUDOLOC_MAX_N", "300")
+        g = make(300)
+        assert distance_matrix(g).width == 16
+        assert_constraints_match(g, PACKED)
+
+
+class TestSharedOracle:
+    def test_dim2_and_dimk2_records_equal_separate_oracle_calls(self):
+        graphs = list(enumerate_trees(7, dedup=True)) + list(enumerate_unicyclic(7, dedup=True))
+        for g in graphs:
+            records = {r.parameter: r for r in verify_graph(g, PARAMETER_NAMES)}
+            assert records["dim2"].oracle == oracle_result(g, "dim2")
+            assert records["dimk[2]"].oracle == oracle_result(g, "dimk", k=2)
+            for param in ("dmd", "dim", "sdim", "ddim", "edim", "mdim", "ldim"):
+                assert records[param].oracle == oracle_result(g, param), (param, g.edges)
+
+    def test_one_k2_search_per_graph(self, monkeypatch):
+        calls = []
+        real = corpus.oracle_result
+
+        def counting(g, param, **kwargs):
+            calls.append((param, kwargs.get("k")))
+            return real(g, param, **kwargs)
+
+        monkeypatch.setattr(corpus, "oracle_result", counting)
+        records = verify_graph(from_edge_list(8, C4_WITH_LEGS), PARAMETER_NAMES)
+        assert len(calls) == len(records) - 1
+        assert ("dim2", None) in calls and ("dimk", 2) not in calls
+
+
+class TestOneDistanceMatrix:
+    def test_auto_dimk_falling_through_to_the_oracle(self, monkeypatch):
+        g = from_edge_list(8, C4_WITH_LEGS)
+        calls = []
+        real = distance_matrix
+
+        def counting(h):
+            calls.append(h)
+            return real(h)
+
+        for name in ("closed_form", "resolvers", "structure", "graph", "corpus"):
+            module = importlib.import_module(f"pseudoloc.{name}")
+            monkeypatch.setattr(module, "distance_matrix", counting)
+        result = compute_parameter(g, "dimk", k=2)
+        assert result.method == "brute_force"  # the closed form gave an interval
+        assert len(calls) == 1
+
+
+class TestTreeClassLevels:
+    def count_keys(self, monkeypatch):
+        calls = []
+        real = corpus.tree_canonical_key
+
+        def counting(g):
+            calls.append(g.n)
+            return real(g)
+
+        monkeypatch.setattr(corpus, "tree_canonical_key", counting)
+        return calls
+
+    def test_corpus_grows_each_level_once(self, monkeypatch):
+        calls = self.count_keys(monkeypatch)
+        graphs = list(corpus.corpus_graphs(CorpusSpec(family="tree", max_n=10)))
+        # level n grows each of the classes on n - 1 vertices at each vertex
+        classes = (1, 1, 2, 3, 6, 11, 23, 47)  # on 2..9 vertices
+        assert len(calls) == sum(c * (n - 1) for n, c in zip(range(3, 11), classes))
+        assert [g.edges for g in graphs] == [
+            g.edges for n in range(2, 11) for g in enumerate_trees(n, dedup=True)
+        ]
+
+    def test_unicyclic_corpus_matches_per_order_enumeration(self, monkeypatch):
+        graphs = list(corpus.corpus_graphs(CorpusSpec(family="unicyclic", max_n=8)))
+        assert [g.edges for g in graphs] == [
+            g.edges for n in range(3, 9) for g in enumerate_unicyclic(n, dedup=True)
+        ]
+        calls = self.count_keys(monkeypatch)
+        list(corpus.corpus_graphs(CorpusSpec(family="unicyclic", max_n=8)))
+        assert len(calls) == sum(c * (n - 1) for n, c in zip(range(3, 9), (1, 1, 2, 3, 6, 11)))
