@@ -3,11 +3,15 @@
 Exit codes are part of the contract:
   0 success, 1 verification violations, 2 parse/usage error,
   3 not a pseudotree, 4 size cap exceeded, 5 k out of range.
+compute and profile answer graph6 input line by line: a bad line is reported
+with its number, the other lines are still answered, and the exit code is
+the largest of the lines.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import sys
 
@@ -20,7 +24,7 @@ from .errors import (
     NotUnicyclic,
     SizeCapExceeded,
 )
-from .graph import Graph, encode_graph6, parse_edgelist, parse_graph6
+from .graph import Graph, cap_override, encode_graph6, parse_edgelist, parse_graph6
 from .structure import profile
 
 EXIT_OK = 0
@@ -29,6 +33,15 @@ EXIT_PARSE = 2
 EXIT_NOT_PSEUDOTREE = 3
 EXIT_SIZE_CAP = 4
 EXIT_K_RANGE = 5
+
+# the errors reported with an exit code: the code of the first entry that matches
+_EXIT_CODES = (
+    ((KOutOfRange,), EXIT_K_RANGE),
+    ((SizeCapExceeded,), EXIT_SIZE_CAP),
+    ((NotPseudotree, NotUnicyclic), EXIT_NOT_PSEUDOTREE),
+    ((GraphConstructionError, OSError, ValueError), EXIT_PARSE),
+)
+_REPORTED = tuple(kind for kinds, _ in _EXIT_CODES for kind in kinds)
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -68,21 +81,38 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _read_input(path: str) -> str:
-    if path == "-":
-        return sys.stdin.read()
-    with open(path, "r", encoding="utf-8") as fh:
-        return fh.read()
+def _open_input(path: str):
+    return contextlib.nullcontext(sys.stdin) if path == "-" else open(path, encoding="utf-8")
 
 
-def _input_graphs(args) -> list[Graph]:
-    text = _read_input(args.input)
-    if args.format == "edgelist":
-        return [parse_edgelist(text)]
-    lines = [ln.strip() for ln in text.splitlines() if ln.strip()]
-    if not lines:
+def _exit_code(exc: Exception) -> int:
+    return next(code for kinds, code in _EXIT_CODES if isinstance(exc, kinds))
+
+
+def _answer_inputs(args, answer) -> int:
+    """Call answer on each input graph as it is read and return the largest
+    exit code seen.  A graph6 line that fails to parse or to answer is
+    reported as `error: line N: ...` and the lines after it are still
+    answered."""
+    cap_override()  # a bad PSEUDOLOC_MAX_N fails the whole input once, not each line
+    with _open_input(args.input) as fh:
+        if args.format == "edgelist":
+            answer(parse_edgelist(fh.read()))
+            return EXIT_OK
+        worst, seen = EXIT_OK, False
+        for number, line in enumerate(fh, 1):
+            line = line.strip()
+            if not line:
+                continue
+            seen = True
+            try:
+                answer(parse_graph6(line))
+            except _REPORTED as exc:
+                print(f"error: line {number}: {exc}", file=sys.stderr)
+                worst = max(worst, _exit_code(exc))
+    if not seen:
         raise GraphConstructionError("no graph6 input lines")
-    return [parse_graph6(ln) for ln in lines]
+    return worst
 
 
 def _result_json(param: str, result) -> dict:
@@ -106,25 +136,23 @@ def _cmd_compute(args) -> int:
     if (args.param == "dimk") != (args.k is not None):
         print("--k must be supplied exactly when --param dimk", file=sys.stderr)
         return EXIT_PARSE
-    graphs = _input_graphs(args)
-    for g in graphs:
+
+    def answer(g: Graph) -> None:
         result = compute_parameter(g, args.param, k=args.k, method=args.method)
         if args.json:
             print(json.dumps(_result_json(args.param, result), sort_keys=True))
         else:
             print(_result_human(args.param, result))
-    return EXIT_OK
+
+    return _answer_inputs(args, answer)
 
 
 def _cmd_profile(args) -> int:
-    graphs = _input_graphs(args)
-    for g in graphs:
+    def answer(g: Graph) -> None:
         payload = profile(g).to_json()
-        if args.json:
-            print(json.dumps(payload, sort_keys=True))
-        else:
-            print(json.dumps(payload, indent=2))
-    return EXIT_OK
+        print(json.dumps(payload, sort_keys=True) if args.json else json.dumps(payload, indent=2))
+
+    return _answer_inputs(args, answer)
 
 
 def _cmd_verify(args) -> int:
@@ -177,18 +205,9 @@ def main(argv=None) -> int:
     }
     try:
         return handlers[args.command](args)
-    except KOutOfRange as exc:
+    except _REPORTED as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_K_RANGE
-    except SizeCapExceeded as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_SIZE_CAP
-    except (NotPseudotree, NotUnicyclic) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_NOT_PSEUDOTREE
-    except (GraphConstructionError, OSError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
+        return _exit_code(exc)
 
 
 if __name__ == "__main__":  # pragma: no cover

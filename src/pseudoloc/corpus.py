@@ -14,7 +14,7 @@ import json
 from dataclasses import dataclass
 from typing import Callable, Iterator
 
-from .closed_form import PARAMETER_NAMES, closed_result, oracle_result, valid_k_range
+from .closed_form import PARAMETER_NAMES, closed_result, oracle_result
 from .errors import SizeCapExceeded
 from .graph import Graph, cap_override, distance_matrix, encode_graph6, from_edge_list, girth_and_cycle
 from .resolvers import OracleConstraints, ParameterResult
@@ -372,15 +372,16 @@ def compare_results(closed: ParameterResult, oracle: ParameterResult) -> str:
 def verify_graph(g: Graph, parameters, oracle_cap: int | None = None) -> list[VerificationRecord]:
     """Closed-vs-oracle records for one graph, in deterministic order.
 
-    One distance matrix, one profile, one k-range and one set of oracle
-    constraints serve every record; dim2 and dimk[2], the same k-metric
+    One distance matrix, one profile and one set of oracle constraints serve
+    every record; the k-range of dimk ends at the k-dimensional value of those
+    constraints' vertex-pair masks.  dim2 and dimk[2], the same k-metric
     problem, share one oracle search.
     """
     g6 = encode_graph6(g)
     dm = distance_matrix(g)
     prof = profile(g)
     constraints = OracleConstraints(g, dm)
-    kmax = valid_k_range(g, dm)[1] if "dimk" in parameters else None
+    kmax = constraints.k_dimensional_value if "dimk" in parameters else None
     expanded: list[tuple[str, int | None]] = []
     for p in parameters:
         if p == "dimk":

@@ -109,6 +109,15 @@ class TestCompute:
         assert code == 0
         assert len(out.strip().splitlines()) == 2
 
+    @pytest.mark.parametrize("command", [["compute", "--param", "dim"], ["profile", "--json"]])
+    def test_bad_line_keeps_the_good_ones(self, capsys, command):
+        good = encode_graph6(cycle_graph(5))
+        lines = [good, "C~", good, "D??", "", good]  # not a pseudotree, disconnected, blank
+        code, out, err = run_cli(capsys, command, stdin_text="\n".join(lines) + "\n")
+        assert code == 3  # the largest code of the lines: 3 for C~, 2 for D??
+        assert len(out.strip().splitlines()) == 3
+        assert [e.split(": ")[:2] for e in err.splitlines()] == [["error", "line 2"], ["error", "line 4"]]
+
     def test_malformed_graph6_exit_2(self, capsys):
         code, _, _ = run_cli(capsys, ["compute", "--param", "dim"], stdin_text="@@@\n")
         assert code == 2
@@ -122,8 +131,8 @@ class TestCompute:
     def test_invalid_cap_variable_exit_2(self, capsys, monkeypatch, raw):
         line = encode_graph6(path_graph(5))
         monkeypatch.setenv("PSEUDOLOC_MAX_N", raw)
-        code, _, err = run_cli(capsys, ["compute", "--param", "dim"], stdin_text=line + "\n")
-        assert code == 2 and "PSEUDOLOC_MAX_N" in err
+        code, _, err = run_cli(capsys, ["compute", "--param", "dim"], stdin_text=line + "\n" + line + "\n")
+        assert code == 2 and err.count("PSEUDOLOC_MAX_N") == 1
 
 
 class TestProfile:

@@ -1,7 +1,7 @@
 """What reads no distances: the profile's terminal map against the nearest
 major vertex by BFS, closed forms with distance_matrix made to raise,
 canonical forms without the profile, and one k-dimensional value per
-verified graph."""
+verified graph, read from its oracle masks."""
 
 from __future__ import annotations
 
@@ -14,6 +14,7 @@ from pseudoloc import (
     enumerate_trees,
     enumerate_unicyclic,
     is_bipartite,
+    k_dimensional_value,
     ldim_closed,
     profile,
     verify_graph,
@@ -90,20 +91,19 @@ class TestSharedWork:
         assert list(enumerate_unicyclic(8, dedup=True)) == unicyclic_classes_by_n[8]
 
     def test_one_k_dimensional_value_per_verified_graph(self, monkeypatch, unicyclic_classes_by_n):
-        closed_form = importlib.import_module("pseudoloc.closed_form")
-        kdv = closed_form.k_dimensional_value
-        calls = []
+        # the k-range is read once per graph from the oracle's vertex-pair
+        # masks: the packed-row kernel runs for no verified graph
+        expected = {g: k_dimensional_value(g) for g in unicyclic_classes_by_n[6]}
 
-        def counted(g, dm=None):
-            calls.append(g)
-            return kdv(g, dm)
+        def refuse(g, dm=None):
+            raise AssertionError("k_dimensional_value called")
 
-        monkeypatch.setattr(closed_form, "k_dimensional_value", counted)
-        graphs = unicyclic_classes_by_n[6]
-        for g in graphs:
+        for name in ("closed_form", "resolvers"):
+            monkeypatch.setattr(importlib.import_module(f"pseudoloc.{name}"), "k_dimensional_value", refuse)
+        for g, kmax in expected.items():
             records = verify_graph(g, PARAMETER_NAMES)
-            assert [r.parameter for r in records if r.parameter.startswith("dimk")]
-        assert len(calls) == len(graphs)
+            dimk = [r.parameter for r in records if r.parameter.startswith("dimk")]
+            assert dimk == [f"dimk[{k}]" for k in range(2, kmax + 1)]
 
     def test_ldim_reads_girth_parity(self, unicyclic_classes_by_n):
         for graphs in unicyclic_classes_by_n.values():

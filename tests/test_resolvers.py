@@ -33,8 +33,9 @@ from pseudoloc import (
     strong_resolves,
 )
 from pseudoloc.corpus import CorpusSpec, random_pseudotree
+from pseudoloc.resolvers import LATTICE_MAX_N
 
-from conftest import cycle_graph, dimension_by_enumeration, path_graph
+from conftest import cycle_graph, dimension_by_enumeration, path_graph, random_pseudotrees
 
 ALL_VARIANTS = (METRIC, DOUBLY, STRONG, EDGE, MIXED, LOCAL, MLD, k_metric(2))
 
@@ -145,24 +146,48 @@ class TestBruteForce:
 
 
 class TestExactSearch:
-    """lex_first_cover against direct enumeration in itertools.combinations order."""
+    """lex_first_cover against direct enumeration in itertools.combinations
+    order, on both sides of LATTICE_MAX_N: the lattice up to it, the DFS above."""
 
     def test_random_masks(self):
         rng = random.Random(7)
-        for _ in range(400):
-            n = rng.randint(1, 9)
-            masks = [rng.getrandbits(n) for _ in range(rng.randint(0, 8))]
-            need, floor = rng.randint(1, 3), rng.randint(1, 3)
-            expected = next(
-                (
-                    combo
-                    for size in range(floor, n + 1)
-                    for combo in itertools.combinations(range(n), size)
-                    if all(sum(1 for v in combo if m >> v & 1) >= need for m in masks)
-                ),
-                None,
-            )
-            assert lex_first_cover(n, masks, need, floor) == expected, (n, masks, need, floor)
+        for n in range(1, LATTICE_MAX_N + 3):
+            for _ in range(25):
+                masks = [rng.getrandbits(n) for _ in range(rng.randint(0, 8))]
+                need, floor = rng.randint(1, 3), rng.randint(1, 3)
+                expected = next(
+                    (
+                        combo
+                        for size in range(floor, n + 1)
+                        for combo in itertools.combinations(range(n), size)
+                        if all(sum(1 for v in combo if m >> v & 1) >= need for m in masks)
+                    ),
+                    None,
+                )
+                assert lex_first_cover(n, masks, need, floor) == expected, (n, masks, need, floor)
+
+    def test_edge_cases(self):
+        for n in (1, 2, LATTICE_MAX_N, LATTICE_MAX_N + 1):
+            full = (1 << n) - 1
+            assert lex_first_cover(n, []) == (0,)
+            assert lex_first_cover(n, [], floor=n) == tuple(range(n))
+            assert lex_first_cover(n, [full], floor=n + 1) is None
+            assert lex_first_cover(n, [full, 0]) is None  # nothing meets the zero mask
+            assert lex_first_cover(n, [full], need=n) == tuple(range(n))
+            assert lex_first_cover(n, [full], need=n + 1) is None
+            last = 1 << (n - 1)
+            assert lex_first_cover(n, [last, full, last]) == (n - 1,)
+
+    def test_oracle_equals_enumeration_at_lattice_max_n(self):
+        # the largest order the lattice serves; k-metric at k = 2 and 3 counts
+        # meetings, and its default cap is below this order
+        for g in random_pseudotrees(LATTICE_MAX_N, 2):
+            variants = [METRIC, DOUBLY, STRONG, EDGE, MIXED, LOCAL, MLD]
+            variants += [k_metric(k) for k in range(2, min(k_dimensional_value(g), 3) + 1)]
+            for variant in variants:
+                res = brute_force_dimension(g, variant, max_n=LATTICE_MAX_N)
+                expected = dimension_by_enumeration(g, variant)
+                assert (res.value, res.witness) == expected, (encode_graph6(g), str(variant))
 
     def test_oracle_equals_enumeration_to_n8(self, tree_classes_by_n, unicyclic_classes_by_n):
         # every variant and every k of the k-range: same value and same witness
