@@ -24,7 +24,7 @@ from .errors import (
     NotUnicyclic,
     SizeCapExceeded,
 )
-from .graph import Graph, cap_override, encode_graph6, parse_edgelist, parse_graph6
+from .graph import GRAPH_CAP, Graph, encode_graph6, parse_edgelist, parse_graph6, size_cap
 from .structure import profile
 
 EXIT_OK = 0
@@ -94,7 +94,7 @@ def _answer_inputs(args, answer) -> int:
     exit code seen.  A graph6 line that fails to parse or to answer is
     reported as `error: line N: ...` and the lines after it are still
     answered."""
-    cap_override()  # a bad PSEUDOLOC_MAX_N fails the whole input once, not each line
+    size_cap(GRAPH_CAP)  # a bad PSEUDOLOC_MAX_N fails the whole input once, not each line
     with _open_input(args.input) as fh:
         if args.format == "edgelist":
             answer(parse_edgelist(fh.read()))
@@ -189,7 +189,7 @@ def _cmd_gen(args) -> int:
     import random
 
     rng = random.Random(args.seed)
-    spec = CorpusSpec(family=args.kind, max_n=args.n, seed=args.seed, count=args.count)
+    spec = CorpusSpec(family=args.kind, max_n=args.n, seed=args.seed)
     for _ in range(args.count):
         print(encode_graph6(random_pseudotree(spec, rng=rng)))
     return EXIT_OK

@@ -211,12 +211,7 @@ def sdim_even_fast(prof: PseudotreeProfile) -> ParameterResult:
     return _exact(value, "SDIM_EVEN_EXACT")
 
 
-def sdim_closed(
-    g: Graph,
-    prof: PseudotreeProfile,
-    sr: StrongResolvingGraph | None = None,
-    dm: DistanceMatrix | None = None,
-) -> ParameterResult:
+def sdim_closed(g: Graph, prof: PseudotreeProfile, dm: DistanceMatrix | None = None) -> ParameterResult:
     kind = prof.kind
     if kind is FamilyKind.PATH:
         return _exact(1, "SDIM_PATH", witness=(prof.leaves[0],))
@@ -225,7 +220,7 @@ def sdim_closed(
     if kind is FamilyKind.CYCLE:
         half = (prof.girth + 1) // 2
         return _exact(half, "SDIM_CYCLE", witness=tuple(sorted(prof.cycle[:half])))
-    via_sr = sdim_sr_formula(g, prof, sr, dm)
+    via_sr = sdim_sr_formula(g, prof, dm=dm)
     if prof.girth % 2 == 0:
         fast = sdim_even_fast(prof)
         if fast.value != via_sr.value:  # the two exact routes must agree
@@ -240,16 +235,14 @@ def sdim_closed(
 # Dominating metric dimension
 
 
-def ddim_closed(g: Graph, prof: PseudotreeProfile, gamma: int | None = None) -> ParameterResult:
+def ddim_closed(g: Graph, prof: PseudotreeProfile) -> ParameterResult:
     kind = prof.kind
     if kind is FamilyKind.CYCLE:
         gamma_c = (prof.girth + 2) // 3
         if prof.girth not in (3, 4, 6):
             return _exact(gamma_c, "DDIM_CYCLE")
         return _interval(gamma_c, gamma_c + 1, "DDIM_G346_INTERVAL")
-    if gamma is None:
-        gamma = domination_number(g)
-    base = gamma + prof.num_leaves - prof.num_supports
+    base = domination_number(g) + prof.num_leaves - prof.num_supports
     if kind.is_tree:
         return _exact(base, "DDIM_TREE")
     if prof.girth not in (3, 4, 6):

@@ -9,6 +9,7 @@ rooted-branching-tree codes.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import json
 from dataclasses import dataclass
@@ -16,7 +17,7 @@ from typing import Callable, Iterator
 
 from .closed_form import PARAMETER_NAMES, closed_result, oracle_result
 from .errors import SizeCapExceeded
-from .graph import Graph, cap_override, distance_matrix, encode_graph6, from_edge_list, girth_and_cycle
+from .graph import Graph, distance_matrix, encode_graph6, from_edge_list, girth_and_cycle, size_cap
 from .resolvers import OracleConstraints, ParameterResult
 from .structure import profile
 
@@ -26,16 +27,6 @@ UNICYCLIC_ENUM_CAP = 10
 STATUS_AGREE = "Agree"
 STATUS_IN_BOUNDS = "InBounds"
 STATUS_VIOLATION = "VIOLATION"
-
-
-def _tree_cap() -> int:
-    override = cap_override()
-    return TREE_ENUM_CAP if override is None else override
-
-
-def _unicyclic_cap() -> int:
-    override = cap_override()
-    return UNICYCLIC_ENUM_CAP if override is None else override
 
 
 # ---------------------------------------------------------------------------
@@ -204,15 +195,15 @@ def unicyclic_canonical_form(g: Graph) -> Graph:
 
 
 def _check_tree_order(n: int) -> None:
-    if not 2 <= n <= _tree_cap():
-        raise SizeCapExceeded(f"tree enumeration supports 2 <= n <= {_tree_cap()}, got {n}")
+    cap = size_cap(TREE_ENUM_CAP)
+    if not 2 <= n <= cap:
+        raise SizeCapExceeded(f"tree enumeration supports 2 <= n <= {cap}, got {n}")
 
 
 def _check_unicyclic_order(n: int) -> None:
-    if not 3 <= n <= _unicyclic_cap():
-        raise SizeCapExceeded(
-            f"unicyclic enumeration supports 3 <= n <= {_unicyclic_cap()}, got {n}"
-        )
+    cap = size_cap(UNICYCLIC_ENUM_CAP)
+    if not 3 <= n <= cap:
+        raise SizeCapExceeded(f"unicyclic enumeration supports 3 <= n <= {cap}, got {n}")
 
 
 def enumerate_trees(n: int, dedup: bool = False) -> Iterator[Graph]:
@@ -291,13 +282,12 @@ def enumerate_unicyclic(n: int, dedup: bool = False) -> Iterator[Graph]:
 
 @dataclass(frozen=True)
 class CorpusSpec:
-    """What to generate/verify: family, size bound, dedup, seed, count."""
+    """What to generate/verify: family, size bound, dedup, seed."""
 
     family: str  # Tree | Unicyclic | Cycle | Path
     max_n: int
     dedup: bool = True
     seed: int | None = None
-    count: int | None = None
 
     def __post_init__(self):
         if self.family.lower() not in ("tree", "unicyclic", "cycle", "path"):
@@ -369,7 +359,7 @@ def compare_results(closed: ParameterResult, oracle: ParameterResult) -> str:
     return STATUS_IN_BOUNDS if closed.contains(oracle.value) else STATUS_VIOLATION
 
 
-def verify_graph(g: Graph, parameters, oracle_cap: int | None = None) -> list[VerificationRecord]:
+def verify_graph(g: Graph, parameters) -> list[VerificationRecord]:
     """Closed-vs-oracle records for one graph, in deterministic order.
 
     One distance matrix, one profile and one set of oracle constraints serve
@@ -394,7 +384,7 @@ def verify_graph(g: Graph, parameters, oracle_cap: int | None = None) -> list[Ve
         closed = closed_result(g, param, k=k, prof=prof, dm=dm, kmax=kmax)
         key = ("dimk", 2) if param == "dim2" else (param, k)
         if key not in oracles:
-            oracles[key] = oracle_result(g, param, k=k, max_n=oracle_cap, constraints=constraints)
+            oracles[key] = oracle_result(g, param, k=k, constraints=constraints)
         oracle = oracles[key]
         name = f"dimk[{k}]" if param == "dimk" else param
         records.append(
@@ -408,11 +398,6 @@ def verify_graph(g: Graph, parameters, oracle_cap: int | None = None) -> list[Ve
             )
         )
     return records
-
-
-def _verify_worker(args) -> list[VerificationRecord]:
-    edges, n, parameters, oracle_cap = args
-    return verify_graph(from_edge_list(n, edges), parameters, oracle_cap)
 
 
 def _class_corpus(family: str, max_n: int) -> Iterator[Graph]:
@@ -456,7 +441,6 @@ def verify_corpus(
     parameters=PARAMETER_NAMES,
     jobs: int = 1,
     report_path=None,
-    oracle_cap: int | None = None,
 ) -> tuple[list[VerificationRecord], int]:
     """Run closed-form-versus-oracle verification over a whole corpus.
 
@@ -475,15 +459,15 @@ def verify_corpus(
             # `pseudoloc compute`, about 1.5 MB of resident memory
             import multiprocessing
 
-            payload = [(list(g.edges), g.n, parameters, oracle_cap) for g in graphs]
+            worker = functools.partial(verify_graph, parameters=parameters)
             with multiprocessing.get_context("fork").Pool(jobs) as pool:
-                batches = pool.imap(_verify_worker, payload, chunksize=4)
+                batches = pool.imap(worker, graphs, chunksize=4)
                 for batch in batches:
                     records.extend(batch)
                     violations += _emit(batch, out)
         else:
             for g in graphs:
-                batch = verify_graph(g, parameters, oracle_cap)
+                batch = verify_graph(g, parameters)
                 records.extend(batch)
                 violations += _emit(batch, out)
         if out:

@@ -25,7 +25,7 @@ from .errors import (
     VertexOutOfRange,
 )
 
-DEFAULT_GRAPH_CAP = 64
+GRAPH_CAP = 64
 CAP_ENV_VAR = "PSEUDOLOC_MAX_N"
 
 GRAPH6_HEADER = ">>graph6<<"
@@ -33,14 +33,14 @@ _G6_INVALID = re.compile(r"[^?-~]")  # graph6 characters are chr(63)..chr(126)
 _G6_BITS = {chr(c): format(c - 63, "06b") for c in range(63, 127)}
 
 
-def cap_override() -> int | None:
-    """Value of the PSEUDOLOC_MAX_N override, or None when unset.
+def size_cap(default: int) -> int:
+    """The PSEUDOLOC_MAX_N override when set, otherwise default.
 
     Raises ValueError naming the variable unless it is an integer >= 1.
     """
     raw = os.environ.get(CAP_ENV_VAR)
     if raw is None or raw == "":
-        return None
+        return default
     try:
         value = int(raw)
     except ValueError:
@@ -48,11 +48,6 @@ def cap_override() -> int | None:
     if value < 1:
         raise ValueError(f"{CAP_ENV_VAR} must be an integer >= 1, got {raw!r}")
     return value
-
-
-def graph_cap() -> int:
-    override = cap_override()
-    return DEFAULT_GRAPH_CAP if override is None else override
 
 
 @dataclass(frozen=True)
@@ -173,8 +168,9 @@ def from_edge_list(n: int, pairs) -> Graph:
     """
     if n < 1:
         raise VertexOutOfRange(f"vertex count must be >= 1, got {n}")
-    if n > graph_cap():
-        raise SizeCapExceeded(f"n={n} exceeds graph cap {graph_cap()}")
+    cap = size_cap(GRAPH_CAP)
+    if n > cap:
+        raise SizeCapExceeded(f"n={n} exceeds graph cap {cap}")
     seen: set[tuple[int, int]] = set()
     canonical: list[tuple[int, int]] = []
     for u, v in pairs:
@@ -286,8 +282,9 @@ def parse_graph6(text: str) -> Graph:
         body = s[1:]
     if n < 1:
         raise MalformedGraph6(f"graph6 order {n} out of range")
-    if n > graph_cap():
-        raise SizeCapExceeded(f"graph6 order {n} exceeds graph cap {graph_cap()}")
+    cap = size_cap(GRAPH_CAP)
+    if n > cap:
+        raise SizeCapExceeded(f"graph6 order {n} exceeds graph cap {cap}")
     nbits = n * (n - 1) // 2
     nbytes = (nbits + 5) // 6
     if len(body) != nbytes:

@@ -25,10 +25,9 @@ from dataclasses import dataclass
 from functools import cache, cached_property
 
 from .errors import KOutOfRange, SizeCapExceeded
-from .graph import DistanceMatrix, Graph, cap_override, distance_matrix, field_ones
+from .graph import DistanceMatrix, Graph, distance_matrix, field_ones, size_cap
 
-DEFAULT_ORACLE_CAP = 16
-DEFAULT_KMETRIC_CAP = 12
+ORACLE_CAP = 16
 
 METHOD_CLOSED_FORM = "closed_form"
 METHOD_BOUNDED = "bounded_by_theorem"
@@ -439,15 +438,6 @@ def is_locating_set(g: Graph, s, variant: Variant, dm: DistanceMatrix | None = N
     return all((c & mask).bit_count() >= need for c in constraints)
 
 
-def _oracle_cap(variant: Variant, max_n: int | None) -> int:
-    if max_n is not None:
-        return max_n
-    override = cap_override()
-    if override is not None:
-        return override
-    return DEFAULT_KMETRIC_CAP if variant.kind == "kmetric" else DEFAULT_ORACLE_CAP
-
-
 def brute_force_dimension(
     g: Graph,
     variant: Variant,
@@ -460,7 +450,7 @@ def brute_force_dimension(
     Pass the graph's OracleConstraints to share its distances and masks
     across variants.
     """
-    cap = _oracle_cap(variant, max_n)
+    cap = size_cap(ORACLE_CAP) if max_n is None else max_n
     if constraints is None:
         constraints = OracleConstraints(g)
     if variant.kind == "kmetric":

@@ -14,15 +14,8 @@ import enum
 from dataclasses import dataclass, field
 
 from .errors import NotPseudotree, NotUnicyclic, SizeCapExceeded
-from .graph import DistanceMatrix, Graph, cap_override, distance_matrix, from_edge_list, girth_and_cycle
+from .graph import GRAPH_CAP, DistanceMatrix, Graph, distance_matrix, from_edge_list, girth_and_cycle, size_cap
 from .resolvers import closed_neighbourhoods, lex_first_cover
-
-DEFAULT_SOLVER_CAP = 64
-
-
-def solver_cap() -> int:
-    override = cap_override()
-    return DEFAULT_SOLVER_CAP if override is None else override
 
 
 class FamilyKind(enum.Enum):
@@ -430,8 +423,9 @@ def independence_number(graph_like) -> int:
     decomposition.
     """
     vertices, edges = _as_vertex_edge_lists(graph_like)
-    if len(vertices) > solver_cap():
-        raise SizeCapExceeded(f"{len(vertices)} vertices exceeds solver cap {solver_cap()}")
+    cap = size_cap(GRAPH_CAP)
+    if len(vertices) > cap:
+        raise SizeCapExceeded(f"{len(vertices)} vertices exceeds graph cap {cap}")
     index = {v: i for i, v in enumerate(vertices)}
     nbr = [0] * len(vertices)
     for u, v in edges:
@@ -494,6 +488,7 @@ def independence_number(graph_like) -> int:
 
 def domination_number(g: Graph) -> int:
     """Exact domination number: the smallest cover of the closed neighbourhoods."""
-    if g.n > solver_cap():
-        raise SizeCapExceeded(f"n={g.n} exceeds solver cap {solver_cap()}")
+    cap = size_cap(GRAPH_CAP)
+    if g.n > cap:
+        raise SizeCapExceeded(f"n={g.n} exceeds graph cap {cap}")
     return len(lex_first_cover(g.n, closed_neighbourhoods(g)))

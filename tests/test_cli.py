@@ -62,6 +62,19 @@ class TestCompute:
         assert code == 0
         assert "sdim = 2" in out and "SDIM_TREE" in out
 
+    def test_dim2_oracle_cap(self, capsys):
+        # `gen --kind unicyclic --seed 3` at n = 14 and 17; the k-metric
+        # oracle has the cap of 16 every variant has
+        argv = ["compute", "--param", "dim2", "--method", "brute"]
+        code, out, _ = run_cli(capsys, argv, stdin_text="M?C_??bt?A_GO?_??\n")
+        assert code == 0 and out.startswith("dim2 = 5 ")
+        g17 = "POC?AO@?P??cA??_??CCd?O?\n"
+        code, _, err = run_cli(capsys, argv, stdin_text=g17)
+        assert code == 4 and "exceeds oracle cap 16" in err
+        argv[-1] = "auto"
+        code, out, _ = run_cli(capsys, argv, stdin_text=g17)
+        assert code == 0 and out.startswith("dim2 in [3, 17] ")
+
     def test_dimk_out_of_range_exit_5(self, capsys):
         p5 = encode_graph6(path_graph(5))
         code, _, err = run_cli(

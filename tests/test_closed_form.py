@@ -20,13 +20,16 @@ from pseudoloc import (
     is_locating_set,
     k_metric,
     oracle_result,
+    parse_graph6,
     profile,
     tree_zeta,
     valid_k_range,
 )
 from pseudoloc.resolvers import METHOD_BOUNDED, METHOD_BRUTE_FORCE
 
-from conftest import cycle_graph, thread_gap_c14_graph, path_graph
+from conftest import cycle_graph, dimension_by_enumeration, thread_gap_c14_graph, path_graph
+
+UNICYCLIC_14 = "M?C_??bt?A_GO?_??"
 
 
 def c8_pendants_0_to_6():
@@ -254,6 +257,16 @@ class TestComputeParameter:
         assert not res.is_exact  # n=26 exceeds the default oracle cap
         res = compute_parameter(thread_gap_c14, "dim", method="auto", max_n=26)
         assert res.value == 2
+
+    def test_auto_exact_dim2_at_14(self):
+        # `gen --kind unicyclic --n 14 --seed 3`: the k-metric oracle has the
+        # cap of 16 every variant has, so auto settles the closed-form interval
+        g = parse_graph6(UNICYCLIC_14)
+        assert closed_result(g, "dim2").theorem_tag == "DIM2_UNIC_BOUNDS"
+        res = compute_parameter(g, "dim2", method="auto")
+        assert res.is_exact and res.method == METHOD_BRUTE_FORCE
+        assert (res.value, res.witness) == (5, (0, 1, 2, 3, 11))
+        assert dimension_by_enumeration(g, k_metric(2)) == (5, (0, 1, 2, 3, 11))
 
     def test_singleton(self):
         g = from_edge_list(1, [])

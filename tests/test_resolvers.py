@@ -38,6 +38,18 @@ from pseudoloc.resolvers import LATTICE_MAX_N
 from conftest import cycle_graph, dimension_by_enumeration, path_graph, random_pseudotrees
 
 ALL_VARIANTS = (METRIC, DOUBLY, STRONG, EDGE, MIXED, LOCAL, MLD, k_metric(2))
+CAP_VARIANTS = ALL_VARIANTS + (k_metric(3),)
+
+
+def cap_cases(n: int) -> list:
+    """(graph, variant) over 12 random pseudotrees of order n, every variant
+    of CAP_VARIANTS whose k, if any, the graph's k-dimensional value admits."""
+    cases = []
+    for g in random_pseudotrees(n, 12):
+        kmax = k_dimensional_value(g)
+        cases += [(g, v) for v in CAP_VARIANTS if v.k is None or v.k <= kmax]
+    assert {v for _, v in cases} == set(CAP_VARIANTS)
+    return cases
 
 
 class TestPredicates:
@@ -124,13 +136,23 @@ class TestBruteForce:
             brute_force_dimension(k1, k_metric(2))
 
     def test_cap(self):
+        # one oracle cap of 16 for every variant, the k-metric ones included
+        for g, variant in cap_cases(16):
+            res = brute_force_dimension(g, variant)
+            assert res.value == len(res.witness)
+            assert is_locating_set(g, res.witness, variant)
+        for g, variant in cap_cases(17):
+            with pytest.raises(SizeCapExceeded):
+                brute_force_dimension(g, variant)
         with pytest.raises(SizeCapExceeded):
             brute_force_dimension(path_graph(17), METRIC)
         assert brute_force_dimension(path_graph(17), METRIC, max_n=17).value == 1
 
     def test_cap_env_override(self, monkeypatch):
-        monkeypatch.setenv("PSEUDOLOC_MAX_N", "20")
+        monkeypatch.setenv("PSEUDOLOC_MAX_N", "17")
         assert brute_force_dimension(path_graph(17), METRIC).value == 1
+        for g, variant in cap_cases(17):
+            assert brute_force_dimension(g, variant) == brute_force_dimension(g, variant, max_n=17)
 
     def test_kmetric_2_equals_fault_tolerant_definition(self, tree_classes_by_n, unicyclic_classes_by_n):
         # the two definitions are the same predicate; spot-check set agreement
