@@ -6,6 +6,7 @@ plus an exhaustive corpus-verification harness.
 """
 
 from .closed_form import (
+    GraphAnalysis,
     closed_result,
     compute_parameter,
     ddim_closed,
@@ -22,7 +23,6 @@ from .closed_form import (
     sdim_even_fast,
     sdim_sr_formula,
     tree_zeta,
-    valid_k_range,
 )
 from .corpus import (
     CorpusSpec,
@@ -92,7 +92,6 @@ from .structure import (
     closed_necklace,
     domination_number,
     find_geodesic_triple,
-    geodesic_triple_exists,
     independence_number,
     profile,
 )

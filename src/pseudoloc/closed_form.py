@@ -4,18 +4,20 @@ Given a pseudotree and its profile, each dispatcher returns the exact value
 when a characterization covers the instance, and the certified interval
 otherwise.  The engine never guesses: interval results carry the
 bounded-by-theorem method and can be upgraded to the oracle on request.
+A GraphAnalysis holds what the closed forms and the oracle read of one graph.
 """
 
 from __future__ import annotations
 
+from functools import cached_property
+
 from .errors import KOutOfRange, SizeCapExceeded
-from .graph import DistanceMatrix, Graph, distance_matrix
+from .graph import DistanceMatrix, Graph
 from .resolvers import (
     DOUBLY,
     EDGE,
     LOCAL,
     METHOD_BOUNDED,
-    METHOD_BRUTE_FORCE,
     METHOD_CLOSED_FORM,
     METHOD_SR_FORMULA,
     METRIC,
@@ -26,7 +28,6 @@ from .resolvers import (
     ParameterResult,
     Variant,
     brute_force_dimension,
-    k_dimensional_value,
     k_metric,
 )
 from .structure import (
@@ -52,6 +53,22 @@ _ORACLE_VARIANTS: dict[str, Variant] = {
     "mdim": MIXED,
     "ldim": LOCAL,
 }
+
+
+class GraphAnalysis(OracleConstraints):
+    """Everything the closed forms and the oracle read of one graph, each
+    built on first use and kept: the profile, the SR graph, and the distance
+    matrix, oracle masks and k-dimensional value of OracleConstraints.
+    Create one per graph and pass it to closed_result and oracle_result.
+    """
+
+    @cached_property
+    def profile(self) -> PseudotreeProfile:
+        return profile(self.g)
+
+    @cached_property
+    def sr(self) -> StrongResolvingGraph:
+        return boundary_and_sr_graph(self.g, self.dm)
 
 
 def _exact(value, tag, witness=None, method=METHOD_CLOSED_FORM) -> ParameterResult:
@@ -189,15 +206,8 @@ def dim_closed(g: Graph, prof: PseudotreeProfile) -> ParameterResult:
 # Strong metric dimension
 
 
-def sdim_sr_formula(
-    g: Graph,
-    prof: PseudotreeProfile,
-    sr: StrongResolvingGraph | None = None,
-    dm: DistanceMatrix | None = None,
-) -> ParameterResult:
+def sdim_sr_formula(sr: StrongResolvingGraph) -> ParameterResult:
     """sdim = |boundary| - alpha(strong resolving graph); exact for any graph."""
-    if sr is None:
-        sr = boundary_and_sr_graph(g, dm)
     return _exact(
         sr.order - independence_number(sr), "SDIM_PARTALPHA", method=METHOD_SR_FORMULA
     )
@@ -211,7 +221,8 @@ def sdim_even_fast(prof: PseudotreeProfile) -> ParameterResult:
     return _exact(value, "SDIM_EVEN_EXACT")
 
 
-def sdim_closed(g: Graph, prof: PseudotreeProfile, dm: DistanceMatrix | None = None) -> ParameterResult:
+def sdim_closed(a: GraphAnalysis) -> ParameterResult:
+    prof = a.profile
     kind = prof.kind
     if kind is FamilyKind.PATH:
         return _exact(1, "SDIM_PATH", witness=(prof.leaves[0],))
@@ -220,7 +231,7 @@ def sdim_closed(g: Graph, prof: PseudotreeProfile, dm: DistanceMatrix | None = N
     if kind is FamilyKind.CYCLE:
         half = (prof.girth + 1) // 2
         return _exact(half, "SDIM_CYCLE", witness=tuple(sorted(prof.cycle[:half])))
-    via_sr = sdim_sr_formula(g, prof, dm=dm)
+    via_sr = sdim_sr_formula(a.sr)
     if prof.girth % 2 == 0:
         fast = sdim_even_fast(prof)
         if fast.value != via_sr.value:  # the two exact routes must agree
@@ -295,22 +306,14 @@ def _i_r(ter: int, low: int, r: int) -> int:
     return (ter - 1) * ((r + 1) // 2) + r // 2
 
 
-def dimk_closed(
-    g: Graph,
-    prof: PseudotreeProfile,
-    k: int,
-    dm: DistanceMatrix | None = None,
-    kmax: int | None = None,
-) -> ParameterResult:
-    """k-metric dimension; kmax, the k-dimensional value, is computed when not given."""
-    if dm is None:
-        dm = distance_matrix(g)
+def dimk_closed(a: GraphAnalysis, k: int) -> ParameterResult:
+    """k-metric dimension, for 2 <= k <= the k-dimensional value."""
     if not isinstance(k, int) or k < 2:
         raise KOutOfRange(f"k must be an integer >= 2, got {k}")
-    if kmax is None:
-        kmax = k_dimensional_value(g, dm)
+    kmax = a.k_dimensional_value
     if k > kmax:
         raise KOutOfRange(f"k={k} exceeds the k-dimensional value {kmax}")
+    prof = a.profile
     kind = prof.kind
     if kind is FamilyKind.PATH:
         # k = 2 is the fault-tolerant case: both ends already resolve every pair twice
@@ -323,7 +326,7 @@ def dimk_closed(
     if kind is FamilyKind.TREE:
         total = 0
         for w in prof.strong_exterior_major:
-            dists = _terminal_distances(prof, dm, w)
+            dists = _terminal_distances(prof, a.dm, w)
             total += _i_r(len(dists), dists[0], k)
         return _exact(total, "DIMK_TREE")
     return _interval(k + 1, prof.n, "DIMK_UNIC_BOUNDS")
@@ -333,9 +336,7 @@ def dimk_closed(
 # Edge metric dimension
 
 
-def edim_closed(
-    g: Graph, prof: PseudotreeProfile, dim_value: int | None = None
-) -> ParameterResult:
+def edim_closed(g: Graph, prof: PseudotreeProfile) -> ParameterResult:
     kind = prof.kind
     if kind is FamilyKind.PATH:
         return _exact(1, "EDIM_PATH", witness=(prof.leaves[0],))
@@ -348,6 +349,7 @@ def edim_closed(
     rho_hat = _rho_hat(prof)
     base = prof.num_leaves - prof.num_exterior_major + rho_hat
     lo, hi = base, base + 1
+    dim_value = dim_closed(g, prof).value
     if dim_value is not None:
         # |dim - edim| <= 1, dim <= edim for odd girth, dim >= edim for even
         if prof.girth % 2 == 1:
@@ -394,10 +396,6 @@ def ldim_closed(g: Graph, prof: PseudotreeProfile) -> ParameterResult:
 # Umbrella dispatch
 
 
-def valid_k_range(g: Graph, dm: DistanceMatrix | None = None) -> tuple[int, int]:
-    return 2, k_dimensional_value(g, dm)
-
-
 def _singleton_result(param: str) -> ParameterResult:
     if param in ("dim2", "dimk"):
         # dim2 is the k-metric dimension at k = 2; no vertex pair means no k
@@ -409,16 +407,14 @@ def closed_result(
     g: Graph,
     param: str,
     k: int | None = None,
-    prof: PseudotreeProfile | None = None,
-    dm: DistanceMatrix | None = None,
-    kmax: int | None = None,
+    analysis: GraphAnalysis | None = None,
 ) -> ParameterResult:
     """Closed-form (or certified-interval) result; never calls the oracle.
 
     The profile reads no distances.  Only sdim on a proper unicyclic graph
     (its SR graph) and dimk (the k-dimensional value and the terminal
-    distances) read a distance matrix, and build one when dm is None; pass
-    dm to reuse one already built, and kmax to reuse the k-dimensional value.
+    distances) read the distance matrix.  Pass the graph's GraphAnalysis to
+    reuse what it has built; a new one is made when analysis is None.
     """
     if param not in PARAMETER_NAMES:
         raise ValueError(f"unknown parameter {param!r}")
@@ -426,23 +422,22 @@ def closed_result(
         raise KOutOfRange("dimk requires k")
     if g.n == 1:
         return _singleton_result(param)
-    if prof is None:
-        prof = profile(g)
+    a = GraphAnalysis(g) if analysis is None else analysis
+    if param == "sdim":
+        return sdim_closed(a)
+    if param == "dimk":
+        return dimk_closed(a, k)
+    prof = a.profile
     if param == "dmd":
         return dmd_closed(g, prof)
     if param == "dim":
         return dim_closed(g, prof)
-    if param == "sdim":
-        return sdim_closed(g, prof, dm=dm)
     if param == "ddim":
         return ddim_closed(g, prof)
     if param == "dim2":
         return dim2_closed(g, prof)
-    if param == "dimk":
-        return dimk_closed(g, prof, k, dm, kmax)
     if param == "edim":
-        dim_res = dim_closed(g, prof)
-        return edim_closed(g, prof, dim_res.value if dim_res.is_exact else None)
+        return edim_closed(g, prof)
     if param == "mdim":
         return mdim_closed(g, prof)
     return ldim_closed(g, prof)
@@ -453,12 +448,12 @@ def oracle_result(
     param: str,
     k: int | None = None,
     max_n: int | None = None,
-    constraints: OracleConstraints | None = None,
+    analysis: GraphAnalysis | None = None,
 ) -> ParameterResult:
     """Exact-search ground truth for the same parameter.
 
-    Pass the graph's OracleConstraints to share its distances and masks
-    across parameters.
+    Pass the graph's GraphAnalysis to share its distances, masks and
+    k-dimensional value across parameters and with the closed forms.
     """
     if param == "dimk":
         if k is None:
@@ -471,7 +466,7 @@ def oracle_result(
         variant = k_metric(2)
     else:
         variant = _ORACLE_VARIANTS[param]
-    return brute_force_dimension(g, variant, max_n=max_n, constraints=constraints)
+    return brute_force_dimension(g, variant, max_n=max_n, constraints=analysis)
 
 
 def compute_parameter(
@@ -486,12 +481,12 @@ def compute_parameter(
         raise ValueError(f"unknown method {method!r}")
     if method == "brute":
         return oracle_result(g, param, k=k, max_n=max_n)
-    # dimk's closed form reads distances; the oracle reuses that matrix
-    dm = distance_matrix(g) if param == "dimk" else None
-    result = closed_result(g, param, k=k, dm=dm)
+    # the oracle reuses what the closed form built
+    a = GraphAnalysis(g)
+    result = closed_result(g, param, k=k, analysis=a)
     if method == "closed" or result.is_exact:
         return result
     try:
-        return oracle_result(g, param, k=k, max_n=max_n, constraints=OracleConstraints(g, dm))
+        return oracle_result(g, param, k=k, max_n=max_n, analysis=a)
     except SizeCapExceeded:
         return result

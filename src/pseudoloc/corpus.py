@@ -15,11 +15,10 @@ import json
 from dataclasses import dataclass
 from typing import Callable, Iterator
 
-from .closed_form import PARAMETER_NAMES, closed_result, oracle_result
+from .closed_form import PARAMETER_NAMES, GraphAnalysis, closed_result, oracle_result
 from .errors import SizeCapExceeded
-from .graph import Graph, distance_matrix, encode_graph6, from_edge_list, girth_and_cycle, size_cap
-from .resolvers import OracleConstraints, ParameterResult
-from .structure import profile
+from .graph import Graph, encode_graph6, from_edge_list, girth_and_cycle, size_cap
+from .resolvers import ParameterResult
 
 TREE_ENUM_CAP = 12
 UNICYCLIC_ENUM_CAP = 10
@@ -362,29 +361,26 @@ def compare_results(closed: ParameterResult, oracle: ParameterResult) -> str:
 def verify_graph(g: Graph, parameters) -> list[VerificationRecord]:
     """Closed-vs-oracle records for one graph, in deterministic order.
 
-    One distance matrix, one profile and one set of oracle constraints serve
-    every record; the k-range of dimk ends at the k-dimensional value of those
-    constraints' vertex-pair masks.  dim2 and dimk[2], the same k-metric
-    problem, share one oracle search.
+    One GraphAnalysis serves every record: one distance matrix, one profile,
+    one set of oracle masks, and one k-dimensional value, where the k-range
+    of dimk ends.  dim2 and dimk[2], the same k-metric problem, share one
+    oracle search.
     """
     g6 = encode_graph6(g)
-    dm = distance_matrix(g)
-    prof = profile(g)
-    constraints = OracleConstraints(g, dm)
-    kmax = constraints.k_dimensional_value if "dimk" in parameters else None
+    a = GraphAnalysis(g)
     expanded: list[tuple[str, int | None]] = []
     for p in parameters:
         if p == "dimk":
-            expanded.extend(("dimk", k) for k in range(2, kmax + 1))
+            expanded.extend(("dimk", k) for k in range(2, a.k_dimensional_value + 1))
         else:
             expanded.append((p, None))
     oracles: dict[tuple[str, int | None], ParameterResult] = {}
     records = []
     for param, k in expanded:
-        closed = closed_result(g, param, k=k, prof=prof, dm=dm, kmax=kmax)
+        closed = closed_result(g, param, k=k, analysis=a)
         key = ("dimk", 2) if param == "dim2" else (param, k)
         if key not in oracles:
-            oracles[key] = oracle_result(g, param, k=k, constraints=constraints)
+            oracles[key] = oracle_result(g, param, k=k, analysis=a)
         oracle = oracles[key]
         name = f"dimk[{k}]" if param == "dimk" else param
         records.append(

@@ -65,9 +65,6 @@ class Graph:
     def degree(self, v: int) -> int:
         return len(self.adjacency[v])
 
-    def neighbors(self, v: int) -> tuple[int, ...]:
-        return self.adjacency[v]
-
     def has_edge(self, u: int, v: int) -> bool:
         return v in self.adjacency[u]
 

@@ -183,9 +183,8 @@ class OracleConstraints:
 
     @cached_property
     def k_dimensional_value(self) -> int:
-        """Largest k admitting a k-locating set: the fewest resolvers of any
-        vertex pair (0 without pairs)."""
-        return min(map(int.bit_count, self.vertex_pairs), default=0)
+        """Largest k admitting a k-locating set (0 without vertex pairs)."""
+        return k_dimensional_value(self.g, self.dm) if self.g.n >= 2 else 0
 
     @cached_property
     def _edge_rows(self) -> list[int]:

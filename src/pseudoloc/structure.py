@@ -329,10 +329,6 @@ def find_geodesic_triple(prof: PseudotreeProfile, subset) -> tuple[int, int, int
     return None
 
 
-def geodesic_triple_exists(prof: PseudotreeProfile, subset) -> bool:
-    return find_geodesic_triple(prof, subset) is not None
-
-
 @dataclass(frozen=True)
 class StrongResolvingGraph:
     """Boundary vertices of the host graph with MMD adjacency."""

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import functools
+import importlib
 import itertools
 import operator
 
@@ -22,6 +23,21 @@ from pseudoloc import (
     resolves,
     strong_resolves,
 )
+
+
+def count_calls(monkeypatch, name: str, modules) -> list[Graph]:
+    """The graphs passed to pseudoloc function `name` at each of its bindings
+    in `modules`, which must name every module that can call it."""
+    calls = []
+    real = getattr(importlib.import_module(f"pseudoloc.{modules[0]}"), name)
+
+    def counting(g, *args):
+        calls.append(g)
+        return real(g, *args)
+
+    for module in modules:
+        monkeypatch.setattr(importlib.import_module(f"pseudoloc.{module}"), name, counting)
+    return calls
 
 
 def path_graph(n: int) -> Graph:

@@ -26,6 +26,7 @@ import pytest
 from pseudoloc import (
     Disconnected,
     FamilyKind,
+    GraphAnalysis,
     antipodal_pairs,
     boundary_and_sr_graph,
     classify,
@@ -36,12 +37,12 @@ from pseudoloc import (
     find_geodesic_triple,
     from_edge_list,
     independence_number,
+    k_dimensional_value,
     oracle_result,
     profile,
     sdim_even_fast,
     sdim_sr_formula,
     tree_zeta,
-    valid_k_range,
     verify_corpus,
 )
 from pseudoloc.corpus import CorpusSpec
@@ -126,8 +127,8 @@ class TestCriterion2:
         bad = []
         for n in range(2, 10):
             for g in tree_classes_by_n[n]:
-                prof = profile(g)
-                dm = distance_matrix(g)
+                a = GraphAnalysis(g)
+                prof, dm = a.profile, a.dm
                 is_path = prof.kind is FamilyKind.PATH
                 gamma = domination_number(g)
                 expected = {
@@ -144,16 +145,16 @@ class TestCriterion2:
                     got = oracle_value(g, param)
                     if got != want:
                         bad.append((encode_graph6(g), param, want, got))
-                    closed = closed_result(g, param, prof=prof)
+                    closed = closed_result(g, param, analysis=a)
                     if not closed.is_exact or closed.value != got:
                         bad.append((encode_graph6(g), param + "-closed", closed, got))
                 # k-metric: zeta value and the I_r sum for every admissible r
-                lo, hi = valid_k_range(g)
+                hi = k_dimensional_value(g)
                 if not is_path and n >= 3:
                     if tree_zeta(prof, dm) != hi:
                         bad.append((encode_graph6(g), "zeta", tree_zeta(prof, dm), hi))
                 for r in range(2, hi + 1):
-                    closed = closed_result(g, "dimk", k=r, prof=prof)
+                    closed = closed_result(g, "dimk", k=r, analysis=a)
                     got = oracle_value(g, "dimk", k=r)
                     if not closed.is_exact or closed.value != got:
                         bad.append((encode_graph6(g), f"dimk[{r}]", closed, got))
@@ -173,24 +174,25 @@ class TestCriterion3:
         for n in range(3, 10):
             for g in unicyclic_classes_by_n[n]:
                 count += 1
-                prof = profile(g)
+                a = GraphAnalysis(g)
+                prof = a.profile
                 for param in ("dmd", "mdim", "ldim"):
-                    closed = closed_result(g, param, prof=prof)
+                    closed = closed_result(g, param, analysis=a)
                     got = oracle_value(g, param)
                     if not closed.is_exact or closed.value != got:
                         bad.append((encode_graph6(g), param, closed, got))
                 sdim_oracle = oracle_value(g, "sdim")
                 sr = boundary_and_sr_graph(g)
                 if prof.kind is FamilyKind.PROPER_UNICYCLIC:
-                    if sdim_sr_formula(g, prof, sr).value != sdim_oracle:
+                    if sdim_sr_formula(sr).value != sdim_oracle:
                         bad.append((encode_graph6(g), "sdim-sr", None, sdim_oracle))
                     if prof.girth % 2 == 0 and sdim_even_fast(prof).value != sdim_oracle:
                         bad.append((encode_graph6(g), "sdim-fast", None, sdim_oracle))
                 else:
-                    if closed_result(g, "sdim", prof=prof).value != sdim_oracle:
+                    if closed_result(g, "sdim", analysis=a).value != sdim_oracle:
                         bad.append((encode_graph6(g), "sdim-cycle", None, sdim_oracle))
                 if prof.girth not in (3, 4, 6):
-                    closed = closed_result(g, "ddim", prof=prof)
+                    closed = closed_result(g, "ddim", analysis=a)
                     got = oracle_value(g, "ddim")
                     if not closed.is_exact or closed.value != got:
                         bad.append((encode_graph6(g), "ddim", closed, got))

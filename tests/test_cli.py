@@ -22,6 +22,12 @@ REPORT_DIGESTS = {
     "tree": "92f8cae36ebd74b89312245ced2967ea306af9bc666d08f3bf6c6d2380e85ffa",
     "unicyclic": "88d5d34d62beebf69e4400a4baf95b1d77532c5fa57acaef4ba71c926d7a06c6",
 }
+# the same reports up to each family's enumeration cap, (max_n, sha256):
+# 9,168 and 9,887 records
+CAP_REPORT_DIGESTS = {
+    "tree": (12, "83d98b6cdf00ba29876da56d186952629e122fde1ed23fa7820b05e28a69ebe4"),
+    "unicyclic": (10, "892d40c1326617c54de54c3c81a19a320d134210a8db2341c7d37e22eead234f"),
+}
 
 PAW_EDGELIST = "4\n0 1\n1 2\n2 0\n0 3\n"
 SPIDER_EDGELIST = "6\n0 1\n0 2\n2 3\n0 4\n4 5\n"
@@ -221,11 +227,13 @@ class TestVerify:
 
     @pytest.mark.parametrize("family", sorted(REPORT_DIGESTS))
     def test_reports_byte_identical(self, capsys, tmp_path, family):
-        report = tmp_path / "report.jsonl"
-        argv = ["verify", "--family", family, "--max-n", "8", "--params", "all"]
-        code, _, _ = run_cli(capsys, argv + ["--report", str(report)])
-        assert code == 0
-        assert hashlib.sha256(report.read_bytes()).hexdigest() == REPORT_DIGESTS[family]
+        cap, cap_digest = CAP_REPORT_DIGESTS[family]
+        for max_n, digest in ((8, REPORT_DIGESTS[family]), (cap, cap_digest)):
+            report = tmp_path / f"report{max_n}.jsonl"
+            argv = ["verify", "--family", family, "--max-n", str(max_n), "--params", "all"]
+            code, _, _ = run_cli(capsys, argv + ["--report", str(report)])
+            assert code == 0
+            assert hashlib.sha256(report.read_bytes()).hexdigest() == digest, max_n
 
 
 class TestGen:

@@ -18,12 +18,12 @@ from pseudoloc import (
     from_edge_list,
     girth_and_cycle,
     is_locating_set,
+    k_dimensional_value,
     k_metric,
     oracle_result,
     parse_graph6,
     profile,
     tree_zeta,
-    valid_k_range,
 )
 from pseudoloc.resolvers import METHOD_BOUNDED, METHOD_BRUTE_FORCE
 
@@ -177,7 +177,7 @@ class TestDimk:
 
     def test_zeta(self, spider122):
         assert tree_zeta(profile(spider122), distance_matrix(spider122)) == 3
-        assert valid_k_range(spider122) == (2, 3)
+        assert k_dimensional_value(spider122) == 3
 
     def test_k_out_of_range(self, c5):
         with pytest.raises(KOutOfRange):
@@ -292,8 +292,7 @@ class TestCorpusAgreement:
                     assert closed.value == oracle.value, (g.edges, param)
                 else:
                     assert closed.contains(oracle.value), (g.edges, param)
-            lo, hi = valid_k_range(g)
-            for k in range(lo, hi + 1):
+            for k in range(2, k_dimensional_value(g) + 1):
                 closed = closed_result(g, "dimk", k=k)
                 oracle = oracle_result(g, "dimk", k=k)
                 if closed.is_exact:

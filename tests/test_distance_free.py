@@ -1,7 +1,7 @@
 """What reads no distances: the profile's terminal map against the nearest
 major vertex by BFS, closed forms with distance_matrix made to raise,
 canonical forms without the profile, and one k-dimensional value per
-verified graph, read from its oracle masks."""
+verified graph."""
 
 from __future__ import annotations
 
@@ -21,10 +21,12 @@ from pseudoloc import (
 )
 from pseudoloc.closed_form import PARAMETER_NAMES
 
-from conftest import cycle_graph, path_graph, random_pseudotrees, terminal_map_by_distances
+from conftest import count_calls, cycle_graph, path_graph, random_pseudotrees, terminal_map_by_distances
 
 DISTANCE_FREE = ("dmd", "dim", "dim2", "edim", "mdim", "ldim")
-MODULES_THAT_BUILD_DISTANCES = ("closed_form", "structure", "resolvers", "graph")
+# every module that binds distance_matrix; closed_form builds it through
+# GraphAnalysis, an OracleConstraints, so through resolvers
+MODULES_THAT_BUILD_DISTANCES = ("structure", "resolvers", "graph")
 
 
 @pytest.fixture
@@ -84,26 +86,26 @@ class TestSharedWork:
         def refuse(g):
             raise AssertionError("profile called")
 
-        monkeypatch.setattr(importlib.import_module("pseudoloc.corpus"), "profile", refuse)
+        # corpus reaches the profile only through closed_form's GraphAnalysis
+        for name in ("closed_form", "structure"):
+            monkeypatch.setattr(importlib.import_module(f"pseudoloc.{name}"), "profile", refuse)
         # connected unicyclic graphs on 3..8 vertices (OEIS A001429)
         counts = [len(list(enumerate_unicyclic(n, dedup=True))) for n in range(3, 9)]
         assert counts == [1, 2, 5, 13, 33, 89]
         assert list(enumerate_unicyclic(8, dedup=True)) == unicyclic_classes_by_n[8]
 
     def test_one_k_dimensional_value_per_verified_graph(self, monkeypatch, unicyclic_classes_by_n):
-        # the k-range is read once per graph from the oracle's vertex-pair
-        # masks: the packed-row kernel runs for no verified graph
+        # the packed-row kernel is the one computation of the value: the
+        # k-range, every dimk closed form and the oracle's k check share one call
         expected = {g: k_dimensional_value(g) for g in unicyclic_classes_by_n[6]}
-
-        def refuse(g, dm=None):
-            raise AssertionError("k_dimensional_value called")
-
-        for name in ("closed_form", "resolvers"):
-            monkeypatch.setattr(importlib.import_module(f"pseudoloc.{name}"), "k_dimensional_value", refuse)
+        # resolvers is the one module that binds the kernel
+        calls = count_calls(monkeypatch, "k_dimensional_value", ("resolvers",))
         for g, kmax in expected.items():
+            calls.clear()
             records = verify_graph(g, PARAMETER_NAMES)
             dimk = [r.parameter for r in records if r.parameter.startswith("dimk")]
             assert dimk == [f"dimk[{k}]" for k in range(2, kmax + 1)]
+            assert calls == [g]
 
     def test_ldim_reads_girth_parity(self, unicyclic_classes_by_n):
         for graphs in unicyclic_classes_by_n.values():

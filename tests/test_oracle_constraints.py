@@ -1,11 +1,10 @@
 """The oracle's per-graph constraints against the definitional builder in
-conftest; one oracle search for dim2 and dimk[2]; one distance matrix per
-`auto` request that falls through to the oracle; tree class levels grown
-once per corpus."""
+conftest; one oracle search for dim2 and dimk[2]; one distance matrix, one
+profile and one k-dimensional value per `auto` request that falls through
+to the oracle, and one distance matrix and one profile per verified graph;
+tree class levels grown once per corpus."""
 
 from __future__ import annotations
-
-import importlib
 
 import pytest
 
@@ -31,7 +30,13 @@ from pseudoloc import (
 from pseudoloc import corpus
 from pseudoloc.closed_form import PARAMETER_NAMES
 
-from conftest import constraint_masks_by_definition, cycle_graph, path_graph, random_pseudotrees
+from conftest import (
+    constraint_masks_by_definition,
+    count_calls,
+    cycle_graph,
+    path_graph,
+    random_pseudotrees,
+)
 
 # the variants whose masks come from packed rows, those on vertex pairs first
 # (the reference keeps its last pair table); strong and doubly loop over tuple
@@ -110,22 +115,31 @@ class TestSharedOracle:
         assert ("dim2", None) in calls and ("dimk", 2) not in calls
 
 
+# every module that binds each function
+DISTANCE_MODULES = ("resolvers", "structure", "graph")
+PROFILE_MODULES = ("structure", "closed_form", "cli")
+
+
 class TestOneDistanceMatrix:
     def test_auto_dimk_falling_through_to_the_oracle(self, monkeypatch):
         g = from_edge_list(8, C4_WITH_LEGS)
-        calls = []
-        real = distance_matrix
-
-        def counting(h):
-            calls.append(h)
-            return real(h)
-
-        for name in ("closed_form", "resolvers", "structure", "graph", "corpus"):
-            module = importlib.import_module(f"pseudoloc.{name}")
-            monkeypatch.setattr(module, "distance_matrix", counting)
+        matrices = count_calls(monkeypatch, "distance_matrix", DISTANCE_MODULES)
+        profiles = count_calls(monkeypatch, "profile", PROFILE_MODULES)
+        kernel = count_calls(monkeypatch, "k_dimensional_value", ("resolvers",))
         result = compute_parameter(g, "dimk", k=2)
         assert result.method == "brute_force"  # the closed form gave an interval
-        assert len(calls) == 1
+        assert matrices == profiles == kernel == [g]
+
+
+class TestOnePerVerifiedGraph:
+    def test_one_distance_matrix_and_one_profile(self, monkeypatch, tree_classes_by_n, unicyclic_classes_by_n):
+        matrices = count_calls(monkeypatch, "distance_matrix", DISTANCE_MODULES)
+        profiles = count_calls(monkeypatch, "profile", PROFILE_MODULES)
+        for g in tree_classes_by_n[7] + unicyclic_classes_by_n[7]:
+            matrices.clear()
+            profiles.clear()
+            verify_graph(g, PARAMETER_NAMES)
+            assert matrices == profiles == [g], g.edges
 
 
 class TestTreeClassLevels:

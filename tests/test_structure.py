@@ -16,8 +16,8 @@ from pseudoloc import (
     closed_necklace,
     compute_parameter,
     domination_number,
+    find_geodesic_triple,
     from_edge_list,
-    geodesic_triple_exists,
     independence_number,
     parse_graph6,
     profile,
@@ -123,9 +123,9 @@ class TestProfile:
 
 class TestCycleSubsets:
     def test_geodesic_examples(self, c6, c5):
-        assert geodesic_triple_exists(profile(c6), [0, 2, 4])
-        assert not geodesic_triple_exists(profile(c6), [0, 1, 2])
-        assert geodesic_triple_exists(profile(c5), [0, 1, 3])
+        assert find_geodesic_triple(profile(c6), [0, 2, 4]) == (0, 2, 4)
+        assert find_geodesic_triple(profile(c6), [0, 1, 2]) is None
+        assert find_geodesic_triple(profile(c5), [0, 1, 3]) == (0, 1, 3)
 
     def test_antipodal_examples(self, c4, c5):
         assert antipodal_pairs(profile(c4), [0, 1, 2, 3]) == [(0, 2), (1, 3)]
