@@ -22,7 +22,6 @@ from .closed_form import (
     sdim_closed,
     sdim_even_fast,
     sdim_sr_formula,
-    tree_zeta,
 )
 from .corpus import (
     CorpusSpec,
@@ -54,10 +53,8 @@ from .graph import (
     Graph,
     distance_matrix,
     encode_graph6,
-    format_edgelist,
     from_edge_list,
     girth_and_cycle,
-    is_bipartite,
     parse_edgelist,
     parse_graph6,
 )
@@ -73,14 +70,10 @@ from .resolvers import (
     ParameterResult,
     Variant,
     brute_force_dimension,
-    doubly_resolves,
-    edge_distance,
     is_locating_set,
     k_dimensional_value,
     k_metric,
     lex_first_cover,
-    resolves,
-    strong_resolves,
 )
 from .structure import (
     FamilyKind,
@@ -89,7 +82,6 @@ from .structure import (
     antipodal_pairs,
     boundary_and_sr_graph,
     classify,
-    closed_necklace,
     domination_number,
     find_geodesic_triple,
     independence_number,

@@ -44,6 +44,18 @@ _EXIT_CODES = (
 _REPORTED = tuple(kind for kinds, _ in _EXIT_CODES for kind in kinds)
 
 
+def _int_at_least(low: int):
+    """argparse type: an integer >= low, else a usage error (exit 2)."""
+
+    def integer(text: str) -> int:  # argparse names it in "invalid integer value"
+        value = int(text)
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be an integer >= {low}, got {value}")
+        return value
+
+    return integer
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="pseudoloc",
@@ -68,7 +80,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("--family", required=True, choices=("tree", "unicyclic", "cycle", "path"))
     p_verify.add_argument("--max-n", type=int, required=True)
     p_verify.add_argument("--params", default="all", help="comma list or 'all'")
-    p_verify.add_argument("--jobs", type=int, default=1)
+    p_verify.add_argument("--jobs", type=_int_at_least(1), default=1)
     p_verify.add_argument("--report", default=None, help="JSONL report path")
     p_verify.add_argument("--no-dedup", action="store_true", help="verify the labeled corpus")
     p_verify.add_argument("--json", action="store_true")
@@ -77,7 +89,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_gen.add_argument("--kind", required=True, choices=("tree", "unicyclic", "cycle", "path"))
     p_gen.add_argument("--n", type=int, required=True)
     p_gen.add_argument("--seed", type=int, default=0)
-    p_gen.add_argument("--count", type=int, default=1)
+    p_gen.add_argument("--count", type=_int_at_least(0), default=1)
     return parser
 
 

@@ -12,7 +12,7 @@ from __future__ import annotations
 from functools import cached_property
 
 from .errors import KOutOfRange, SizeCapExceeded
-from .graph import DistanceMatrix, Graph
+from .graph import Graph
 from .resolvers import (
     DOUBLY,
     EDGE,
@@ -208,9 +208,8 @@ def dim_closed(g: Graph, prof: PseudotreeProfile) -> ParameterResult:
 
 def sdim_sr_formula(sr: StrongResolvingGraph) -> ParameterResult:
     """sdim = |boundary| - alpha(strong resolving graph); exact for any graph."""
-    return _exact(
-        sr.order - independence_number(sr), "SDIM_PARTALPHA", method=METHOD_SR_FORMULA
-    )
+    alpha = independence_number(sr.boundary, sr.mmd_edges)
+    return _exact(sr.order - alpha, "SDIM_PARTALPHA", method=METHOD_SR_FORMULA)
 
 
 def sdim_even_fast(prof: PseudotreeProfile) -> ParameterResult:
@@ -231,15 +230,10 @@ def sdim_closed(a: GraphAnalysis) -> ParameterResult:
     if kind is FamilyKind.CYCLE:
         half = (prof.girth + 1) // 2
         return _exact(half, "SDIM_CYCLE", witness=tuple(sorted(prof.cycle[:half])))
-    via_sr = sdim_sr_formula(a.sr)
     if prof.girth % 2 == 0:
-        fast = sdim_even_fast(prof)
-        if fast.value != via_sr.value:  # the two exact routes must agree
-            raise RuntimeError(
-                f"even-girth sdim routes disagree: fast={fast.value} sr={via_sr.value}"
-            )
-        return fast
-    return via_sr
+        # the tests check the SR route against this formula, so no SR graph here
+        return sdim_even_fast(prof)
+    return sdim_sr_formula(a.sr)
 
 
 # ---------------------------------------------------------------------------
@@ -283,23 +277,6 @@ def dim2_closed(g: Graph, prof: PseudotreeProfile) -> ParameterResult:
 # k-metric dimension
 
 
-def _terminal_distances(prof: PseudotreeProfile, dm: DistanceMatrix, w: int) -> list[int]:
-    return sorted(dm.d(u, w) for u in prof.terminal_map[w])
-
-
-def tree_zeta(prof: PseudotreeProfile, dm: DistanceMatrix) -> int:
-    """Largest k for which a non-path tree admits a k-locating set."""
-    zeta = None
-    for w in prof.strong_exterior_major:
-        dists = _terminal_distances(prof, dm, w)
-        cand = dists[0] + dists[1]
-        if zeta is None or cand < zeta:
-            zeta = cand
-    if zeta is None:
-        raise ValueError("tree has no strong exterior major vertex")
-    return zeta
-
-
 def _i_r(ter: int, low: int, r: int) -> int:
     if low <= r // 2:
         return (ter - 1) * (r - low) + low
@@ -308,8 +285,6 @@ def _i_r(ter: int, low: int, r: int) -> int:
 
 def dimk_closed(a: GraphAnalysis, k: int) -> ParameterResult:
     """k-metric dimension, for 2 <= k <= the k-dimensional value."""
-    if not isinstance(k, int) or k < 2:
-        raise KOutOfRange(f"k must be an integer >= 2, got {k}")
     kmax = a.k_dimensional_value
     if k > kmax:
         raise KOutOfRange(f"k={k} exceeds the k-dimensional value {kmax}")
@@ -326,7 +301,7 @@ def dimk_closed(a: GraphAnalysis, k: int) -> ParameterResult:
     if kind is FamilyKind.TREE:
         total = 0
         for w in prof.strong_exterior_major:
-            dists = _terminal_distances(prof, a.dm, w)
+            dists = sorted(a.dm.d(u, w) for u in prof.terminal_map[w])
             total += _i_r(len(dists), dists[0], k)
         return _exact(total, "DIMK_TREE")
     return _interval(k + 1, prof.n, "DIMK_UNIC_BOUNDS")
@@ -396,6 +371,17 @@ def ldim_closed(g: Graph, prof: PseudotreeProfile) -> ParameterResult:
 # Umbrella dispatch
 
 
+def _check_k(param: str, k) -> None:
+    """dimk needs an integer k >= 2, and no other parameter takes a k."""
+    if param != "dimk":
+        if k is not None:
+            raise KOutOfRange(f"{param} takes no k, got k={k}")
+    elif k is None:
+        raise KOutOfRange("dimk requires k")
+    elif not isinstance(k, int) or k < 2:
+        raise KOutOfRange(f"k must be an integer >= 2, got {k}")
+
+
 def _singleton_result(param: str) -> ParameterResult:
     if param in ("dim2", "dimk"):
         # dim2 is the k-metric dimension at k = 2; no vertex pair means no k
@@ -412,14 +398,13 @@ def closed_result(
     """Closed-form (or certified-interval) result; never calls the oracle.
 
     The profile reads no distances.  Only sdim on a proper unicyclic graph
-    (its SR graph) and dimk (the k-dimensional value and the terminal
+    of odd girth (its SR graph) and dimk (the k-dimensional value and the terminal
     distances) read the distance matrix.  Pass the graph's GraphAnalysis to
     reuse what it has built; a new one is made when analysis is None.
     """
     if param not in PARAMETER_NAMES:
         raise ValueError(f"unknown parameter {param!r}")
-    if param == "dimk" and k is None:
-        raise KOutOfRange("dimk requires k")
+    _check_k(param, k)
     if g.n == 1:
         return _singleton_result(param)
     a = GraphAnalysis(g) if analysis is None else analysis
@@ -455,11 +440,8 @@ def oracle_result(
     Pass the graph's GraphAnalysis to share its distances, masks and
     k-dimensional value across parameters and with the closed forms.
     """
+    _check_k(param, k)
     if param == "dimk":
-        if k is None:
-            raise KOutOfRange("dimk requires k")
-        if not isinstance(k, int) or k < 2:
-            raise KOutOfRange(f"k must be an integer >= 2, got {k}")
         # brute_force_dimension rejects k above the k-dimensional value
         variant = k_metric(k)
     elif param == "dim2":

@@ -17,7 +17,7 @@ from typing import Callable, Iterator
 
 from .closed_form import PARAMETER_NAMES, GraphAnalysis, closed_result, oracle_result
 from .errors import SizeCapExceeded
-from .graph import Graph, encode_graph6, from_edge_list, girth_and_cycle, size_cap
+from .graph import GRAPH_CAP, Graph, encode_graph6, from_edge_list, girth_and_cycle, size_cap
 from .resolvers import ParameterResult
 
 TREE_ENUM_CAP = 12
@@ -193,22 +193,25 @@ def unicyclic_canonical_form(g: Graph) -> Graph:
 # Enumerators
 
 
-def _check_tree_order(n: int) -> None:
-    cap = size_cap(TREE_ENUM_CAP)
-    if not 2 <= n <= cap:
-        raise SizeCapExceeded(f"tree enumeration supports 2 <= n <= {cap}, got {n}")
+# each family's smallest order and its cap: paths and cycles stop at the graph cap
+_ORDERS = {
+    "tree": (2, TREE_ENUM_CAP),
+    "unicyclic": (3, UNICYCLIC_ENUM_CAP),
+    "path": (2, GRAPH_CAP),
+    "cycle": (3, GRAPH_CAP),
+}
 
 
-def _check_unicyclic_order(n: int) -> None:
-    cap = size_cap(UNICYCLIC_ENUM_CAP)
-    if not 3 <= n <= cap:
-        raise SizeCapExceeded(f"unicyclic enumeration supports 3 <= n <= {cap}, got {n}")
+def _check_order(family: str, n: int) -> None:
+    lo, cap = _ORDERS[family][0], size_cap(_ORDERS[family][1])
+    if not lo <= n <= cap:
+        raise SizeCapExceeded(f"{family} enumeration supports {lo} <= n <= {cap}, got {n}")
 
 
 def enumerate_trees(n: int, dedup: bool = False) -> Iterator[Graph]:
     """All labeled trees on n vertices (Prüfer order), or one canonical
     representative per isomorphism class when dedup is set."""
-    _check_tree_order(n)
+    _check_order("tree", n)
     if dedup:
         yield from _tree_classes(n)
         return
@@ -257,7 +260,7 @@ def _unicyclic_classes(n: int, trees: list[Graph]) -> list[Graph]:
 
 def enumerate_unicyclic(n: int, dedup: bool = False) -> Iterator[Graph]:
     """All connected unicyclic graphs on n vertices (tree plus one chord)."""
-    _check_unicyclic_order(n)
+    _check_order("unicyclic", n)
     if dedup:
         yield from _unicyclic_classes(n, _tree_classes(n))
         return
@@ -402,33 +405,29 @@ def _class_corpus(family: str, max_n: int) -> Iterator[Graph]:
     levels = _tree_class_levels()
     if family == "unicyclic":
         next(levels)  # unicyclic orders start at 3
-    for n in range(2 if family == "tree" else 3, max_n + 1):
-        if family == "tree":
-            _check_tree_order(n)
-            yield from next(levels)
-        else:
-            _check_unicyclic_order(n)
-            yield from _unicyclic_classes(n, next(levels))
+    for n in range(_ORDERS[family][0], max_n + 1):
+        level = next(levels)
+        yield from level if family == "tree" else _unicyclic_classes(n, level)
 
 
 def corpus_graphs(spec: CorpusSpec) -> Iterator[Graph]:
+    """Every graph of the corpus, orders ascending.  spec.max_n is checked
+    before anything is enumerated: from the family's smallest order up to its
+    cap, the enumeration cap for trees and unicyclic graphs."""
     family = spec.family.lower()
+    _check_order(family, spec.max_n)
     if family in ("tree", "unicyclic") and spec.dedup:
         yield from _class_corpus(family, spec.max_n)
         return
     if family == "tree":
-        lo = 2
         gen: Callable[[int], Iterator[Graph]] = enumerate_trees
     elif family == "unicyclic":
-        lo = 3
         gen = enumerate_unicyclic
     elif family == "path":
-        lo = 2
         gen = lambda n: iter([from_edge_list(n, [(i, i + 1) for i in range(n - 1)])])
     else:
-        lo = 3
         gen = lambda n: iter([from_edge_list(n, [(i, (i + 1) % n) for i in range(n)])])
-    for n in range(lo, spec.max_n + 1):
+    for n in range(_ORDERS[family][0], spec.max_n + 1):
         yield from gen(n)
 
 

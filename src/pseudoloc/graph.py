@@ -62,12 +62,6 @@ class Graph:
     def m(self) -> int:
         return len(self.edges)
 
-    def degree(self, v: int) -> int:
-        return len(self.adjacency[v])
-
-    def has_edge(self, u: int, v: int) -> bool:
-        return v in self.adjacency[u]
-
     def max_degree(self) -> int:
         return max((len(a) for a in self.adjacency), default=0)
 
@@ -137,9 +131,6 @@ class DistanceMatrix:
 
     def __getitem__(self, u: int) -> tuple[int, ...]:
         return self.rows[u]
-
-    def diameter(self) -> int:
-        return max(max(row) for row in self.rows)
 
 
 def _check_connected(n: int, adjacency: list[list[int]]) -> bool:
@@ -222,12 +213,6 @@ def parse_edgelist(text: str) -> Graph:
         except ValueError as exc:
             raise MalformedGraph6(f"non-integer endpoint in {line!r}") from exc
     return from_edge_list(n, pairs)
-
-
-def format_edgelist(g: Graph) -> str:
-    lines = [str(g.n)]
-    lines.extend(f"{u} {v}" for u, v in g.edges)
-    return "\n".join(lines) + "\n"
 
 
 def _g6_encode_n(n: int) -> str:
@@ -411,19 +396,3 @@ def girth_and_cycle(g: Graph) -> tuple[int, list[int]] | None:
             break
         walk.append(nxt)
     return len(walk), walk
-
-
-def is_bipartite(g: Graph) -> bool:
-    """BFS parity check for 2-colourability."""
-    color = [-1] * g.n
-    color[0] = 0
-    queue = deque([0])
-    while queue:
-        u = queue.popleft()
-        for w in g.adjacency[u]:
-            if color[w] < 0:
-                color[w] = color[u] ^ 1
-                queue.append(w)
-            elif color[w] == color[u]:
-                return False
-    return True

@@ -1,4 +1,4 @@
-"""Resolution predicates for the nine location variants and the exact oracle.
+"""The nine location variants as cover problems, and the exact oracle.
 
 Every variant is a cover problem over vertex bitmasks: a set locates iff it
 meets each constraint mask of the graph at least `need` times (one mask per
@@ -11,7 +11,8 @@ one exact search, `lex_first_cover`, which also gives the domination number.
 Witness contract: the oracle's witness is the lexicographically first
 locating set of minimum size, the set that enumerating subsets by increasing
 size in `itertools.combinations` order would find first.  The tests keep
-that direct enumerator as the reference.
+that direct enumerator, with the definitional resolving predicates it tests
+each set by, as the reference; the oracle shares no code with it.
 
 `lex_first_cover` keeps that one contract with two solvers.  Up to
 LATTICE_MAX_N vertices, the measured crossover, it evaluates all 2**n subsets
@@ -110,23 +111,6 @@ class ParameterResult:
         out["method"] = self.method
         out["theorem_tag"] = self.theorem_tag
         return out
-
-
-def resolves(dm: DistanceMatrix, v: int, x: int, y: int) -> bool:
-    return dm.d(x, v) != dm.d(y, v)
-
-
-def doubly_resolves(dm: DistanceMatrix, u: int, v: int, x: int, y: int) -> bool:
-    return dm.d(x, u) - dm.d(x, v) != dm.d(y, u) - dm.d(y, v)
-
-
-def strong_resolves(dm: DistanceMatrix, w: int, x: int, y: int) -> bool:
-    dxy = dm.d(x, y)
-    return dm.d(w, x) == dm.d(w, y) + dxy or dm.d(w, y) == dm.d(w, x) + dxy
-
-
-def edge_distance(dm: DistanceMatrix, v: int, e: tuple[int, int]) -> int:
-    return min(dm.d(v, e[0]), dm.d(v, e[1]))
 
 
 # byte value -> ASCII "0" for 0, "1" otherwise: gathers nonzero fields into a bit string

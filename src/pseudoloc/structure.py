@@ -3,7 +3,7 @@
 Everything the closed forms condition on lives here: family classification,
 the full profile (leaves, exterior major vertices, branching trees, threads,
 branch-active vertices, antipodal pair counts, twins), plus the boundary/MMD
-machinery, the closed necklace, and exact independence/domination solvers.
+machinery and exact independence/domination solvers.
 The profile reads no distances: each leaf's terminal vertex is the end of its
 leg.  Only the boundary/MMD machinery builds a distance matrix.
 """
@@ -13,8 +13,8 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass, field
 
-from .errors import NotPseudotree, NotUnicyclic, SizeCapExceeded
-from .graph import GRAPH_CAP, DistanceMatrix, Graph, distance_matrix, from_edge_list, girth_and_cycle, size_cap
+from .errors import NotPseudotree, SizeCapExceeded
+from .graph import GRAPH_CAP, DistanceMatrix, Graph, distance_matrix, girth_and_cycle, size_cap
 from .resolvers import closed_neighbourhoods, lex_first_cover
 
 
@@ -340,13 +340,6 @@ class StrongResolvingGraph:
     def order(self) -> int:
         return len(self.boundary)
 
-    def adjacency(self) -> dict[int, set[int]]:
-        adj: dict[int, set[int]] = {v: set() for v in self.boundary}
-        for u, v in self.mmd_edges:
-            adj[u].add(v)
-            adj[v].add(u)
-        return adj
-
 
 def boundary_and_sr_graph(g: Graph, dm: DistanceMatrix | None = None) -> StrongResolvingGraph:
     """Mutually-maximally-distant pairs and the boundary they span.
@@ -379,46 +372,13 @@ def boundary_and_sr_graph(g: Graph, dm: DistanceMatrix | None = None) -> StrongR
     return StrongResolvingGraph(boundary=boundary, mmd_edges=tuple(edges))
 
 
-def closed_necklace(g: Graph) -> tuple[Graph, dict[int, int]]:
-    """Replace every branching tree by a star with the same leaf count.
+def independence_number(vertices, edges) -> int:
+    """Exact independence number of the graph on the vertex sequence
+    `vertices` with `edges`; accepts disconnected inputs.
 
-    Returns the necklace graph plus the vertex correspondence: cycle
-    vertices and original leaves map to their necklace counterparts.
-    """
-    prof = profile(g)
-    if prof.kind is not FamilyKind.PROPER_UNICYCLIC:
-        raise NotUnicyclic(f"closed necklace requires a proper unicyclic graph, got {prof.kind.value}")
-    gsize = prof.girth
-    mapping: dict[int, int] = {v: i for i, v in enumerate(prof.cycle)}
-    edges = [(i, (i + 1) % gsize) for i in range(gsize)]
-    next_id = gsize
-    for i, v in enumerate(prof.cycle):
-        members = prof.branching_trees[v]
-        tree_leaves = [w for w in members if w != v and g.degree(w) == 1]
-        for leaf in sorted(tree_leaves):
-            mapping[leaf] = next_id
-            edges.append((i, next_id))
-            next_id += 1
-    return from_edge_list(next_id, edges), mapping
-
-
-def _as_vertex_edge_lists(obj) -> tuple[list[int], list[tuple[int, int]]]:
-    if isinstance(obj, Graph):
-        return list(range(obj.n)), list(obj.edges)
-    if isinstance(obj, StrongResolvingGraph):
-        return list(obj.boundary), list(obj.mmd_edges)
-    vertices, edges = obj
-    return list(vertices), [tuple(e) for e in edges]
-
-
-def independence_number(graph_like) -> int:
-    """Exact independence number; accepts disconnected inputs.
-
-    Takes a Graph, a StrongResolvingGraph, or a (vertices, edges) pair.
     Branch and bound on a maximum-degree vertex with memoized component
     decomposition.
     """
-    vertices, edges = _as_vertex_edge_lists(graph_like)
     cap = size_cap(GRAPH_CAP)
     if len(vertices) > cap:
         raise SizeCapExceeded(f"{len(vertices)} vertices exceeds graph cap {cap}")

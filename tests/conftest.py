@@ -6,22 +6,23 @@ import functools
 import importlib
 import itertools
 import operator
+from collections import deque
 
 import pytest
 
 from pseudoloc import (
     CorpusSpec,
     DistanceMatrix,
+    FamilyKind,
     Graph,
+    NotUnicyclic,
+    PseudotreeProfile,
     distance_matrix,
-    doubly_resolves,
-    edge_distance,
     enumerate_trees,
     enumerate_unicyclic,
     from_edge_list,
+    profile,
     random_pseudotree,
-    resolves,
-    strong_resolves,
 )
 
 
@@ -145,6 +146,83 @@ def branching_showcase() -> Graph:
 @pytest.fixture
 def thread_gap_c14() -> Graph:
     return thread_gap_c14_graph()
+
+
+# definitional predicates: the oracle's reference, sharing no code with it
+
+
+def resolves(dm: DistanceMatrix, v: int, x: int, y: int) -> bool:
+    return dm.d(x, v) != dm.d(y, v)
+
+
+def doubly_resolves(dm: DistanceMatrix, u: int, v: int, x: int, y: int) -> bool:
+    return dm.d(x, u) - dm.d(x, v) != dm.d(y, u) - dm.d(y, v)
+
+
+def strong_resolves(dm: DistanceMatrix, w: int, x: int, y: int) -> bool:
+    dxy = dm.d(x, y)
+    return dm.d(w, x) == dm.d(w, y) + dxy or dm.d(w, y) == dm.d(w, x) + dxy
+
+
+def edge_distance(dm: DistanceMatrix, v: int, e: tuple[int, int]) -> int:
+    return min(dm.d(v, e[0]), dm.d(v, e[1]))
+
+
+# references for the closed forms: parity (ldim), zeta (dimk), the necklace (sdim)
+
+
+def is_bipartite(g: Graph) -> bool:
+    """BFS parity check for 2-colourability."""
+    color = [-1] * g.n
+    color[0] = 0
+    queue = deque([0])
+    while queue:
+        u = queue.popleft()
+        for w in g.adjacency[u]:
+            if color[w] < 0:
+                color[w] = color[u] ^ 1
+                queue.append(w)
+            elif color[w] == color[u]:
+                return False
+    return True
+
+
+def tree_zeta(prof: PseudotreeProfile, dm: DistanceMatrix) -> int:
+    """The paper's zeta: the largest k for which a non-path tree admits a
+    k-locating set, the least sum of the two nearest terminal distances of a
+    strong exterior major vertex."""
+    zeta = None
+    for w in prof.strong_exterior_major:
+        dists = sorted(dm.d(u, w) for u in prof.terminal_map[w])
+        cand = dists[0] + dists[1]
+        if zeta is None or cand < zeta:
+            zeta = cand
+    if zeta is None:
+        raise ValueError("tree has no strong exterior major vertex")
+    return zeta
+
+
+def closed_necklace(g: Graph) -> tuple[Graph, dict[int, int]]:
+    """Replace every branching tree by a star with the same leaf count.
+
+    Returns the necklace graph plus the vertex correspondence: cycle
+    vertices and original leaves map to their necklace counterparts.
+    """
+    prof = profile(g)
+    if prof.kind is not FamilyKind.PROPER_UNICYCLIC:
+        raise NotUnicyclic(f"closed necklace requires a proper unicyclic graph, got {prof.kind.value}")
+    gsize = prof.girth
+    mapping: dict[int, int] = {v: i for i, v in enumerate(prof.cycle)}
+    edges = [(i, (i + 1) % gsize) for i in range(gsize)]
+    next_id = gsize
+    for i, v in enumerate(prof.cycle):
+        members = prof.branching_trees[v]
+        tree_leaves = [w for w in members if w != v and len(g.adjacency[w]) == 1]
+        for leaf in sorted(tree_leaves):
+            mapping[leaf] = next_id
+            edges.append((i, next_id))
+            next_id += 1
+    return from_edge_list(next_id, edges), mapping
 
 
 # exhaustive reference oracles, independent of the solvers under test

@@ -13,7 +13,7 @@ import pytest
 from pseudoloc import encode_graph6, from_edge_list
 from pseudoloc.cli import main
 
-from conftest import cycle_graph, path_graph
+from conftest import count_calls, cycle_graph, path_graph
 
 # sha256 of `verify --params all --report` over all trees and all unicyclic
 # graphs up to 8 vertices (449 and 1,370 records); a change that alters
@@ -198,6 +198,23 @@ class TestVerify:
         code, _, _ = run_cli(capsys, ["verify", "--family", "tree", "--max-n", "40"])
         assert code == 4
 
+    @pytest.mark.parametrize("family, max_n", [("tree", 1), ("path", 1), ("unicyclic", 2), ("cycle", 2)])
+    def test_below_smallest_order_exit_4(self, capsys, family, max_n):
+        # an empty corpus is an error, not "verified 0 records"
+        code, out, err = run_cli(capsys, ["verify", "--family", family, "--max-n", str(max_n)])
+        assert code == 4 and not out and "enumeration supports" in err
+
+    def test_cap_checked_before_enumerating(self, capsys, monkeypatch):
+        built = count_calls(monkeypatch, "from_edge_list", ("corpus",))
+        code, _, _ = run_cli(capsys, ["verify", "--family", "tree", "--max-n", "13"])
+        assert code == 4 and built == []
+
+    @pytest.mark.parametrize("jobs", ["0", "-1"])
+    def test_jobs_below_one_exit_2(self, capsys, jobs):
+        with pytest.raises(SystemExit) as exc:
+            main(["verify", "--family", "tree", "--max-n", "4", "--jobs", jobs])
+        assert exc.value.code == 2 and "--jobs" in capsys.readouterr().err
+
     def test_unknown_param_exit_2(self, capsys):
         code, _, _ = run_cli(
             capsys, ["verify", "--family", "tree", "--max-n", "5", "--params", "bogus"]
@@ -250,6 +267,13 @@ class TestGen:
         assert code == 0
         g = parse_graph6(out.strip())
         assert g.m == g.n
+
+    def test_negative_count_exit_2(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["gen", "--kind", "tree", "--n", "5", "--count", "-2"])
+        assert exc.value.code == 2 and "--count" in capsys.readouterr().err
+        code, out, _ = run_cli(capsys, ["gen", "--kind", "tree", "--n", "5", "--count", "0"])
+        assert code == 0 and out == ""
 
     def test_degenerate_exit_4(self, capsys):
         code, _, _ = run_cli(capsys, ["gen", "--kind", "tree", "--n", "1"])

@@ -7,6 +7,8 @@ import pytest
 from pseudoloc import (
     DOUBLY,
     EDGE,
+    FamilyKind,
+    GraphAnalysis,
     KOutOfRange,
     LOCAL,
     METRIC,
@@ -23,11 +25,14 @@ from pseudoloc import (
     oracle_result,
     parse_graph6,
     profile,
-    tree_zeta,
+    random_pseudotree,
+    sdim_even_fast,
+    sdim_sr_formula,
 )
+from pseudoloc.corpus import CorpusSpec
 from pseudoloc.resolvers import METHOD_BOUNDED, METHOD_BRUTE_FORCE
 
-from conftest import cycle_graph, dimension_by_enumeration, thread_gap_c14_graph, path_graph
+from conftest import cycle_graph, dimension_by_enumeration, path_graph, thread_gap_c14_graph, tree_zeta
 
 UNICYCLIC_14 = "M?C_??bt?A_GO?_??"
 
@@ -119,6 +124,19 @@ class TestSdim:
             assert is_locating_set(g, res.witness, STRONG)
             assert len(res.witness) == res.value
 
+    def test_even_girth_routes_agree_to_n64(self):
+        # compute answers even girth by the formula alone; the SR route
+        # (Oellermann & Peters-Fransen) checks it where no oracle runs
+        checked = 0
+        for seed in range(602):
+            spec = CorpusSpec(family="unicyclic", max_n=16 + seed % 49, seed=seed)
+            a = GraphAnalysis(random_pseudotree(spec))
+            prof = a.profile
+            if prof.kind is FamilyKind.PROPER_UNICYCLIC and prof.girth % 2 == 0:
+                assert sdim_sr_formula(a.sr).value == sdim_even_fast(prof).value, seed
+                checked += 1
+        assert checked == 300
+
 
 class TestDdim:
     def test_path(self):
@@ -186,6 +204,15 @@ class TestDimk:
             closed_result(c5, "dimk", k=1)
         with pytest.raises(KOutOfRange):
             closed_result(c5, "dimk")
+
+    @pytest.mark.parametrize("method", ["closed", "brute", "auto"])
+    def test_k_rule_under_every_method(self, method):
+        # dimk needs an integer k >= 2, and no other parameter takes a k
+        p3 = path_graph(3)
+        for param, k in (("dim", 7), ("dim2", 2), ("sdim", 0), ("dimk", None), ("dimk", 1), ("dimk", 2.0)):
+            with pytest.raises(KOutOfRange):
+                compute_parameter(p3, param, k=k, method=method)
+        assert compute_parameter(p3, "dimk", k=2, method=method).value == 2
 
     def test_oracle_k_out_of_range(self, c5, spider122):
         for g, k in ((c5, 1), (path_graph(5), 99), (spider122, 4)):

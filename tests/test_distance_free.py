@@ -11,9 +11,9 @@ import pytest
 
 from pseudoloc import (
     closed_result,
+    compute_parameter,
     enumerate_trees,
     enumerate_unicyclic,
-    is_bipartite,
     k_dimensional_value,
     ldim_closed,
     profile,
@@ -21,7 +21,14 @@ from pseudoloc import (
 )
 from pseudoloc.closed_form import PARAMETER_NAMES
 
-from conftest import count_calls, cycle_graph, path_graph, random_pseudotrees, terminal_map_by_distances
+from conftest import (
+    count_calls,
+    cycle_graph,
+    is_bipartite,
+    path_graph,
+    random_pseudotrees,
+    terminal_map_by_distances,
+)
 
 DISTANCE_FREE = ("dmd", "dim", "dim2", "edim", "mdim", "ldim")
 # every module that binds distance_matrix; closed_form builds it through
@@ -79,6 +86,17 @@ class TestClosedFormsWithoutDistances:
     def test_sdim_on_proper_unicyclic_builds_distances(self, no_distances, paw):
         with pytest.raises(AssertionError, match="distance_matrix called"):
             closed_result(paw, "sdim")
+
+    def test_even_girth_sdim_builds_no_sr_graph(self, monkeypatch, c4p):
+        # even girth is the paper's formula alone: no distances and no SR graph
+        dms = count_calls(monkeypatch, "distance_matrix", MODULES_THAT_BUILD_DISTANCES)
+        srs = count_calls(monkeypatch, "boundary_and_sr_graph", ("structure", "closed_form"))
+        graphs = [c4p] + [g for g in random_pseudotrees(64, 40)[1::2] if profile(g).girth % 2 == 0]
+        assert len(graphs) > 1
+        for g in graphs:
+            res = compute_parameter(g, "sdim", method="closed")
+            assert res.theorem_tag == "SDIM_EVEN_EXACT"
+        assert dms == [] and srs == []
 
 
 class TestSharedWork:

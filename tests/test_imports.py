@@ -1,7 +1,9 @@
-"""Every name a module of the package imports is read in that module.
+"""Every name a module of the package imports is read in that module, and
+every public function, class and method is read somewhere in the package.
 
 The package's __init__ re-exports what it imports, and `from __future__`
-imports are directives, so both are exempt.
+imports are directives, so both are exempt.  A public name that only the
+tests read belongs in the tests.
 """
 
 from __future__ import annotations
@@ -44,3 +46,51 @@ def test_no_unused_imports_in_the_package():
         if path.name != "__init__.py" and (unused := unused_imports(path.read_text(encoding="utf-8")))
     }
     assert found == {}
+
+
+# public names no module of the package reads, and why each stays public
+UNREAD_ALLOWED = {
+    "is_locating_set": "the witness check: verification is to check every witness with it,"
+    " and structural witness candidates are to pass it before any search",
+}
+
+
+def unread_public_names(sources: list[str]) -> list[str]:
+    """Public top-level functions and classes of the module sources that no
+    place of them reads as a name, and public methods (as Class.method) that
+    none reads as an attribute."""
+    trees = [ast.parse(text) for text in sources]
+    nodes = [node for tree in trees for node in ast.walk(tree)]
+    loads = [node for node in nodes if isinstance(getattr(node, "ctx", None), ast.Load)]
+    names_read = {node.id for node in loads if isinstance(node, ast.Name)}
+    attrs_read = {node.attr for node in loads if isinstance(node, ast.Attribute)}
+    unread = []
+    for node in (node for tree in trees for node in tree.body):
+        if not isinstance(node, (ast.FunctionDef, ast.ClassDef)) or node.name.startswith("_"):
+            continue
+        if node.name not in names_read:
+            unread.append(node.name)
+        if isinstance(node, ast.ClassDef):
+            unread += [
+                f"{node.name}.{item.name}"
+                for item in node.body
+                if isinstance(item, ast.FunctionDef)
+                and not item.name.startswith("_")
+                and item.name not in attrs_read
+            ]
+    return sorted(unread)
+
+
+def test_finds_an_unread_public_name():
+    defining = (
+        "def used():\n    pass\n\ndef unused():\n    pass\n\nclass C:\n    def m(self):\n        pass\n"
+        "    def read(self):\n        pass\n    def _private(self):\n        pass\n"
+    )
+    reading = "from .a import used, C\nused()\nC().read()\n"
+    assert unread_public_names([defining, reading]) == ["C.m", "unused"]
+
+
+def test_no_public_name_only_the_tests_read():
+    paths = [path for path in sorted(PACKAGE.glob("*.py")) if path.name != "__init__.py"]
+    sources = [path.read_text(encoding="utf-8") for path in paths]
+    assert unread_public_names(sources) == sorted(UNREAD_ALLOWED)

@@ -20,22 +20,27 @@ from pseudoloc import (
     boundary_and_sr_graph,
     brute_force_dimension,
     distance_matrix,
-    doubly_resolves,
     encode_graph6,
-    edge_distance,
     from_edge_list,
     independence_number,
     is_locating_set,
     k_dimensional_value,
     k_metric,
     lex_first_cover,
-    resolves,
-    strong_resolves,
 )
 from pseudoloc.corpus import CorpusSpec, random_pseudotree
 from pseudoloc.resolvers import LATTICE_MAX_N
 
-from conftest import cycle_graph, dimension_by_enumeration, path_graph, random_pseudotrees
+from conftest import (
+    cycle_graph,
+    dimension_by_enumeration,
+    doubly_resolves,
+    edge_distance,
+    path_graph,
+    random_pseudotrees,
+    resolves,
+    strong_resolves,
+)
 
 ALL_VARIANTS = (METRIC, DOUBLY, STRONG, EDGE, MIXED, LOCAL, MLD, k_metric(2))
 CAP_VARIANTS = ALL_VARIANTS + (k_metric(3),)
@@ -302,7 +307,8 @@ class TestStructuralProperties:
         graphs += [u for n in (7, 9) for u in unicyclic_classes_by_n[n]]
         for g in graphs:
             sr = boundary_and_sr_graph(g)
-            assert brute_force_dimension(g, STRONG).value == sr.order - independence_number(sr)
+            alpha = independence_number(sr.boundary, sr.mmd_edges)
+            assert brute_force_dimension(g, STRONG).value == sr.order - alpha
 
 
 def toggled_distance_rows(g, u, v):

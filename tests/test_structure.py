@@ -13,7 +13,6 @@ from pseudoloc import (
     antipodal_pairs,
     boundary_and_sr_graph,
     classify,
-    closed_necklace,
     compute_parameter,
     domination_number,
     find_geodesic_triple,
@@ -24,7 +23,7 @@ from pseudoloc import (
 )
 from pseudoloc.corpus import CorpusSpec, random_pseudotree, unicyclic_canonical_key
 
-from conftest import alpha_by_enumeration, cycle_graph, gamma_by_enumeration, path_graph
+from conftest import alpha_by_enumeration, closed_necklace, cycle_graph, gamma_by_enumeration, path_graph
 
 
 class TestClassify:
@@ -87,7 +86,7 @@ class TestProfile:
         lonely = set(prof.exterior_major) - set(prof.strong_exterior_major) - set(prof.supports)
         assert lonely
         # a major vertex that is neither exterior major nor a support
-        majors = {v for v in range(branching_showcase.n) if branching_showcase.degree(v) >= 3}
+        majors = {v for v, nbrs in enumerate(branching_showcase.adjacency) if len(nbrs) >= 3}
         assert majors - set(prof.exterior_major) - set(prof.supports)
 
     def test_tree_profile_has_no_cycle_fields(self, spider122):
@@ -108,7 +107,7 @@ class TestProfile:
                 assert prof.c2 + prof.c3 == prof.girth
                 assert set(prof.branch_active) <= set(prof.root_vertices)
                 for root in prof.threads:
-                    assert g.degree(root) == 3
+                    assert len(g.adjacency[root]) == 3
                 for v in prof.root_vertices:
                     assert len(prof.branching_trees[v]) >= 2
                 for v in prof.trivial_vertices:
@@ -171,7 +170,7 @@ class TestClosedNecklace:
         g = from_edge_list(7, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 0), (0, 5), (5, 6)])
         necklace, mapping = closed_necklace(g)
         assert necklace.n == 6  # C5 plus one pendant
-        assert necklace.degree(mapping[6]) == 1
+        assert len(necklace.adjacency[mapping[6]]) == 1
 
     def test_c5p13_fixed_point(self, c5p13):
         necklace, _ = closed_necklace(c5p13)
@@ -197,9 +196,10 @@ class TestClosedNecklace:
 
 class TestExactSolvers:
     def test_alpha_examples(self, c6, c5p13):
-        assert independence_number(parse_graph6("C~")) == 1
-        assert independence_number(c6) == 3
-        assert independence_number(boundary_and_sr_graph(c5p13)) == 2
+        assert independence_number(range(4), parse_graph6("C~").edges) == 1
+        assert independence_number(range(6), c6.edges) == 3
+        sr = boundary_and_sr_graph(c5p13)
+        assert independence_number(sr.boundary, sr.mmd_edges) == 2
 
     def test_gamma_examples(self, paw):
         assert domination_number(path_graph(6)) == 2
@@ -208,16 +208,16 @@ class TestExactSolvers:
 
     def test_alpha_on_disconnected_sr_inputs(self, c4p):
         sr = boundary_and_sr_graph(c4p)  # 2K2
-        assert independence_number(sr) == 2
+        assert independence_number(sr.boundary, sr.mmd_edges) == 2
 
     def test_agree_with_enumeration(self, tree_classes_by_n, unicyclic_classes_by_n):
         graphs = tree_classes_by_n[7] + unicyclic_classes_by_n[7]
         for g in graphs:
-            assert independence_number(g) == alpha_by_enumeration(range(g.n), g.edges)
+            assert independence_number(range(g.n), g.edges) == alpha_by_enumeration(range(g.n), g.edges)
             assert domination_number(g) == gamma_by_enumeration(g)
         for seed in range(12):
             g = random_pseudotree(CorpusSpec(family="unicyclic", max_n=9 + seed % 4, seed=seed))
-            assert independence_number(g) == alpha_by_enumeration(range(g.n), g.edges)
+            assert independence_number(range(g.n), g.edges) == alpha_by_enumeration(range(g.n), g.edges)
             assert domination_number(g) == gamma_by_enumeration(g)
 
     def test_gamma_at_the_cap(self):
@@ -231,6 +231,6 @@ class TestExactSolvers:
 
     def test_known_formulas_to_n12(self):
         for n in range(3, 13):
-            assert independence_number(cycle_graph(n)) == n // 2
+            assert independence_number(range(n), cycle_graph(n).edges) == n // 2
             assert domination_number(cycle_graph(n)) == (n + 2) // 3
             assert domination_number(path_graph(n)) == (n + 2) // 3
