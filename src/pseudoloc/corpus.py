@@ -1,24 +1,29 @@
 """Deterministic pseudotree generators and the theorem-verification pipeline.
 
-Labeled enumeration runs over Prüfer sequences; class enumeration (dedup)
-produces one canonically-labeled representative per isomorphism class.
-Trees are canonicalized by the centre-rooted subtree-code order; unicyclic
-graphs by the lexicographically minimal rotation/reflection of their cycle's
-rooted-branching-tree codes.
+Labeled enumeration runs over Prüfer sequences.  Class enumeration (dedup)
+generates one canonically labeled representative per isomorphism class,
+straight from the class's canonical key, with no candidate graphs to sort
+out.  Trees are keyed by their centre-rooted subtree codes and unicyclic
+graphs by the sequence of rooted branching-tree codes around their cycle,
+least over rotations and reflections.  Both are built from the rooted codes
+of each size, generated once per corpus: a free tree is one centred rooted
+tree, or two rooted trees of equal height with an edge between their roots
+(Wright, Richmond, Odlyzko & McKay 1986), and a unicyclic graph is a
+dihedral necklace of rooted trees on its cycle.
 """
 
 from __future__ import annotations
 
+import bisect
 import functools
-import itertools
 import json
 from dataclasses import dataclass
 from typing import Callable, Iterator
 
 from .closed_form import PARAMETER_NAMES, GraphAnalysis, closed_result, oracle_result
 from .errors import SizeCapExceeded
-from .graph import GRAPH_CAP, Graph, encode_graph6, from_edge_list, girth_and_cycle, size_cap
-from .resolvers import ParameterResult
+from .graph import Graph, encode_graph6, from_edge_list, girth_and_cycle, size_cap
+from .resolvers import ORACLE_CAP, ParameterResult
 
 TREE_ENUM_CAP = 12
 UNICYCLIC_ENUM_CAP = 10
@@ -72,7 +77,7 @@ def _prufer_sequences(n: int) -> Iterator[tuple[int, ...]]:
 
 
 # ---------------------------------------------------------------------------
-# Canonical forms
+# Canonical keys and forms
 
 
 def _tree_code(adj: dict[int, list[int]], root: int, parent: int) -> tuple:
@@ -103,7 +108,9 @@ def _tree_centers(n: int, adj: dict[int, list[int]]) -> list[int]:
 
 
 def tree_canonical_key(g: Graph) -> tuple:
-    """Complete isomorphism invariant for trees (centre-rooted subtree codes)."""
+    """Complete isomorphism invariant for trees (centre-rooted subtree codes):
+    ("c1", code) rooted at a single centre, or ("c2", a, b) for the two halves
+    of the central edge, a <= b."""
     adj = {v: list(g.adjacency[v]) for v in range(g.n)}
     centers = _tree_centers(g.n, adj)
     if len(centers) == 1:
@@ -114,38 +121,13 @@ def tree_canonical_key(g: Graph) -> tuple:
     return ("c2",) + tuple(sorted([code_a, code_b]))
 
 
-def _relabel_rooted(adj: dict[int, list[int]], root: int, parent: int, order: list[int]) -> None:
-    order.append(root)
-    children = sorted(
-        ((w, _tree_code(adj, w, root)) for w in adj[root] if w != parent),
-        key=lambda t: t[1],
-    )
-    for w, _ in children:
-        _relabel_rooted(adj, w, root, order)
+def unicyclic_canonical_key(g: Graph) -> tuple:
+    """Complete isomorphism invariant for unicyclic graphs: (girth, codes).
 
-
-def tree_canonical_form(g: Graph) -> Graph:
-    """Deterministic canonical relabeling of a tree."""
-    adj = {v: list(g.adjacency[v]) for v in range(g.n)}
-    centers = _tree_centers(g.n, adj)
-    if len(centers) == 1:
-        root = centers[0]
-    else:
-        a, b = centers
-        root = a if _tree_code(adj, a, b) <= _tree_code(adj, b, a) else b
-    order: list[int] = []
-    _relabel_rooted(adj, root, -1, order)
-    new_id = {v: i for i, v in enumerate(order)}
-    return from_edge_list(g.n, [(new_id[u], new_id[v]) for u, v in g.edges])
-
-
-def _least_cycle_order(g: Graph) -> tuple[dict[int, list[int]], list[int], tuple]:
-    """The adjacency without cycle edges, the cycle order whose sequence of
-    rooted branching-tree codes is least over rotations and reflections, and
-    that sequence.
-
-    Every edge between two cycle vertices is a cycle edge, so from a cycle
-    vertex the trimmed adjacency reaches exactly its branching tree.
+    codes is the cycle's sequence of rooted branching-tree codes, least over
+    rotation and reflection.  Every edge between two cycle vertices is a
+    cycle edge, so from a cycle vertex the adjacency without cycle edges
+    reaches exactly its branching tree.
     """
     _, cycle = girth_and_cycle(g)  # type: ignore[misc]
     on_cycle = set(cycle)
@@ -153,52 +135,155 @@ def _least_cycle_order(g: Graph) -> tuple[dict[int, list[int]], list[int], tuple
         x: [w for w in nbrs if not (x in on_cycle and w in on_cycle)]
         for x, nbrs in enumerate(g.adjacency)
     }
-    codes = {v: _tree_code(trimmed, v, -1) for v in cycle}
-    best, best_order = None, cycle
-    for seq in (cycle, cycle[::-1]):
-        for shift in range(len(seq)):
-            rotated = seq[shift:] + seq[:shift]
-            key = tuple([codes[v] for v in rotated])
-            if best is None or key < best:
-                best, best_order = key, rotated
-    return trimmed, best_order, best
+    codes = [_tree_code(trimmed, v, -1) for v in cycle]
+    rotations = (seq[i:] + seq[:i] for seq in (codes, codes[::-1]) for i in range(len(seq)))
+    return (len(cycle), tuple(min(rotations)))
 
 
-def unicyclic_canonical_key(g: Graph) -> tuple:
-    """Complete isomorphism invariant for unicyclic graphs.
+def _branch_edges(code: tuple, root: int, edges: list[tuple[int, int]], label: int) -> int:
+    """Append the edges of code's tree below root, its vertices labelled in
+    preorder from label with children in ascending code order; returns the
+    next free label."""
+    for child in code:
+        edges.append((root, label))
+        label = _branch_edges(child, label, edges, label + 1)
+    return label
 
-    The cycle's sequence of rooted branching-tree codes, minimized over
-    rotation and reflection.
-    """
-    _, order, codes = _least_cycle_order(g)
-    return (len(order), codes)
+
+def _tree_of_key(key: tuple) -> Graph:
+    """The tree of a tree_canonical_key, rooted at its centre (the half of
+    the central edge with the lesser code) and labelled in preorder."""
+    code = key[1] if key[0] == "c1" else tuple(sorted(key[1] + (key[2],)))
+    edges: list[tuple[int, int]] = []
+    return from_edge_list(_branch_edges(code, 0, edges, 1), edges)
+
+
+def _unicyclic_of_key(key: tuple) -> Graph:
+    """The unicyclic graph of a unicyclic_canonical_key: cycle vertices
+    0..g-1 in key order, then each branching tree in preorder."""
+    girth, codes = key
+    edges = [(i, (i + 1) % girth) for i in range(girth)]
+    label = girth
+    for v, code in enumerate(codes):
+        label = _branch_edges(code, v, edges, label)
+    return from_edge_list(label, edges)
+
+
+def tree_canonical_form(g: Graph) -> Graph:
+    """Deterministic canonical relabeling of a tree: the tree of its key."""
+    return _tree_of_key(tree_canonical_key(g))
 
 
 def unicyclic_canonical_form(g: Graph) -> Graph:
-    """Deterministic canonical relabeling of a unicyclic graph."""
-    trimmed, best_order, _ = _least_cycle_order(g)
-    tails: list[list[int]] = []
-    for v in best_order:
-        tail: list[int] = []
-        _relabel_rooted(trimmed, v, -1, tail)
-        tails.append(tail)
-    order = [t[0] for t in tails]
-    for t in tails:
-        order.extend(t[1:])
-    new_id = {v: i for i, v in enumerate(order)}
-    return from_edge_list(g.n, [(new_id[u], new_id[v]) for u, v in g.edges])
+    """Deterministic canonical relabeling of a unicyclic graph: the graph of
+    its key."""
+    return _unicyclic_of_key(unicyclic_canonical_key(g))
+
+
+# ---------------------------------------------------------------------------
+# Class generation
+
+
+def _rooted_codes(max_size: int) -> list[list[tuple[tuple, int, bool]]]:
+    """Every rooted tree of 1..max_size vertices once: pools[s] holds each
+    (code, height, centred) of size s, where code is the sorted tuple of its
+    children's codes and centred says that its two highest children tie, so
+    that the root is the tree's only centre.
+
+    A code of size s picks its children as a multiset of sizes summing to
+    s - 1, in non-increasing (size, index) order from the pools of smaller
+    sizes.
+    """
+    pools: list[list[tuple[tuple, int, bool]]] = [[], [((), 0, False)]]
+    chosen: list[tuple[tuple, int, bool]] = []
+
+    def pick(pool: list, budget: int, size: int, index: int) -> None:
+        # the next child is at most (size, index)
+        if budget == 0:
+            heights = [h for _, h, _ in chosen]
+            top = max(heights)
+            pool.append((tuple(sorted(c for c, _, _ in chosen)), top + 1, heights.count(top) > 1))
+            return
+        for s in range(min(size, budget), 0, -1):
+            top = index if s == size else len(pools[s]) - 1
+            for i in range(top, -1, -1):
+                chosen.append(pools[s][i])
+                pick(pool, budget - s, s, i)
+                chosen.pop()
+
+    for size in range(2, max_size + 1):
+        pool: list[tuple[tuple, int, bool]] = []
+        pick(pool, size - 1, size - 1, len(pools[size - 1]) - 1)
+        pools.append(pool)
+    return pools
+
+
+def _tree_keys(n: int, pools: list) -> list[tuple]:
+    """The tree_canonical_key of every tree class on n vertices, ascending:
+    a centred code of size n, or two rooted codes of equal height joined by
+    the central edge."""
+    keys = [("c1", code) for code, _, centred in pools[n] if centred]
+    for small in range(1, n // 2 + 1):
+        by_height: dict[int, list[tuple[int, tuple]]] = {}
+        for j, (b, height, _) in enumerate(pools[n - small]):
+            by_height.setdefault(height, []).append((j, b))
+        for i, (a, height, _) in enumerate(pools[small]):
+            for j, b in by_height.get(height, ()):
+                if 2 * small < n or i <= j:
+                    keys.append(("c2", a, b) if a <= b else ("c2", b, a))
+    keys.sort()
+    return keys
+
+
+def _unicyclic_keys(n: int, pools: list) -> list[tuple]:
+    """The unicyclic_canonical_key of every unicyclic class on n vertices,
+    ascending: for each girth, every sequence of rooted codes whose sizes
+    sum to n and that is least among its rotations and reflections.
+
+    Codes are ranked in code order, and the sequences are generated as
+    prenecklaces of ranks (Fredricksen-Kessler-Maiorana) with sizes summing
+    to n; a necklace is kept when no rotation of its reverse is less.
+    """
+    ranked = sorted((code, size) for size in range(1, n - 1) for code, _, _ in pools[size])
+    by_size: list[list[int]] = [[] for _ in range(n - 1)]
+    for r, (_, size) in enumerate(ranked):
+        by_size[size].append(r)
+    keys: list[tuple] = []
+    for girth in range(3, n + 1):
+        a = [0] * (girth + 1)  # a[1..girth], a[0] = 0 below every rank
+        found: list[tuple[int, ...]] = []
+
+        def extend(t: int, p: int, budget: int) -> None:
+            if t > girth:
+                seq, rev = a[1:], a[:0:-1]
+                if girth % p == 0 and all(seq <= rev[i:] + rev[:i] for i in range(girth)):
+                    found.append(tuple(seq))
+                return
+            low = a[t - p]
+            sizes = (budget,) if t == girth else range(1, budget - (girth - t) + 1)
+            for size in sizes:
+                ranks = by_size[size]
+                for r in ranks[bisect.bisect_left(ranks, low):]:
+                    a[t] = r
+                    extend(t + 1, p if r == low else t, budget - size)
+
+        extend(1, 1, n)
+        found.sort()
+        keys.extend((girth, tuple(ranked[r][0] for r in seq)) for seq in found)
+    return keys
 
 
 # ---------------------------------------------------------------------------
 # Enumerators
 
 
-# each family's smallest order and its cap: paths and cycles stop at the graph cap
+# each family's smallest order and its cap: paths and cycles stop at the
+# oracle cap, since verify runs the oracle on every graph of the corpus
 _ORDERS = {
     "tree": (2, TREE_ENUM_CAP),
     "unicyclic": (3, UNICYCLIC_ENUM_CAP),
-    "path": (2, GRAPH_CAP),
-    "cycle": (3, GRAPH_CAP),
+    "path": (2, ORACLE_CAP),
+    "cycle": (3, ORACLE_CAP),
 }
 
 
@@ -213,56 +298,18 @@ def enumerate_trees(n: int, dedup: bool = False) -> Iterator[Graph]:
     representative per isomorphism class when dedup is set."""
     _check_order("tree", n)
     if dedup:
-        yield from _tree_classes(n)
+        yield from _class_corpus("tree", n, n)
         return
     for seq in _prufer_sequences(n):
         yield prufer_decode(seq, n)
 
 
-def _tree_class_levels() -> Iterator[list[Graph]]:
-    """Canonical representatives of all tree classes on 2, 3, 4, ... vertices,
-    level by level: each level grows every class of the one before by a leaf."""
-    level = [from_edge_list(2, [(0, 1)])]
-    while True:
-        yield level
-        n = level[0].n + 1
-        reps: dict[tuple, Graph] = {}
-        for smaller in level:
-            for v in range(smaller.n):
-                grown = from_edge_list(n, list(smaller.edges) + [(v, n - 1)])
-                key = tree_canonical_key(grown)
-                if key not in reps:
-                    reps[key] = tree_canonical_form(grown)
-        level = [reps[k] for k in sorted(reps)]
-
-
-def _tree_classes(n: int) -> list[Graph]:
-    """The tree classes on n vertices: level n of _tree_class_levels."""
-    return next(itertools.islice(_tree_class_levels(), n - 2, None))
-
-
-def _unicyclic_classes(n: int, trees: list[Graph]) -> list[Graph]:
-    """Canonical representatives of all unicyclic classes on n vertices, from
-    the tree classes on n vertices plus one chord."""
-    reps: dict[tuple, Graph] = {}
-    for tree in trees:
-        edge_set = set(tree.edges)
-        for u in range(n):
-            for v in range(u + 1, n):
-                if (u, v) in edge_set:
-                    continue
-                candidate = from_edge_list(n, list(tree.edges) + [(u, v)])
-                key = unicyclic_canonical_key(candidate)
-                if key not in reps:
-                    reps[key] = unicyclic_canonical_form(candidate)
-    return [reps[key] for key in sorted(reps)]
-
-
 def enumerate_unicyclic(n: int, dedup: bool = False) -> Iterator[Graph]:
-    """All connected unicyclic graphs on n vertices (tree plus one chord)."""
+    """All connected unicyclic graphs on n vertices (tree plus one chord), or
+    one canonical representative per isomorphism class when dedup is set."""
     _check_order("unicyclic", n)
     if dedup:
-        yield from _unicyclic_classes(n, _tree_classes(n))
+        yield from _class_corpus("unicyclic", n, n)
         return
     seen: set[frozenset] = set()
     for tree in enumerate_trees(n):
@@ -276,6 +323,25 @@ def enumerate_unicyclic(n: int, dedup: bool = False) -> Iterator[Graph]:
                     continue
                 seen.add(edges)
                 yield from_edge_list(n, sorted(edges))
+
+
+def _class_corpus(family: str, lo: int, max_n: int) -> Iterator[Graph]:
+    """One canonical representative per class for every order lo..max_n,
+    keys ascending, from rooted codes built once for the whole corpus.
+
+    The graph of each generated key passes once through the family's public
+    canonical form, which gives it back with the same labelling, so that
+    every canonical key and form function runs on the corpus path.
+    """
+    if family == "tree":
+        pools = _rooted_codes(max_n)
+        keys, of_key, form = _tree_keys, _tree_of_key, tree_canonical_form
+    else:
+        pools = _rooted_codes(max_n - 2)
+        keys, of_key, form = _unicyclic_keys, _unicyclic_of_key, unicyclic_canonical_form
+    for n in range(lo, max_n + 1):
+        for key in keys(n, pools):
+            yield form(of_key(key))
 
 
 # ---------------------------------------------------------------------------
@@ -306,19 +372,15 @@ def random_pseudotree(spec: CorpusSpec, rng=None) -> Graph:
         rng = _random.Random(spec.seed)
     n = spec.max_n
     family = spec.family.lower()
+    lo = _ORDERS[family][0]
+    if n < lo:
+        raise SizeCapExceeded(f"cannot sample a {family} graph on {n} vertices: it needs n >= {lo}")
     if family == "path":
         return from_edge_list(n, [(i, i + 1) for i in range(n - 1)])
     if family == "cycle":
-        if n < 3:
-            raise SizeCapExceeded("cycles need n >= 3")
         return from_edge_list(n, [(i, (i + 1) % n) for i in range(n)])
-    if n < 2 or (family == "unicyclic" and n < 3):
-        raise SizeCapExceeded(f"cannot sample a {family} graph on {n} vertices")
-    if n == 2:
-        tree = from_edge_list(2, [(0, 1)])
-    else:
-        seq = tuple(rng.randrange(n) for _ in range(n - 2))
-        tree = prufer_decode(seq, n)
+    seq = tuple(rng.randrange(n) for _ in range(n - 2))
+    tree = prufer_decode(seq, n)
     if family == "tree":
         return tree
     edge_set = set(tree.edges)
@@ -399,17 +461,6 @@ def verify_graph(g: Graph, parameters) -> list[VerificationRecord]:
     return records
 
 
-def _class_corpus(family: str, max_n: int) -> Iterator[Graph]:
-    """One canonical representative per class for every order up to max_n;
-    the tree class levels are grown once for the whole corpus."""
-    levels = _tree_class_levels()
-    if family == "unicyclic":
-        next(levels)  # unicyclic orders start at 3
-    for n in range(_ORDERS[family][0], max_n + 1):
-        level = next(levels)
-        yield from level if family == "tree" else _unicyclic_classes(n, level)
-
-
 def corpus_graphs(spec: CorpusSpec) -> Iterator[Graph]:
     """Every graph of the corpus, orders ascending.  spec.max_n is checked
     before anything is enumerated: from the family's smallest order up to its
@@ -417,7 +468,7 @@ def corpus_graphs(spec: CorpusSpec) -> Iterator[Graph]:
     family = spec.family.lower()
     _check_order(family, spec.max_n)
     if family in ("tree", "unicyclic") and spec.dedup:
-        yield from _class_corpus(family, spec.max_n)
+        yield from _class_corpus(family, _ORDERS[family][0], spec.max_n)
         return
     if family == "tree":
         gen: Callable[[int], Iterator[Graph]] = enumerate_trees

@@ -1,4 +1,5 @@
-"""Shared fixtures: named spec graphs, exhaustive oracles, cached corpora."""
+"""Shared fixtures: named spec graphs, exhaustive oracles, cached corpora,
+and the candidate-and-dedup class enumeration that corpus generation replaced."""
 
 from __future__ import annotations
 
@@ -21,9 +22,13 @@ from pseudoloc import (
     enumerate_trees,
     enumerate_unicyclic,
     from_edge_list,
+    girth_and_cycle,
     profile,
     random_pseudotree,
+    tree_canonical_key,
+    unicyclic_canonical_key,
 )
+from pseudoloc.corpus import _tree_centers, _tree_code
 
 
 def count_calls(monkeypatch, name: str, modules) -> list[Graph]:
@@ -420,6 +425,100 @@ def constraint_masks_by_definition(g: Graph, variant) -> tuple[list[int], int, i
         if kind == "mld":
             masks += [mask((v,) + g.adjacency[v]) for v in range(n)]
     return sorted(masks), need, floor
+
+
+# reference class enumeration: leaf growth for trees, one chord on every tree
+# class for unicyclic graphs, the first candidate of each canonical key kept,
+# relabelled by the reference forms
+
+
+def _relabel_rooted(adj: dict[int, list[int]], root: int, parent: int, order: list[int]) -> None:
+    order.append(root)
+    children = sorted(
+        ((w, _tree_code(adj, w, root)) for w in adj[root] if w != parent),
+        key=lambda t: t[1],
+    )
+    for w, _ in children:
+        _relabel_rooted(adj, w, root, order)
+
+
+def reference_tree_form(g: Graph) -> Graph:
+    """The tree relabelled in preorder from its centre, children in code
+    order; of two centres, the one whose half has the lesser code."""
+    adj = {v: list(g.adjacency[v]) for v in range(g.n)}
+    centers = _tree_centers(g.n, adj)
+    if len(centers) == 1:
+        root = centers[0]
+    else:
+        a, b = centers
+        root = a if _tree_code(adj, a, b) <= _tree_code(adj, b, a) else b
+    order: list[int] = []
+    _relabel_rooted(adj, root, -1, order)
+    new_id = {v: i for i, v in enumerate(order)}
+    return from_edge_list(g.n, [(new_id[u], new_id[v]) for u, v in g.edges])
+
+
+def reference_unicyclic_form(g: Graph) -> Graph:
+    """The graph relabelled with its cycle first, in the rotation or
+    reflection whose branching-tree codes are least, then each branching
+    tree in preorder, children in code order."""
+    _, cycle = girth_and_cycle(g)
+    on_cycle = set(cycle)
+    trimmed = {
+        x: [w for w in nbrs if not (x in on_cycle and w in on_cycle)]
+        for x, nbrs in enumerate(g.adjacency)
+    }
+    codes = {v: _tree_code(trimmed, v, -1) for v in cycle}
+    best, best_order = None, cycle
+    for seq in (cycle, cycle[::-1]):
+        for shift in range(len(seq)):
+            rotated = seq[shift:] + seq[:shift]
+            key = tuple([codes[v] for v in rotated])
+            if best is None or key < best:
+                best, best_order = key, rotated
+    tails: list[list[int]] = []
+    for v in best_order:
+        tail: list[int] = []
+        _relabel_rooted(trimmed, v, -1, tail)
+        tails.append(tail)
+    order = [t[0] for t in tails]
+    for t in tails:
+        order.extend(t[1:])
+    new_id = {v: i for i, v in enumerate(order)}
+    return from_edge_list(g.n, [(new_id[u], new_id[v]) for u, v in g.edges])
+
+
+def reference_tree_classes(max_n: int) -> dict[int, list[Graph]]:
+    """The tree classes on 2..max_n vertices, keys ascending: each order
+    grows every class of the one before by a leaf."""
+    levels = {2: [from_edge_list(2, [(0, 1)])]}
+    for n in range(3, max_n + 1):
+        reps: dict[tuple, Graph] = {}
+        for smaller in levels[n - 1]:
+            for v in range(smaller.n):
+                grown = from_edge_list(n, list(smaller.edges) + [(v, n - 1)])
+                key = tree_canonical_key(grown)
+                if key not in reps:
+                    reps[key] = reference_tree_form(grown)
+        levels[n] = [reps[k] for k in sorted(reps)]
+    return levels
+
+
+def reference_unicyclic_classes(n: int, trees: list[Graph]) -> list[Graph]:
+    """The unicyclic classes on n vertices, keys ascending, from the tree
+    classes on n vertices plus one chord."""
+    reps: dict[tuple, Graph] = {}
+    for tree in trees:
+        edge_set = set(tree.edges)
+        for u in range(n):
+            for v in range(u + 1, n):
+                if (u, v) in edge_set:
+                    continue
+                candidate = from_edge_list(n, list(tree.edges) + [(u, v)])
+                key = unicyclic_canonical_key(candidate)
+                if key not in reps:
+                    reps[key] = reference_unicyclic_form(candidate)
+    return [reps[key] for key in sorted(reps)]
 
 
 # cached corpora shared across test modules

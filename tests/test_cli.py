@@ -29,6 +29,9 @@ CAP_REPORT_DIGESTS = {
     "unicyclic": (10, "892d40c1326617c54de54c3c81a19a320d134210a8db2341c7d37e22eead234f"),
 }
 
+# each family's smallest order
+SMALLEST_ORDER = {"tree": 2, "path": 2, "unicyclic": 3, "cycle": 3}
+
 PAW_EDGELIST = "4\n0 1\n1 2\n2 0\n0 3\n"
 SPIDER_EDGELIST = "6\n0 1\n0 2\n2 3\n0 4\n4 5\n"
 
@@ -209,6 +212,17 @@ class TestVerify:
         code, _, _ = run_cli(capsys, ["verify", "--family", "tree", "--max-n", "13"])
         assert code == 4 and built == []
 
+    @pytest.mark.parametrize("family", ["path", "cycle"])
+    def test_paths_and_cycles_stop_at_the_oracle_cap(self, capsys, tmp_path, family):
+        # verify runs the oracle on every graph, so order 17 fails before the
+        # report is opened instead of after the orders below it
+        report = tmp_path / "r.jsonl"
+        argv = ["verify", "--family", family, "--report", str(report), "--max-n"]
+        code, _, err = run_cli(capsys, argv + ["17"])
+        assert code == 4 and "enumeration supports" in err and not report.exists()
+        code, _, _ = run_cli(capsys, argv + ["16"])
+        assert code == 0 and "summary" in report.read_text().splitlines()[-1]
+
     @pytest.mark.parametrize("jobs", ["0", "-1"])
     def test_jobs_below_one_exit_2(self, capsys, jobs):
         with pytest.raises(SystemExit) as exc:
@@ -276,8 +290,11 @@ class TestGen:
         assert code == 0 and out == ""
 
     def test_degenerate_exit_4(self, capsys):
-        code, _, _ = run_cli(capsys, ["gen", "--kind", "tree", "--n", "1"])
-        assert code == 4
+        # every family just below its smallest order, and at 0, by one rule
+        for kind, smallest in SMALLEST_ORDER.items():
+            for n in (smallest - 1, 0):
+                code, out, err = run_cli(capsys, ["gen", "--kind", kind, "--n", str(n)])
+                assert code == 4 and not out and f"needs n >= {smallest}" in err, (kind, n)
 
     def test_gen_compute_round_trip_1000_samples(self, capsys):
         # every generated line must parse and compute cleanly

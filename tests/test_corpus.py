@@ -22,14 +22,26 @@ from pseudoloc.corpus import (
     CorpusSpec,
     STATUS_IN_BOUNDS,
     STATUS_VIOLATION,
+    corpus_graphs,
     prufer_decode,
     random_pseudotree,
+    tree_canonical_form,
     tree_canonical_key,
+    unicyclic_canonical_form,
     unicyclic_canonical_key,
 )
 
-TREE_CLASS_COUNTS = {2: 1, 3: 1, 4: 2, 5: 3, 6: 6, 7: 11, 8: 23, 9: 47}
-UNICYCLIC_CLASS_COUNTS = {3: 1, 4: 2, 5: 5, 6: 13, 7: 33, 8: 89, 9: 240}
+from conftest import (
+    reference_tree_classes,
+    reference_tree_form,
+    reference_unicyclic_classes,
+    reference_unicyclic_form,
+)
+
+# OEIS A000055 (trees) and A001429 (connected unicyclic graphs) up to the
+# enumeration caps
+A000055 = dict(zip(range(2, 13), (1, 1, 2, 3, 6, 11, 23, 47, 106, 235, 551)))
+A001429 = dict(zip(range(3, 11), (1, 2, 5, 13, 33, 89, 240, 657)))
 
 
 def relabel(g, perm):
@@ -52,9 +64,8 @@ class TestTreeEnumeration:
         assert sum(1 for _ in enumerate_trees(4)) == 16
         assert sum(1 for _ in enumerate_trees(5, dedup=True)) == 3
 
-    def test_class_counts(self, tree_classes_by_n):
-        for n, want in TREE_CLASS_COUNTS.items():
-            assert len(tree_classes_by_n[n]) == want
+    def test_class_counts(self):
+        assert {n: len(list(enumerate_trees(n, dedup=True))) for n in A000055} == A000055
 
     def test_all_are_trees(self):
         for g in enumerate_trees(6):
@@ -86,9 +97,8 @@ class TestUnicyclicEnumeration:
         assert sum(1 for _ in enumerate_unicyclic(4)) == 15
         assert sum(1 for _ in enumerate_unicyclic(5)) == 222
 
-    def test_class_counts(self, unicyclic_classes_by_n):
-        for n, want in UNICYCLIC_CLASS_COUNTS.items():
-            assert len(unicyclic_classes_by_n[n]) == want
+    def test_class_counts(self):
+        assert {n: len(list(enumerate_unicyclic(n, dedup=True))) for n in A001429} == A001429
 
     def test_every_graph_unicyclic_and_classified(self, unicyclic_classes_by_n):
         for g in unicyclic_classes_by_n[8]:
@@ -120,6 +130,42 @@ class TestCanonicalForms:
         assert len(keys) == len(tree_classes_by_n[9])
         ukeys = {unicyclic_canonical_key(g) for g in unicyclic_classes_by_n[9]}
         assert len(ukeys) == len(unicyclic_classes_by_n[9])
+
+
+@pytest.fixture(scope="module")
+def reference_classes() -> tuple[dict, dict]:
+    trees = reference_tree_classes(12)
+    unicyclic = {n: reference_unicyclic_classes(n, trees[n]) for n in range(3, 11)}
+    return trees, unicyclic
+
+
+class TestClassGeneration:
+    """The generated classes against the candidate-and-dedup reference."""
+
+    def test_trees_equal_the_reference(self, reference_classes):
+        trees, _ = reference_classes
+        for n in range(2, 13):
+            got = [g.edges for g in enumerate_trees(n, dedup=True)]
+            assert got == [g.edges for g in trees[n]], n
+
+    def test_unicyclic_equal_the_reference(self, reference_classes):
+        _, unicyclic = reference_classes
+        for n in range(3, 11):
+            got = [g.edges for g in enumerate_unicyclic(n, dedup=True)]
+            assert got == [g.edges for g in unicyclic[n]], n
+
+    def test_forms_equal_the_reference_form(self):
+        rng = random.Random(12)
+        for family, max_n, form, reference in (
+            ("tree", 11, tree_canonical_form, reference_tree_form),
+            ("unicyclic", 9, unicyclic_canonical_form, reference_unicyclic_form),
+        ):
+            for g in corpus_graphs(CorpusSpec(family=family, max_n=max_n)):
+                for _ in range(3):
+                    perm = list(range(g.n))
+                    rng.shuffle(perm)
+                    h = relabel(g, perm)
+                    assert form(h).edges == reference(h).edges == g.edges, (family, h.edges)
 
 
 class TestRandomGeneration:

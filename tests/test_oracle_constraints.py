@@ -2,7 +2,7 @@
 conftest; one oracle search for dim2 and dimk[2]; one distance matrix, one
 profile and one k-dimensional value per `auto` request that falls through
 to the oracle, and one distance matrix and one profile per verified graph;
-tree class levels grown once per corpus."""
+one canonical key and one canonical form per class of a corpus."""
 
 from __future__ import annotations
 
@@ -143,23 +143,24 @@ class TestOnePerVerifiedGraph:
 
 
 class TestTreeClassLevels:
-    def count_keys(self, monkeypatch):
+    def count(self, monkeypatch, name):
         calls = []
-        real = corpus.tree_canonical_key
+        real = getattr(corpus, name)
 
         def counting(g):
             calls.append(g.n)
             return real(g)
 
-        monkeypatch.setattr(corpus, "tree_canonical_key", counting)
+        monkeypatch.setattr(corpus, name, counting)
         return calls
 
     def test_corpus_grows_each_level_once(self, monkeypatch):
-        calls = self.count_keys(monkeypatch)
+        keys = self.count(monkeypatch, "tree_canonical_key")
+        forms = self.count(monkeypatch, "tree_canonical_form")
         graphs = list(corpus.corpus_graphs(CorpusSpec(family="tree", max_n=10)))
-        # level n grows each of the classes on n - 1 vertices at each vertex
-        classes = (1, 1, 2, 3, 6, 11, 23, 47)  # on 2..9 vertices
-        assert len(calls) == sum(c * (n - 1) for n, c in zip(range(3, 11), classes))
+        # one key and one form per class: no candidate graph is built
+        classes = (1, 1, 2, 3, 6, 11, 23, 47, 106)  # on 2..10 vertices
+        assert len(keys) == len(forms) == len(graphs) == sum(classes) == 200
         assert [g.edges for g in graphs] == [
             g.edges for n in range(2, 11) for g in enumerate_trees(n, dedup=True)
         ]
@@ -169,6 +170,9 @@ class TestTreeClassLevels:
         assert [g.edges for g in graphs] == [
             g.edges for n in range(3, 9) for g in enumerate_unicyclic(n, dedup=True)
         ]
-        calls = self.count_keys(monkeypatch)
+        tree_keys = self.count(monkeypatch, "tree_canonical_key")
+        keys = self.count(monkeypatch, "unicyclic_canonical_key")
+        forms = self.count(monkeypatch, "unicyclic_canonical_form")
         list(corpus.corpus_graphs(CorpusSpec(family="unicyclic", max_n=8)))
-        assert len(calls) == sum(c * (n - 1) for n, c in zip(range(3, 9), (1, 1, 2, 3, 6, 11)))
+        classes = (1, 2, 5, 13, 33, 89)  # on 3..8 vertices
+        assert tree_keys == [] and len(keys) == len(forms) == sum(classes) == 143
