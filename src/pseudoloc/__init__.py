@@ -18,7 +18,6 @@ from .closed_form import (
     ldim_closed,
     mdim_closed,
     oracle_result,
-    PARAMETER_NAMES,
     sdim_closed,
     sdim_even_fast,
     sdim_sr_formula,
@@ -59,20 +58,12 @@ from .graph import (
     parse_graph6,
 )
 from .resolvers import (
-    DOUBLY,
-    EDGE,
-    LOCAL,
-    METRIC,
-    MIXED,
-    MLD,
-    STRONG,
+    PARAMETER_NAMES,
     OracleConstraints,
     ParameterResult,
-    Variant,
     brute_force_dimension,
     is_locating_set,
     k_dimensional_value,
-    k_metric,
     lex_first_cover,
 )
 from .structure import (

@@ -15,7 +15,7 @@ import contextlib
 import json
 import sys
 
-from .closed_form import PARAMETER_NAMES, compute_parameter
+from .closed_form import compute_parameter
 from .corpus import CorpusSpec, random_pseudotree, verify_corpus
 from .errors import (
     GraphConstructionError,
@@ -25,6 +25,7 @@ from .errors import (
     SizeCapExceeded,
 )
 from .graph import GRAPH_CAP, Graph, encode_graph6, parse_edgelist, parse_graph6, size_cap
+from .resolvers import PARAMETER_NAMES
 from .structure import profile
 
 EXIT_OK = 0
@@ -171,11 +172,8 @@ def _cmd_verify(args) -> int:
     if args.params == "all":
         params = list(PARAMETER_NAMES)
     else:
+        # verify_corpus rejects an unknown name and an empty list (exit 2)
         params = [p.strip() for p in args.params.split(",") if p.strip()]
-        unknown = [p for p in params if p not in PARAMETER_NAMES]
-        if unknown:
-            print(f"unknown parameters: {unknown}", file=sys.stderr)
-            return EXIT_PARSE
     spec = CorpusSpec(family=args.family, max_n=args.max_n, dedup=not args.no_dedup)
     records, violations = verify_corpus(
         spec, parameters=params, jobs=args.jobs, report_path=args.report

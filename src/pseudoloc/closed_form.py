@@ -1,10 +1,10 @@
 """Closed-form dispatch for the nine location parameters.
 
-Given a pseudotree and its profile, each dispatcher returns the exact value
-when a characterization covers the instance, and the certified interval
-otherwise.  The engine never guesses: interval results carry the
+Each closed form takes the GraphAnalysis of a pseudotree, which holds what
+the closed forms and the oracle read of one graph, and returns the exact
+value when a characterization covers the instance, and the certified
+interval otherwise.  The engine never guesses: interval results carry the
 bounded-by-theorem method and can be upgraded to the oracle on request.
-A GraphAnalysis holds what the closed forms and the oracle read of one graph.
 """
 
 from __future__ import annotations
@@ -14,21 +14,13 @@ from functools import cached_property
 from .errors import KOutOfRange, SizeCapExceeded
 from .graph import Graph
 from .resolvers import (
-    DOUBLY,
-    EDGE,
-    LOCAL,
     METHOD_BOUNDED,
     METHOD_CLOSED_FORM,
     METHOD_SR_FORMULA,
-    METRIC,
-    MIXED,
-    MLD,
-    STRONG,
     OracleConstraints,
     ParameterResult,
-    Variant,
     brute_force_dimension,
-    k_metric,
+    check_k,
 )
 from .structure import (
     FamilyKind,
@@ -41,19 +33,6 @@ from .structure import (
     independence_number,
     profile,
 )
-
-PARAMETER_NAMES = ("dmd", "dim", "sdim", "ddim", "dim2", "dimk", "edim", "mdim", "ldim")
-
-_ORACLE_VARIANTS: dict[str, Variant] = {
-    "dmd": DOUBLY,
-    "dim": METRIC,
-    "sdim": STRONG,
-    "ddim": MLD,
-    "edim": EDGE,
-    "mdim": MIXED,
-    "ldim": LOCAL,
-}
-
 
 class GraphAnalysis(OracleConstraints):
     """Everything the closed forms and the oracle read of one graph, each
@@ -92,8 +71,9 @@ def _first_antipodal_pair(prof: PseudotreeProfile, subset) -> tuple[int, int] | 
     return pairs[0] if pairs else None
 
 
-def dmd_closed(g: Graph, prof: PseudotreeProfile) -> ParameterResult:
+def dmd_closed(a: GraphAnalysis) -> ParameterResult:
     """Doubly metric dimension; always exact, with a constructive witness."""
+    prof = a.profile
     kind = prof.kind
     if kind is FamilyKind.PATH:
         return _exact(2, "DMD_PATH", witness=prof.leaves)
@@ -168,8 +148,9 @@ def _tree_metric_basis(prof: PseudotreeProfile) -> tuple[int, ...]:
     return tuple(sorted(picked))
 
 
-def dim_closed(g: Graph, prof: PseudotreeProfile) -> ParameterResult:
+def dim_closed(a: GraphAnalysis) -> ParameterResult:
     """Metric dimension: exact where characterized, else the width-1 interval."""
+    prof = a.profile
     kind = prof.kind
     if kind is FamilyKind.PATH:
         return _exact(1, "DIM_PATH", witness=(prof.leaves[0],))
@@ -240,14 +221,15 @@ def sdim_closed(a: GraphAnalysis) -> ParameterResult:
 # Dominating metric dimension
 
 
-def ddim_closed(g: Graph, prof: PseudotreeProfile) -> ParameterResult:
+def ddim_closed(a: GraphAnalysis) -> ParameterResult:
+    prof = a.profile
     kind = prof.kind
     if kind is FamilyKind.CYCLE:
         gamma_c = (prof.girth + 2) // 3
         if prof.girth not in (3, 4, 6):
             return _exact(gamma_c, "DDIM_CYCLE")
         return _interval(gamma_c, gamma_c + 1, "DDIM_G346_INTERVAL")
-    base = domination_number(g) + prof.num_leaves - prof.num_supports
+    base = domination_number(a.g) + prof.num_leaves - prof.num_supports
     if kind.is_tree:
         return _exact(base, "DDIM_TREE")
     if prof.girth not in (3, 4, 6):
@@ -259,7 +241,8 @@ def ddim_closed(g: Graph, prof: PseudotreeProfile) -> ParameterResult:
 # Fault-tolerant (2-metric) dimension
 
 
-def dim2_closed(g: Graph, prof: PseudotreeProfile) -> ParameterResult:
+def dim2_closed(a: GraphAnalysis) -> ParameterResult:
+    prof = a.profile
     kind = prof.kind
     if kind is FamilyKind.PATH:
         return _exact(2, "DIM2_PATH", witness=prof.leaves)
@@ -311,7 +294,8 @@ def dimk_closed(a: GraphAnalysis, k: int) -> ParameterResult:
 # Edge metric dimension
 
 
-def edim_closed(g: Graph, prof: PseudotreeProfile) -> ParameterResult:
+def edim_closed(a: GraphAnalysis) -> ParameterResult:
+    prof = a.profile
     kind = prof.kind
     if kind is FamilyKind.PATH:
         return _exact(1, "EDIM_PATH", witness=(prof.leaves[0],))
@@ -324,7 +308,7 @@ def edim_closed(g: Graph, prof: PseudotreeProfile) -> ParameterResult:
     rho_hat = _rho_hat(prof)
     base = prof.num_leaves - prof.num_exterior_major + rho_hat
     lo, hi = base, base + 1
-    dim_value = dim_closed(g, prof).value
+    dim_value = dim_closed(a).value
     if dim_value is not None:
         # |dim - edim| <= 1, dim <= edim for odd girth, dim >= edim for even
         if prof.girth % 2 == 1:
@@ -342,7 +326,8 @@ def edim_closed(g: Graph, prof: PseudotreeProfile) -> ParameterResult:
 # Mixed metric dimension
 
 
-def mdim_closed(g: Graph, prof: PseudotreeProfile) -> ParameterResult:
+def mdim_closed(a: GraphAnalysis) -> ParameterResult:
+    prof = a.profile
     kind = prof.kind
     if kind is FamilyKind.PATH:
         return _exact(2, "MDIM_PATH", witness=prof.leaves)
@@ -359,7 +344,8 @@ def mdim_closed(g: Graph, prof: PseudotreeProfile) -> ParameterResult:
 # Local metric dimension
 
 
-def ldim_closed(g: Graph, prof: PseudotreeProfile) -> ParameterResult:
+def ldim_closed(a: GraphAnalysis) -> ParameterResult:
+    prof = a.profile
     if prof.kind.is_tree:
         return _exact(1, "LDIM_BIPARTITE", witness=(0,))
     if prof.girth % 2 == 0:  # a unicyclic graph is bipartite iff its girth is even
@@ -371,15 +357,17 @@ def ldim_closed(g: Graph, prof: PseudotreeProfile) -> ParameterResult:
 # Umbrella dispatch
 
 
-def _check_k(param: str, k) -> None:
-    """dimk needs an integer k >= 2, and no other parameter takes a k."""
-    if param != "dimk":
-        if k is not None:
-            raise KOutOfRange(f"{param} takes no k, got k={k}")
-    elif k is None:
-        raise KOutOfRange("dimk requires k")
-    elif not isinstance(k, int) or k < 2:
-        raise KOutOfRange(f"k must be an integer >= 2, got {k}")
+# the closed form of each parameter but dimk, which also takes its k
+_CLOSED_FORMS = {
+    "dmd": dmd_closed,
+    "dim": dim_closed,
+    "sdim": sdim_closed,
+    "ddim": ddim_closed,
+    "dim2": dim2_closed,
+    "edim": edim_closed,
+    "mdim": mdim_closed,
+    "ldim": ldim_closed,
+}
 
 
 def _singleton_result(param: str) -> ParameterResult:
@@ -402,30 +390,11 @@ def closed_result(
     distances) read the distance matrix.  Pass the graph's GraphAnalysis to
     reuse what it has built; a new one is made when analysis is None.
     """
-    if param not in PARAMETER_NAMES:
-        raise ValueError(f"unknown parameter {param!r}")
-    _check_k(param, k)
+    check_k(param, k)
     if g.n == 1:
         return _singleton_result(param)
     a = GraphAnalysis(g) if analysis is None else analysis
-    if param == "sdim":
-        return sdim_closed(a)
-    if param == "dimk":
-        return dimk_closed(a, k)
-    prof = a.profile
-    if param == "dmd":
-        return dmd_closed(g, prof)
-    if param == "dim":
-        return dim_closed(g, prof)
-    if param == "ddim":
-        return ddim_closed(g, prof)
-    if param == "dim2":
-        return dim2_closed(g, prof)
-    if param == "edim":
-        return edim_closed(g, prof)
-    if param == "mdim":
-        return mdim_closed(g, prof)
-    return ldim_closed(g, prof)
+    return dimk_closed(a, k) if param == "dimk" else _CLOSED_FORMS[param](a)
 
 
 def oracle_result(
@@ -440,15 +409,7 @@ def oracle_result(
     Pass the graph's GraphAnalysis to share its distances, masks and
     k-dimensional value across parameters and with the closed forms.
     """
-    _check_k(param, k)
-    if param == "dimk":
-        # brute_force_dimension rejects k above the k-dimensional value
-        variant = k_metric(k)
-    elif param == "dim2":
-        variant = k_metric(2)
-    else:
-        variant = _ORACLE_VARIANTS[param]
-    return brute_force_dimension(g, variant, max_n=max_n, constraints=analysis)
+    return brute_force_dimension(g, param, k=k, max_n=max_n, constraints=analysis)
 
 
 def compute_parameter(

@@ -15,15 +15,17 @@ dihedral necklace of rooted trees on its cycle.
 from __future__ import annotations
 
 import bisect
+import contextlib
 import functools
+import itertools
 import json
 from dataclasses import dataclass
-from typing import Callable, Iterator
+from typing import Iterator
 
-from .closed_form import PARAMETER_NAMES, GraphAnalysis, closed_result, oracle_result
+from .closed_form import GraphAnalysis, closed_result, oracle_result
 from .errors import SizeCapExceeded
 from .graph import Graph, encode_graph6, from_edge_list, girth_and_cycle, size_cap
-from .resolvers import ORACLE_CAP, ParameterResult
+from .resolvers import ORACLE_CAP, PARAMETER_NAMES, ParameterResult, check_name, parameter_label
 
 TREE_ENUM_CAP = 12
 UNICYCLIC_ENUM_CAP = 10
@@ -325,6 +327,14 @@ def enumerate_unicyclic(n: int, dedup: bool = False) -> Iterator[Graph]:
                 yield from_edge_list(n, sorted(edges))
 
 
+def _path_graph(n: int) -> Graph:
+    return from_edge_list(n, [(i, i + 1) for i in range(n - 1)])
+
+
+def _cycle_graph(n: int) -> Graph:
+    return from_edge_list(n, [(i, (i + 1) % n) for i in range(n)])
+
+
 def _class_corpus(family: str, lo: int, max_n: int) -> Iterator[Graph]:
     """One canonical representative per class for every order lo..max_n,
     keys ascending, from rooted codes built once for the whole corpus.
@@ -376,9 +386,9 @@ def random_pseudotree(spec: CorpusSpec, rng=None) -> Graph:
     if n < lo:
         raise SizeCapExceeded(f"cannot sample a {family} graph on {n} vertices: it needs n >= {lo}")
     if family == "path":
-        return from_edge_list(n, [(i, i + 1) for i in range(n - 1)])
+        return _path_graph(n)
     if family == "cycle":
-        return from_edge_list(n, [(i, (i + 1) % n) for i in range(n)])
+        return _cycle_graph(n)
     seq = tuple(rng.randrange(n) for _ in range(n - 2))
     tree = prufer_decode(seq, n)
     if family == "tree":
@@ -447,11 +457,10 @@ def verify_graph(g: Graph, parameters) -> list[VerificationRecord]:
         if key not in oracles:
             oracles[key] = oracle_result(g, param, k=k, analysis=a)
         oracle = oracles[key]
-        name = f"dimk[{k}]" if param == "dimk" else param
         records.append(
             VerificationRecord(
                 graph6=g6,
-                parameter=name,
+                parameter=parameter_label(param, k),
                 closed=closed,
                 oracle=oracle,
                 status=compare_results(closed, oracle),
@@ -462,24 +471,19 @@ def verify_graph(g: Graph, parameters) -> list[VerificationRecord]:
 
 
 def corpus_graphs(spec: CorpusSpec) -> Iterator[Graph]:
-    """Every graph of the corpus, orders ascending.  spec.max_n is checked
-    before anything is enumerated: from the family's smallest order up to its
-    cap, the enumeration cap for trees and unicyclic graphs."""
+    """Every graph of the corpus, orders ascending, enumerated as it is read.
+    spec.max_n is checked on the call, before anything is enumerated: from
+    the family's smallest order up to its cap, the enumeration cap for trees
+    and unicyclic graphs."""
     family = spec.family.lower()
     _check_order(family, spec.max_n)
+    orders = range(_ORDERS[family][0], spec.max_n + 1)
     if family in ("tree", "unicyclic") and spec.dedup:
-        yield from _class_corpus(family, _ORDERS[family][0], spec.max_n)
-        return
-    if family == "tree":
-        gen: Callable[[int], Iterator[Graph]] = enumerate_trees
-    elif family == "unicyclic":
-        gen = enumerate_unicyclic
-    elif family == "path":
-        gen = lambda n: iter([from_edge_list(n, [(i, i + 1) for i in range(n - 1)])])
-    else:
-        gen = lambda n: iter([from_edge_list(n, [(i, (i + 1) % n) for i in range(n)])])
-    for n in range(_ORDERS[family][0], spec.max_n + 1):
-        yield from gen(n)
+        return _class_corpus(family, orders.start, spec.max_n)
+    if family in ("path", "cycle"):
+        return map(_path_graph if family == "path" else _cycle_graph, orders)
+    per_order = enumerate_trees if family == "tree" else enumerate_unicyclic
+    return itertools.chain.from_iterable(map(per_order, orders))
 
 
 def verify_corpus(
@@ -491,43 +495,45 @@ def verify_corpus(
     """Run closed-form-versus-oracle verification over a whole corpus.
 
     Returns all records in deterministic order plus the violation count.
-    Records stream to report_path (JSON lines, summary footer) as they are
-    produced, so partial results survive interruption.
+    The corpus is read as it is verified.  Records stream to report_path
+    (JSON lines, summary footer) as they are produced, so partial results
+    survive interruption.  The parameter names and spec.max_n are checked
+    before the report is opened; an empty parameter list is an error, since
+    it would verify nothing.
     """
     parameters = list(parameters)
-    graphs = list(corpus_graphs(spec))
-    out = open(report_path, "w", encoding="utf-8") if report_path else None
+    if not parameters:
+        raise ValueError("no parameter to verify")
+    for param in parameters:
+        check_name(param)
+    graphs = corpus_graphs(spec)
+    worker = functools.partial(verify_graph, parameters=parameters)
     records: list[VerificationRecord] = []
-    violations = 0
-    try:
+    violations = verified = 0
+    with contextlib.ExitStack() as stack:
+        out = stack.enter_context(open(report_path, "w", encoding="utf-8")) if report_path else None
         if jobs > 1:
             # imported here: it costs every other process, such as each
             # `pseudoloc compute`, about 1.5 MB of resident memory
             import multiprocessing
 
-            worker = functools.partial(verify_graph, parameters=parameters)
-            with multiprocessing.get_context("fork").Pool(jobs) as pool:
-                batches = pool.imap(worker, graphs, chunksize=4)
-                for batch in batches:
-                    records.extend(batch)
-                    violations += _emit(batch, out)
+            pool = stack.enter_context(multiprocessing.get_context("fork").Pool(jobs))
+            batches = pool.imap(worker, graphs, chunksize=4)
         else:
-            for g in graphs:
-                batch = verify_graph(g, parameters)
-                records.extend(batch)
-                violations += _emit(batch, out)
+            batches = map(worker, graphs)
+        for batch in batches:  # one batch per graph
+            verified += 1
+            records.extend(batch)
+            violations += _emit(batch, out)
         if out:
             footer = {
                 "summary": {
-                    "graphs": len(graphs),
+                    "graphs": verified,
                     "records": len(records),
                     "violations": violations,
                 }
             }
             out.write(json.dumps(footer, sort_keys=True) + "\n")
-    finally:
-        if out:
-            out.close()
     return records, violations
 
 

@@ -1,12 +1,18 @@
-"""The nine location variants as cover problems, and the exact oracle.
+"""The nine location parameters as cover problems, and the exact oracle.
 
-Every variant is a cover problem over vertex bitmasks: a set locates iff it
-meets each constraint mask of the graph at least `need` times (one mask per
-pair it must tell apart, plus the closed neighbourhoods for the dominating
-variant).  `OracleConstraints` builds one graph's masks once, from its
-packed distance rows, for every variant that reads them.  The oracle, the
-ground truth every closed form is verified against, solves that problem with
-one exact search, `lex_first_cover`, which also gives the domination number.
+The oracle takes the parameter names the closed forms, the CLI and the
+reports use (PARAMETER_NAMES), with a k for dimk only.  check_name holds
+the one unknown-name rule (ValueError) and check_k the one k rule
+(KOutOfRange); every entry point applies them.
+
+Every parameter is a cover problem over vertex bitmasks: a set locates iff
+it meets each constraint mask of the graph at least `need` times (one mask
+per pair it must tell apart, plus the closed neighbourhoods for ddim); dim2
+is the dimk problem at k = 2.  `OracleConstraints` builds one graph's masks
+once, from its packed distance rows, for every parameter that reads them.
+The oracle, the ground truth every closed form is verified against, solves
+that problem with one exact search, `lex_first_cover`, which also gives the
+domination number.
 
 Witness contract: the oracle's witness is the lexicographically first
 locating set of minimum size, the set that enumerating subsets by increasing
@@ -37,40 +43,32 @@ METHOD_SR_FORMULA = "sr_graph_formula"
 
 TAG_BRUTE_FORCE = "BRUTE_FORCE"
 
-VARIANT_KINDS = ("metric", "doubly", "strong", "edge", "mixed", "local", "kmetric", "mld")
+# the nine parameters, in report order; dimk takes a k, every other name none
+PARAMETER_NAMES = ("dmd", "dim", "sdim", "ddim", "dim2", "dimk", "edim", "mdim", "ldim")
 
 
-@dataclass(frozen=True)
-class Variant:
-    """One of the nine locating-set variants; kmetric carries its k."""
-
-    kind: str
-    k: int | None = None
-
-    def __post_init__(self):
-        if self.kind not in VARIANT_KINDS:
-            raise ValueError(f"unknown variant kind {self.kind!r}")
-        if self.kind == "kmetric":
-            if self.k is None or self.k < 2:
-                raise ValueError("kmetric requires k >= 2")
-        elif self.k is not None:
-            raise ValueError(f"variant {self.kind!r} takes no k")
-
-    def __str__(self) -> str:
-        return f"kmetric({self.k})" if self.kind == "kmetric" else self.kind
+def check_name(param: str) -> None:
+    """The one unknown-name rule: a parameter is one of PARAMETER_NAMES."""
+    if param not in PARAMETER_NAMES:
+        raise ValueError(f"unknown parameter {param!r}")
 
 
-METRIC = Variant("metric")
-DOUBLY = Variant("doubly")
-STRONG = Variant("strong")
-EDGE = Variant("edge")
-MIXED = Variant("mixed")
-LOCAL = Variant("local")
-MLD = Variant("mld")
+def check_k(param: str, k) -> None:
+    """The one k rule, after the name rule: dimk needs an integer k >= 2,
+    and no other parameter takes a k."""
+    check_name(param)
+    if param != "dimk":
+        if k is not None:
+            raise KOutOfRange(f"{param} takes no k, got k={k}")
+    elif k is None:
+        raise KOutOfRange("dimk requires k")
+    elif not isinstance(k, int) or k < 2:
+        raise KOutOfRange(f"k must be an integer >= 2, got {k}")
 
 
-def k_metric(k: int) -> Variant:
-    return Variant("kmetric", k)
+def parameter_label(param: str, k: int | None = None) -> str:
+    """How reports and messages name a parameter: dimk with its k, as dimk[3]."""
+    return f"dimk[{k}]" if param == "dimk" else param
 
 
 @dataclass(frozen=True)
@@ -135,12 +133,12 @@ def _nonzero_field_masks(diffs: list[int], n: int, width: int) -> list[int]:
 
 
 class OracleConstraints:
-    """One graph's oracle constraints: a set locates under a variant iff it
+    """One graph's oracle constraints: a set locates for a parameter iff it
     meets every constraint mask at least `need` times and has at least
     `floor` members.
 
     The distance matrix and the masks are built on first use and kept for the
-    life of this object, so every variant of one graph reads the same
+    life of this object, so every parameter of one graph reads the same
     vertex-pair masks (dim, dim2, dimk, ddim with the closed neighbourhoods,
     mdim), edge rows and edge-pair masks (edim, mdim).  A pair mask gathers
     the nonzero fields of two XORed packed rows.  Create one per graph and
@@ -183,25 +181,26 @@ class OracleConstraints:
         rows = self._edge_rows
         return self._masks([ei ^ ej for i, ei in enumerate(rows) for ej in rows[i + 1 :]])
 
-    def problem(self, variant: Variant) -> tuple[list[int], int, int]:
-        """(masks, need, floor) of the cover problem for variant."""
-        kind = variant.kind
-        need = variant.k if kind == "kmetric" else 1
-        floor = min(2, self.g.n) if kind == "doubly" else 1
-        if kind in ("metric", "kmetric"):
+    def problem(self, param: str, k: int | None = None) -> tuple[list[int], int, int]:
+        """(masks, need, floor) of the cover problem for param; dim2 is the
+        dimk problem at k = 2."""
+        check_k(param, k)
+        need = 2 if param == "dim2" else k or 1
+        floor = min(2, self.g.n) if param == "dmd" else 1
+        if param in ("dim", "dim2", "dimk"):
             masks = self.vertex_pairs
-        elif kind == "mld":
+        elif param == "ddim":
             masks = self.vertex_pairs + closed_neighbourhoods(self.g)
-        elif kind == "local":
+        elif param == "ldim":
             # m gathers: cheaper than all n(n-1)/2 pairs when ldim runs alone
             packed = self.dm.packed
             masks = self._masks([packed[x] ^ packed[y] for x, y in self.g.edges])
-        elif kind == "edge":
+        elif param == "edim":
             masks = self._edge_pairs
-        elif kind == "mixed":
+        elif param == "mdim":
             to_edges = self._masks([px ^ e for px in self.dm.packed for e in self._edge_rows])
             masks = self.vertex_pairs + to_edges + self._edge_pairs
-        elif kind == "strong":
+        elif param == "sdim":
             masks = self._strong_pair_masks()
         else:
             masks = self._doubly_level_masks()
@@ -253,9 +252,9 @@ def closed_neighbourhoods(g: Graph) -> list[int]:
 
 # Orders up to this one are solved on the subset lattice, above it by the DFS.
 # The lattice pays O(2**n) bits per mask, the DFS some microseconds per search
-# node.  Per-call means over 16-32 random pseudotrees per order and variant,
+# node.  Per-call means over 16-32 random pseudotrees per order and parameter,
 # six runs on three seed sets: up to 15 the lattice was faster for every
-# variant in every run (at 15 by 1.1x at least); at 16 it lost one variant in
+# parameter in every run (at 15 by 1.1x at least); at 16 it lost one in
 # one run, at 17 four.  Its tables for n = 15 take about 1.5 ms, once per
 # process, and 1.8 MB.
 LATTICE_MAX_N = 15
@@ -405,14 +404,16 @@ def lex_first_cover(n: int, masks, need: int = 1, floor: int = 1) -> tuple[int, 
     return None
 
 
-def is_locating_set(g: Graph, s, variant: Variant, dm: DistanceMatrix | None = None) -> bool:
-    """Exact set predicate for the given variant."""
+def is_locating_set(
+    g: Graph, s, param: str, k: int | None = None, dm: DistanceMatrix | None = None
+) -> bool:
+    """Whether s locates for the parameter: the exact set predicate."""
     members = sorted(set(s))
     if not members:
         raise ValueError("locating set must be nonempty")
     if any(not 0 <= v < g.n for v in members):
         raise ValueError("locating set contains out-of-range vertices")
-    constraints, need, floor = OracleConstraints(g, dm).problem(variant)
+    constraints, need, floor = OracleConstraints(g, dm).problem(param, k)
     mask = 0
     for v in members:
         mask |= 1 << v
@@ -423,7 +424,8 @@ def is_locating_set(g: Graph, s, variant: Variant, dm: DistanceMatrix | None = N
 
 def brute_force_dimension(
     g: Graph,
-    variant: Variant,
+    param: str,
+    k: int | None = None,
     max_n: int | None = None,
     constraints: OracleConstraints | None = None,
 ) -> ParameterResult:
@@ -431,21 +433,23 @@ def brute_force_dimension(
     the lexicographically first locating set of that size (lex_first_cover).
 
     Pass the graph's OracleConstraints to share its distances and masks
-    across variants.
+    across parameters.
     """
+    check_k(param, k)
     cap = size_cap(ORACLE_CAP) if max_n is None else max_n
     if constraints is None:
         constraints = OracleConstraints(g)
-    if variant.kind == "kmetric":
+    need = 2 if param == "dim2" else k
+    if need is not None:
         # k is range-checked before the cap, as the closed form checks it
         kmax = constraints.k_dimensional_value
-        if variant.k > kmax:
-            raise KOutOfRange(f"no {variant.k}-locating set exists (k-dimensional value {kmax})")
+        if need > kmax:
+            raise KOutOfRange(f"no {need}-locating set exists (k-dimensional value {kmax})")
     if g.n > cap:
-        raise SizeCapExceeded(f"n={g.n} exceeds oracle cap {cap} for {variant}")
-    witness = lex_first_cover(g.n, *constraints.problem(variant))
+        raise SizeCapExceeded(f"n={g.n} exceeds oracle cap {cap} for {parameter_label(param, k)}")
+    witness = lex_first_cover(g.n, *constraints.problem(param, k))
     if witness is None:
-        raise RuntimeError(f"no locating set found for {variant} (unreachable)")
+        raise RuntimeError(f"no locating set found for {parameter_label(param, k)} (unreachable)")
     return ParameterResult(
         value=len(witness),
         witness=witness,

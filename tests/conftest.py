@@ -257,16 +257,16 @@ def gamma_by_enumeration(g: Graph) -> int:
     return g.n
 
 
-def _locates(g: Graph, dm, s: tuple[int, ...], variant) -> bool:
-    """The definition of each variant, pair by pair, straight from the predicates."""
-    kind = variant.kind
+def _locates(g: Graph, dm, s: tuple[int, ...], param: str, k) -> bool:
+    """The definition of each parameter, pair by pair, straight from the
+    predicates; k is dimk's k."""
     pairs = list(itertools.combinations(range(g.n), 2))
-    if kind == "doubly":
+    if param == "dmd":
         return all(any(doubly_resolves(dm, u, v, x, y) for u in s for v in s) for x, y in pairs)
-    if kind == "strong":
+    if param == "sdim":
         return all(any(strong_resolves(dm, w, x, y) for w in s) for x, y in pairs)
-    if kind in ("edge", "mixed"):
-        items = list(g.edges) if kind == "edge" else list(range(g.n)) + list(g.edges)
+    if param in ("edim", "mdim"):
+        items = list(g.edges) if param == "edim" else list(range(g.n)) + list(g.edges)
 
         def dist(v, item):
             return edge_distance(dm, v, item) if isinstance(item, tuple) else dm.d(v, item)
@@ -274,26 +274,26 @@ def _locates(g: Graph, dm, s: tuple[int, ...], variant) -> bool:
         return all(
             any(dist(v, a) != dist(v, b) for v in s) for a, b in itertools.combinations(items, 2)
         )
-    if kind == "local":
+    if param == "ldim":
         pairs = list(g.edges)
-    need = variant.k if kind == "kmetric" else 1
+    need = k if param == "dimk" else 1
     if not all(sum(1 for v in s if resolves(dm, v, x, y)) >= need for x, y in pairs):
         return False
-    if kind == "mld":
+    if param == "ddim":
         dominated = set(s).union(*(g.adjacency[v] for v in s))
         return len(dominated) == g.n
     return True
 
 
-def dimension_by_enumeration(g: Graph, variant) -> tuple[int, tuple[int, ...]]:
+def dimension_by_enumeration(g: Graph, param: str, k=None) -> tuple[int, tuple[int, ...]]:
     """(size, witness): the first locating set in size-ascending
     itertools.combinations order, tested with the definitional predicates."""
     dm = distance_matrix(g)
     for size in range(1, g.n + 1):
         for combo in itertools.combinations(range(g.n), size):
-            if _locates(g, dm, combo, variant):
+            if _locates(g, dm, combo, param, k):
                 return size, combo
-    raise AssertionError(f"no locating set for {variant}")
+    raise AssertionError(f"no locating set for {param} k={k}")
 
 
 # definitional references for the packed-row kernels: plain loops over
@@ -365,8 +365,8 @@ def _pairs_resolved_by_definition(g: Graph, items: str) -> dict[tuple, int]:
     pair of items (a, b), a before b, mapped to the mask of vertices whose
     distances to a and b differ (`resolves`, `edge_distance`).  A vertex v
     leaves unresolved exactly the pairs inside one class of items at equal
-    distance from v.  The last result is kept, since metric, kmetric, mld and
-    local read the same vertex pairs."""
+    distance from v.  The last result is kept, since dim, dimk, ddim and
+    ldim read the same vertex pairs."""
     dm = DistanceMatrix(rows=distance_rows_by_bfs(g))
     listed: list = list(range(g.n)) if items != "edges" else []
     if items != "vertices":
@@ -384,28 +384,28 @@ def _pairs_resolved_by_definition(g: Graph, items: str) -> dict[tuple, int]:
     return {pair: full & ~unresolved.get(pair, 0) for pair in itertools.combinations(listed, 2)}
 
 
-def constraint_masks_by_definition(g: Graph, variant) -> tuple[list[int], int, int]:
-    """(sorted masks, need, floor) of the oracle's cover problem for variant,
-    from the predicates over BFS rows, with no packed rows.
+def constraint_masks_by_definition(g: Graph, param: str, k=None) -> tuple[list[int], int, int]:
+    """(sorted masks, need, floor) of the oracle's cover problem for param
+    (k is dimk's k), from the predicates over BFS rows, with no packed rows.
 
     Each pair to tell apart gives the mask of the vertices that resolve it;
-    for strong, those that `strong_resolves` it; for doubly, the complement
-    of each class of at least two vertices no two of which `doubly_resolves`
-    it.  The dominating variant adds the closed neighbourhoods.
+    for sdim, those that `strong_resolves` it; for dmd, the complement of
+    each class of at least two vertices no two of which `doubly_resolves`
+    it.  ddim adds the closed neighbourhoods.
     """
-    n, kind = g.n, variant.kind
-    need = variant.k if kind == "kmetric" else 1
-    floor = min(2, n) if kind == "doubly" else 1
+    n = g.n
+    need = k if param == "dimk" else 1
+    floor = min(2, n) if param == "dmd" else 1
 
     def mask(members) -> int:
         return sum(1 << v for v in members)
 
-    if kind in ("strong", "doubly"):
+    if param in ("sdim", "dmd"):
         dm = DistanceMatrix(rows=distance_rows_by_bfs(g))
         pairs = list(itertools.combinations(range(n), 2))
-    if kind == "strong":
+    if param == "sdim":
         masks = [mask(w for w in range(n) if strong_resolves(dm, w, x, y)) for x, y in pairs]
-    elif kind == "doubly":
+    elif param == "dmd":
         full = (1 << n) - 1
         masks = []
         for x, y in pairs:
@@ -416,13 +416,13 @@ def constraint_masks_by_definition(g: Graph, variant) -> tuple[list[int], int, i
                     placed |= level
                     if level.bit_count() >= 2:
                         masks.append(full & ~level)
-    elif kind == "local":
+    elif param == "ldim":
         resolved = _pairs_resolved_by_definition(g, "vertices")
         masks = [resolved[e] for e in g.edges]
     else:
-        items = {"edge": "edges", "mixed": "mixed"}.get(kind, "vertices")
+        items = {"edim": "edges", "mdim": "mixed"}.get(param, "vertices")
         masks = list(_pairs_resolved_by_definition(g, items).values())
-        if kind == "mld":
+        if param == "ddim":
             masks += [mask((v,) + g.adjacency[v]) for v in range(n)]
     return sorted(masks), need, floor
 

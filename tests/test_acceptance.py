@@ -45,7 +45,7 @@ from pseudoloc import (
     verify_corpus,
 )
 from pseudoloc.corpus import CorpusSpec
-from pseudoloc.resolvers import DOUBLY, METRIC, STRONG, brute_force_dimension
+from pseudoloc.resolvers import brute_force_dimension
 
 from conftest import cycle_graph, path_graph, strong_resolves, thread_gap_c14_graph, tree_zeta
 
@@ -432,8 +432,8 @@ class TestCriterion8:
                 *_random_unicyclic_edges(seed)
             )
             h = from_edge_list(g.n, list(g.edges))
-            for variant in (METRIC, DOUBLY, STRONG):
-                if brute_force_dimension(g, variant) != brute_force_dimension(h, variant):
+            for param in ("dim", "dmd", "sdim"):
+                if brute_force_dimension(g, param) != brute_force_dimension(h, param):
                     reproducible = False
         ok = identical and reproducible
         report(

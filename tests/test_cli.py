@@ -73,7 +73,7 @@ class TestCompute:
 
     def test_dim2_oracle_cap(self, capsys):
         # `gen --kind unicyclic --seed 3` at n = 14 and 17; the k-metric
-        # oracle has the cap of 16 every variant has
+        # oracle has the cap of 16 every parameter has
         argv = ["compute", "--param", "dim2", "--method", "brute"]
         code, out, _ = run_cli(capsys, argv, stdin_text="M?C_??bt?A_GO?_??\n")
         assert code == 0 and out.startswith("dim2 = 5 ")
@@ -234,6 +234,14 @@ class TestVerify:
             capsys, ["verify", "--family", "tree", "--max-n", "5", "--params", "bogus"]
         )
         assert code == 2
+
+    @pytest.mark.parametrize("params", ["", " , "])
+    def test_no_param_named_exit_2(self, capsys, tmp_path, params):
+        # a list that names no parameter would verify nothing
+        report = tmp_path / "r.jsonl"
+        argv = ["verify", "--family", "tree", "--max-n", "5", "--params", params, "--report", str(report)]
+        code, out, err = run_cli(capsys, argv)
+        assert code == 2 and not out and "no parameter" in err and not report.exists()
 
     def test_report_written(self, capsys, tmp_path):
         report = tmp_path / "out.jsonl"

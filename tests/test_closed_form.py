@@ -2,18 +2,17 @@
 
 from __future__ import annotations
 
+import re
+
 import pytest
 
 from pseudoloc import (
-    DOUBLY,
-    EDGE,
     FamilyKind,
     GraphAnalysis,
     KOutOfRange,
-    LOCAL,
-    METRIC,
-    MIXED,
-    STRONG,
+    OracleConstraints,
+    SizeCapExceeded,
+    brute_force_dimension,
     closed_result,
     compute_parameter,
     distance_matrix,
@@ -21,7 +20,6 @@ from pseudoloc import (
     girth_and_cycle,
     is_locating_set,
     k_dimensional_value,
-    k_metric,
     oracle_result,
     parse_graph6,
     profile,
@@ -75,7 +73,7 @@ class TestDmd:
         for g in (paw, c4p, c4pp, c5p13, spider122, c5, c6):
             res = closed_result(g, "dmd")
             assert len(res.witness) == res.value
-            assert is_locating_set(g, res.witness, DOUBLY)
+            assert is_locating_set(g, res.witness, "dmd")
 
 
 class TestDim:
@@ -99,7 +97,7 @@ class TestDim:
     def test_tree_witness(self, spider122):
         res = closed_result(spider122, "dim")
         assert res.value == 2
-        assert is_locating_set(spider122, res.witness, METRIC)
+        assert is_locating_set(spider122, res.witness, "dim")
 
 
 class TestSdim:
@@ -116,12 +114,12 @@ class TestSdim:
     def test_spider(self, spider122):
         res = closed_result(spider122, "sdim")
         assert res.value == 2 and res.theorem_tag == "SDIM_TREE"
-        assert is_locating_set(spider122, res.witness, STRONG)
+        assert is_locating_set(spider122, res.witness, "sdim")
 
     def test_cycle_witness(self, c5, c6):
         for g in (c5, c6):
             res = closed_result(g, "sdim")
-            assert is_locating_set(g, res.witness, STRONG)
+            assert is_locating_set(g, res.witness, "sdim")
             assert len(res.witness) == res.value
 
     def test_even_girth_routes_agree_to_n64(self):
@@ -172,7 +170,7 @@ class TestDim2:
     def test_strong_leaf_witness(self, spider122, k13):
         for g in (spider122, k13):
             res = closed_result(g, "dim2")
-            assert is_locating_set(g, res.witness, k_metric(2))
+            assert is_locating_set(g, res.witness, "dimk", 2)
 
     def test_unicyclic_interval(self, c5p13):
         res = closed_result(c5p13, "dim2")
@@ -227,7 +225,7 @@ class TestEdim:
     def test_spider(self, spider122):
         res = closed_result(spider122, "edim")
         assert res.value == 2 and res.theorem_tag == "EDIM_TREE"
-        assert is_locating_set(spider122, res.witness, EDGE)
+        assert is_locating_set(spider122, res.witness, "edim")
 
     def test_paw_pinned_by_dim(self, paw):
         # dim(PAW)=2 exactly and the girth is odd, so edim is in [2,3]
@@ -238,7 +236,7 @@ class TestEdim:
     def test_cycle(self, c6):
         res = closed_result(c6, "edim")
         assert res.value == 2
-        assert is_locating_set(c6, res.witness, EDGE)
+        assert is_locating_set(c6, res.witness, "edim")
 
 
 class TestMdim:
@@ -252,7 +250,7 @@ class TestMdim:
     def test_leaf_witness(self, spider122, k13):
         for g in (spider122, k13):
             res = closed_result(g, "mdim")
-            assert is_locating_set(g, res.witness, MIXED)
+            assert is_locating_set(g, res.witness, "mdim")
 
 
 class TestLdim:
@@ -266,7 +264,7 @@ class TestLdim:
     def test_witnesses(self, paw, c5p13, spider122):
         for g in (paw, c5p13, spider122):
             res = closed_result(g, "ldim")
-            assert is_locating_set(g, res.witness, LOCAL)
+            assert is_locating_set(g, res.witness, "ldim")
 
 
 class TestComputeParameter:
@@ -287,13 +285,13 @@ class TestComputeParameter:
 
     def test_auto_exact_dim2_at_14(self):
         # `gen --kind unicyclic --n 14 --seed 3`: the k-metric oracle has the
-        # cap of 16 every variant has, so auto settles the closed-form interval
+        # cap of 16 every parameter has, so auto settles the closed-form interval
         g = parse_graph6(UNICYCLIC_14)
         assert closed_result(g, "dim2").theorem_tag == "DIM2_UNIC_BOUNDS"
         res = compute_parameter(g, "dim2", method="auto")
         assert res.is_exact and res.method == METHOD_BRUTE_FORCE
         assert (res.value, res.witness) == (5, (0, 1, 2, 3, 11))
-        assert dimension_by_enumeration(g, k_metric(2)) == (5, (0, 1, 2, 3, 11))
+        assert dimension_by_enumeration(g, "dimk", 2) == (5, (0, 1, 2, 3, 11))
 
     def test_singleton(self):
         g = from_edge_list(1, [])
@@ -305,6 +303,48 @@ class TestComputeParameter:
                 compute_parameter(g, "dim2", method=method)
             with pytest.raises(KOutOfRange):
                 compute_parameter(g, "dimk", k=2, method=method)
+
+
+class TestParameterNames:
+    """One vocabulary, one unknown-name rule and one k rule on every entry
+    point: the closed forms, the oracle and the set predicate."""
+
+    def entry_points(self, g):
+        calls = [
+            lambda p, k: closed_result(g, p, k=k),
+            lambda p, k: oracle_result(g, p, k=k),
+            lambda p, k: brute_force_dimension(g, p, k),
+            lambda p, k: is_locating_set(g, [0], p, k),
+            lambda p, k: OracleConstraints(g).problem(p, k),
+        ]
+        return calls + [
+            lambda p, k, m=method: compute_parameter(g, p, k=k, method=m)
+            for method in ("closed", "auto", "brute")
+        ]
+
+    def test_unknown_name_is_a_value_error(self):
+        for call in self.entry_points(path_graph(4)):
+            for param, k in (("foo", None), ("foo", 2), ("kmetric", 2), ("doubly", None)):
+                with pytest.raises(ValueError, match="unknown parameter"):
+                    call(param, k)
+
+    def test_k_rule(self):
+        for call in self.entry_points(path_graph(4)):
+            for param, k in (("dim", 7), ("dim2", 2), ("dimk", None), ("dimk", 1), ("dimk", 2.0)):
+                with pytest.raises(KOutOfRange):
+                    call(param, k)
+
+    def test_oracle_cap_names_the_parameter(self):
+        p17 = path_graph(17)
+        for param, k, label in (("sdim", None, "sdim"), ("dimk", 3, "dimk[3]"), ("dim2", None, "dim2")):
+            for call in (brute_force_dimension, oracle_result):
+                with pytest.raises(SizeCapExceeded, match=re.escape(f"oracle cap 16 for {label}") + "$"):
+                    call(p17, param, k=k)
+
+    def test_dim2_is_the_dimk_problem_at_2(self, tree_classes_by_n, unicyclic_classes_by_n):
+        for g in tree_classes_by_n[7] + unicyclic_classes_by_n[7]:
+            constraints = OracleConstraints(g)
+            assert constraints.problem("dim2") == constraints.problem("dimk", 2)
 
 
 class TestCorpusAgreement:

@@ -10,6 +10,8 @@ import importlib
 import pytest
 
 from pseudoloc import (
+    PARAMETER_NAMES,
+    GraphAnalysis,
     closed_result,
     compute_parameter,
     enumerate_trees,
@@ -19,7 +21,6 @@ from pseudoloc import (
     profile,
     verify_graph,
 )
-from pseudoloc.closed_form import PARAMETER_NAMES
 
 from conftest import (
     count_calls,
@@ -128,4 +129,4 @@ class TestSharedWork:
     def test_ldim_reads_girth_parity(self, unicyclic_classes_by_n):
         for graphs in unicyclic_classes_by_n.values():
             for g in graphs:
-                assert ldim_closed(g, profile(g)).value == (1 if is_bipartite(g) else 2)
+                assert ldim_closed(GraphAnalysis(g)).value == (1 if is_bipartite(g) else 2)

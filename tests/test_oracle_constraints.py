@@ -9,13 +9,7 @@ from __future__ import annotations
 import pytest
 
 from pseudoloc import (
-    DOUBLY,
-    EDGE,
-    LOCAL,
-    METRIC,
-    MIXED,
-    MLD,
-    STRONG,
+    PARAMETER_NAMES,
     CorpusSpec,
     OracleConstraints,
     compute_parameter,
@@ -23,12 +17,10 @@ from pseudoloc import (
     enumerate_trees,
     enumerate_unicyclic,
     from_edge_list,
-    k_metric,
     oracle_result,
     verify_graph,
 )
 from pseudoloc import corpus
-from pseudoloc.closed_form import PARAMETER_NAMES
 
 from conftest import (
     constraint_masks_by_definition,
@@ -38,22 +30,25 @@ from conftest import (
     random_pseudotrees,
 )
 
-# the variants whose masks come from packed rows, those on vertex pairs first
-# (the reference keeps its last pair table); strong and doubly loop over tuple
-# rows, and their reference takes about a second per graph at n = 64
-PACKED = (METRIC, k_metric(2), k_metric(3), MLD, LOCAL, EDGE, MIXED)
-VARIANTS = PACKED + (STRONG, DOUBLY)
+# (parameter, k) of the problems whose masks come from packed rows, those on
+# vertex pairs first (the reference keeps its last pair table); sdim and dmd
+# loop over tuple rows, and their reference takes about a second per graph
+# at n = 64
+PACKED = (("dim", None), ("dimk", 2), ("dimk", 3), ("ddim", None), ("ldim", None),
+          ("edim", None), ("mdim", None))
+PARAMS = PACKED + (("sdim", None), ("dmd", None))
 
 # C4 with legs: an 8-vertex unicyclic graph where dimk is an interval
 C4_WITH_LEGS = [(0, 1), (1, 2), (2, 3), (3, 0), (0, 4), (4, 5), (1, 6), (2, 7)]
 
 
-def assert_constraints_match(g, variants=VARIANTS):
+def assert_constraints_match(g, params=PARAMS):
     constraints = OracleConstraints(g)
-    for variant in variants:
-        masks, need, floor = constraints.problem(variant)
-        assert (sorted(masks), need, floor) == constraint_masks_by_definition(g, variant), (
-            variant,
+    for param, k in params:
+        masks, need, floor = constraints.problem(param, k)
+        assert (sorted(masks), need, floor) == constraint_masks_by_definition(g, param, k), (
+            param,
+            k,
             g.edges,
         )
 
@@ -74,7 +69,7 @@ class TestAgainstDefinition:
         for g in graphs:
             assert_constraints_match(g, PACKED)
         for g in graphs[:2]:  # one tree, one unicyclic graph
-            assert_constraints_match(g, (STRONG, DOUBLY))
+            assert_constraints_match(g, (("sdim", None), ("dmd", None)))
 
     @pytest.mark.parametrize("make", [path_graph, cycle_graph])
     def test_distances_in_the_top_bit_of_a_byte(self, monkeypatch, make):

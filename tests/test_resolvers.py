@@ -8,13 +8,6 @@ import random
 import pytest
 
 from pseudoloc import (
-    DOUBLY,
-    EDGE,
-    LOCAL,
-    METRIC,
-    MIXED,
-    MLD,
-    STRONG,
     KOutOfRange,
     SizeCapExceeded,
     boundary_and_sr_graph,
@@ -25,7 +18,6 @@ from pseudoloc import (
     independence_number,
     is_locating_set,
     k_dimensional_value,
-    k_metric,
     lex_first_cover,
 )
 from pseudoloc.corpus import CorpusSpec, random_pseudotree
@@ -42,18 +34,20 @@ from conftest import (
     strong_resolves,
 )
 
-ALL_VARIANTS = (METRIC, DOUBLY, STRONG, EDGE, MIXED, LOCAL, MLD, k_metric(2))
-CAP_VARIANTS = ALL_VARIANTS + (k_metric(3),)
+# (parameter, k) of each cover problem, dim2 as dimk at k = 2
+NO_K_PARAMS = tuple((p, None) for p in ("dim", "dmd", "sdim", "edim", "mdim", "ldim", "ddim"))
+ALL_PARAMS = NO_K_PARAMS + (("dimk", 2),)
+CAP_PARAMS = ALL_PARAMS + (("dimk", 3),)
 
 
 def cap_cases(n: int) -> list:
-    """(graph, variant) over 12 random pseudotrees of order n, every variant
-    of CAP_VARIANTS whose k, if any, the graph's k-dimensional value admits."""
+    """(graph, param, k) over 12 random pseudotrees of order n, every pair
+    of CAP_PARAMS whose k, if any, the graph's k-dimensional value admits."""
     cases = []
     for g in random_pseudotrees(n, 12):
         kmax = k_dimensional_value(g)
-        cases += [(g, v) for v in CAP_VARIANTS if v.k is None or v.k <= kmax]
-    assert {v for _, v in cases} == set(CAP_VARIANTS)
+        cases += [(g, p, k) for p, k in CAP_PARAMS if k is None or k <= kmax]
+    assert {(p, k) for _, p, k in cases} == set(CAP_PARAMS)
     return cases
 
 
@@ -88,76 +82,76 @@ class TestPredicates:
 
 class TestIsLocatingSet:
     def test_examples(self, c5, paw, k13):
-        assert is_locating_set(c5, [0, 2], DOUBLY)
-        assert is_locating_set(paw, [3, 1], STRONG)
-        assert is_locating_set(k13, [1, 2], METRIC)
-        assert not is_locating_set(k13, [1], METRIC)
+        assert is_locating_set(c5, [0, 2], "dmd")
+        assert is_locating_set(paw, [3, 1], "sdim")
+        assert is_locating_set(k13, [1, 2], "dim")
+        assert not is_locating_set(k13, [1], "dim")
 
     def test_doubly_needs_two(self, c5):
-        assert not is_locating_set(c5, [0], DOUBLY)
+        assert not is_locating_set(c5, [0], "dmd")
 
     def test_non_antipodal_cycle_pair_fails_doubly(self, c5):
-        assert not is_locating_set(c5, [0, 1], DOUBLY)
+        assert not is_locating_set(c5, [0, 1], "dmd")
 
     def test_empty_rejected(self, c5):
         with pytest.raises(ValueError):
-            is_locating_set(c5, [], METRIC)
+            is_locating_set(c5, [], "dim")
 
     def test_mld_requires_domination(self, c6):
-        assert not is_locating_set(c6, [0, 1, 2], MLD) or True
+        assert not is_locating_set(c6, [0, 1, 2], "ddim") or True
         # {0,1,3}: dominating and locating
-        assert is_locating_set(c6, [0, 1, 3], MLD)
+        assert is_locating_set(c6, [0, 1, 3], "ddim")
         # {0,3}: dominating but not locating
-        assert not is_locating_set(c6, [0, 3], MLD)
+        assert not is_locating_set(c6, [0, 3], "ddim")
 
 
 class TestBruteForce:
     def test_examples(self, paw, c6, p4):
-        assert brute_force_dimension(paw, METRIC).value == 2
-        assert brute_force_dimension(c6, DOUBLY).value == 3
-        assert brute_force_dimension(p4, STRONG).value == 1
+        assert brute_force_dimension(paw, "dim").value == 2
+        assert brute_force_dimension(c6, "dmd").value == 3
+        assert brute_force_dimension(p4, "sdim").value == 1
 
     def test_witness_is_first_in_order(self, paw):
-        res = brute_force_dimension(paw, METRIC)
+        res = brute_force_dimension(paw, "dim")
         assert res.witness == (0, 1)
         # every earlier pair fails
         for combo in itertools.combinations(range(4), 2):
             if combo == res.witness:
                 break
-            assert not is_locating_set(paw, combo, METRIC)
+            assert not is_locating_set(paw, combo, "dim")
 
     def test_witness_reproducible(self, c5p13):
-        a = brute_force_dimension(c5p13, DOUBLY)
+        a = brute_force_dimension(c5p13, "dmd")
         b = brute_force_dimension(
-            from_edge_list(c5p13.n, list(c5p13.edges)), DOUBLY
+            from_edge_list(c5p13.n, list(c5p13.edges)), "dmd"
         )
         assert a == b
 
     def test_single_vertex(self):
         k1 = from_edge_list(1, [])
-        for variant in (METRIC, DOUBLY, STRONG, EDGE, MIXED, LOCAL, MLD):
-            assert brute_force_dimension(k1, variant).witness == (0,)
+        for param, _ in NO_K_PARAMS:
+            assert brute_force_dimension(k1, param).witness == (0,)
         with pytest.raises(KOutOfRange):
-            brute_force_dimension(k1, k_metric(2))
+            brute_force_dimension(k1, "dimk", 2)
 
     def test_cap(self):
-        # one oracle cap of 16 for every variant, the k-metric ones included
-        for g, variant in cap_cases(16):
-            res = brute_force_dimension(g, variant)
+        # one oracle cap of 16 for every parameter, the k-metric ones included
+        for g, param, k in cap_cases(16):
+            res = brute_force_dimension(g, param, k)
             assert res.value == len(res.witness)
-            assert is_locating_set(g, res.witness, variant)
-        for g, variant in cap_cases(17):
+            assert is_locating_set(g, res.witness, param, k)
+        for g, param, k in cap_cases(17):
             with pytest.raises(SizeCapExceeded):
-                brute_force_dimension(g, variant)
+                brute_force_dimension(g, param, k)
         with pytest.raises(SizeCapExceeded):
-            brute_force_dimension(path_graph(17), METRIC)
-        assert brute_force_dimension(path_graph(17), METRIC, max_n=17).value == 1
+            brute_force_dimension(path_graph(17), "dim")
+        assert brute_force_dimension(path_graph(17), "dim", max_n=17).value == 1
 
     def test_cap_env_override(self, monkeypatch):
         monkeypatch.setenv("PSEUDOLOC_MAX_N", "17")
-        assert brute_force_dimension(path_graph(17), METRIC).value == 1
-        for g, variant in cap_cases(17):
-            assert brute_force_dimension(g, variant) == brute_force_dimension(g, variant, max_n=17)
+        assert brute_force_dimension(path_graph(17), "dim").value == 1
+        for g, param, k in cap_cases(17):
+            assert brute_force_dimension(g, param, k) == brute_force_dimension(g, param, k, max_n=17)
 
     def test_kmetric_2_equals_fault_tolerant_definition(self, tree_classes_by_n, unicyclic_classes_by_n):
         # the two definitions are the same predicate; spot-check set agreement
@@ -169,7 +163,7 @@ class TestBruteForce:
                         sum(1 for s in combo if dm.d(x, s) != dm.d(y, s)) >= 2
                         for x, y in itertools.combinations(range(g.n), 2)
                     )
-                    assert is_locating_set(g, combo, k_metric(2), dm) == expected
+                    assert is_locating_set(g, combo, "dimk", 2, dm) == expected
 
 
 class TestExactSearch:
@@ -209,25 +203,25 @@ class TestExactSearch:
         # the largest order the lattice serves; k-metric at k = 2 and 3 counts
         # meetings, and its default cap is below this order
         for g in random_pseudotrees(LATTICE_MAX_N, 2):
-            variants = [METRIC, DOUBLY, STRONG, EDGE, MIXED, LOCAL, MLD]
-            variants += [k_metric(k) for k in range(2, min(k_dimensional_value(g), 3) + 1)]
-            for variant in variants:
-                res = brute_force_dimension(g, variant, max_n=LATTICE_MAX_N)
-                expected = dimension_by_enumeration(g, variant)
-                assert (res.value, res.witness) == expected, (encode_graph6(g), str(variant))
+            params = list(NO_K_PARAMS)
+            params += [("dimk", k) for k in range(2, min(k_dimensional_value(g), 3) + 1)]
+            for param, k in params:
+                res = brute_force_dimension(g, param, k, max_n=LATTICE_MAX_N)
+                expected = dimension_by_enumeration(g, param, k)
+                assert (res.value, res.witness) == expected, (encode_graph6(g), param, k)
 
     def test_oracle_equals_enumeration_to_n8(self, tree_classes_by_n, unicyclic_classes_by_n):
-        # every variant and every k of the k-range: same value and same witness
+        # every parameter and every k of the k-range: same value and same witness
         graphs = [g for n in range(2, 9) for g in tree_classes_by_n[n]]
         graphs += [g for n in range(3, 9) for g in unicyclic_classes_by_n[n]]
         checked = 0
         for g in graphs:
-            variants = [METRIC, DOUBLY, STRONG, EDGE, MIXED, LOCAL, MLD]
-            variants += [k_metric(k) for k in range(2, k_dimensional_value(g) + 1)]
-            for variant in variants:
-                res = brute_force_dimension(g, variant)
-                expected = dimension_by_enumeration(g, variant)
-                assert (res.value, res.witness) == expected, (encode_graph6(g), str(variant))
+            params = list(NO_K_PARAMS)
+            params += [("dimk", k) for k in range(2, k_dimensional_value(g) + 1)]
+            for param, k in params:
+                res = brute_force_dimension(g, param, k)
+                expected = dimension_by_enumeration(g, param, k)
+                assert (res.value, res.witness) == expected, (encode_graph6(g), param, k)
                 checked += 1
         assert checked == 1629
 
@@ -268,37 +262,37 @@ class TestStructuralProperties:
     def test_monotonicity(self):
         for seed in range(15):
             g = random_pseudotree(CorpusSpec(family="unicyclic", max_n=8, seed=seed))
-            for variant in ALL_VARIANTS:
-                res = brute_force_dimension(g, variant)
+            for param, k in ALL_PARAMS:
+                res = brute_force_dimension(g, param, k)
                 grown = set(res.witness)
                 for extra in range(g.n):
                     grown.add(extra)
-                    assert is_locating_set(g, grown, variant)
+                    assert is_locating_set(g, grown, param, k)
 
     def test_implication_chain(self):
         for seed in range(15):
             g = random_pseudotree(CorpusSpec(family="unicyclic", max_n=8, seed=seed + 100))
             dm = distance_matrix(g)
             for s in _sample_sets(g, seed):
-                if is_locating_set(g, s, DOUBLY, dm):
-                    assert is_locating_set(g, s, METRIC, dm)
-                if is_locating_set(g, s, STRONG, dm):
-                    assert is_locating_set(g, s, METRIC, dm)
-                if is_locating_set(g, s, MIXED, dm):
-                    assert is_locating_set(g, s, METRIC, dm)
-                    assert is_locating_set(g, s, EDGE, dm)
-                if len(s) >= 3 and is_locating_set(g, s, k_metric(3), dm):
-                    assert is_locating_set(g, s, k_metric(2), dm)
+                if is_locating_set(g, s, "dmd", dm=dm):
+                    assert is_locating_set(g, s, "dim", dm=dm)
+                if is_locating_set(g, s, "sdim", dm=dm):
+                    assert is_locating_set(g, s, "dim", dm=dm)
+                if is_locating_set(g, s, "mdim", dm=dm):
+                    assert is_locating_set(g, s, "dim", dm=dm)
+                    assert is_locating_set(g, s, "edim", dm=dm)
+                if len(s) >= 3 and is_locating_set(g, s, "dimk", 3, dm):
+                    assert is_locating_set(g, s, "dimk", 2, dm)
 
     def test_mmd_hitting(self):
         for seed in range(15):
             g = random_pseudotree(CorpusSpec(family="unicyclic", max_n=8, seed=seed + 200))
             sr = boundary_and_sr_graph(g)
-            witness = set(brute_force_dimension(g, STRONG).witness)
+            witness = set(brute_force_dimension(g, "sdim").witness)
             for u, v in sr.mmd_edges:
                 assert witness & {u, v}
             for s in _sample_sets(g, seed):
-                if is_locating_set(g, s, STRONG):
+                if is_locating_set(g, s, "sdim"):
                     for u, v in sr.mmd_edges:
                         assert set(s) & {u, v}
 
@@ -308,7 +302,7 @@ class TestStructuralProperties:
         for g in graphs:
             sr = boundary_and_sr_graph(g)
             alpha = independence_number(sr.boundary, sr.mmd_edges)
-            assert brute_force_dimension(g, STRONG).value == sr.order - alpha
+            assert brute_force_dimension(g, "sdim").value == sr.order - alpha
 
 
 def toggled_distance_rows(g, u, v):
@@ -380,9 +374,9 @@ class TestMatrixDetermination:
                 dmh = distance_matrix(h)
                 for size in range(1, g.n + 1):
                     for combo in itertools.combinations(range(g.n), size):
-                        if not is_locating_set(g, combo, STRONG, dm):
+                        if not is_locating_set(g, combo, "sdim", dm=dm):
                             continue
-                        if not is_locating_set(h, combo, STRONG, dmh):
+                        if not is_locating_set(h, combo, "sdim", dm=dmh):
                             continue
                         assert any(dmh[w] != dm[w] for w in combo)
 
