@@ -5,7 +5,9 @@ Exit codes are part of the contract:
   3 not a pseudotree, 4 size cap exceeded, 5 k out of range.
 compute and profile answer graph6 input line by line: a bad line is reported
 with its number, the other lines are still answered, and the exit code is
-the largest of the lines.
+the largest of the lines.  With --json a bad line also prints a record
+{"error", "exit_code", "line"} on stdout, so every nonblank input line has
+one output line, in input order.
 """
 
 from __future__ import annotations
@@ -105,8 +107,8 @@ def _exit_code(exc: Exception) -> int:
 def _answer_inputs(args, answer) -> int:
     """Call answer on each input graph as it is read and return the largest
     exit code seen.  A graph6 line that fails to parse or to answer is
-    reported as `error: line N: ...` and the lines after it are still
-    answered."""
+    reported as `error: line N: ...` on stderr, and with --json also as a
+    JSON error record on stdout; the lines after it are still answered."""
     size_cap(GRAPH_CAP)  # a bad PSEUDOLOC_MAX_N fails the whole input once, not each line
     with _open_input(args.input) as fh:
         if args.format == "edgelist":
@@ -121,8 +123,11 @@ def _answer_inputs(args, answer) -> int:
             try:
                 answer(parse_graph6(line))
             except _REPORTED as exc:
+                code = _exit_code(exc)
                 print(f"error: line {number}: {exc}", file=sys.stderr)
-                worst = max(worst, _exit_code(exc))
+                if args.json:  # one record per line keeps the output in step with the input
+                    print(json.dumps({"error": str(exc), "exit_code": code, "line": number}, sort_keys=True))
+                worst = max(worst, code)
     if not seen:
         raise GraphConstructionError("no graph6 input lines")
     return worst

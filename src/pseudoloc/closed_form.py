@@ -189,7 +189,7 @@ def dim_closed(a: GraphAnalysis) -> ParameterResult:
 
 def sdim_sr_formula(sr: StrongResolvingGraph) -> ParameterResult:
     """sdim = |boundary| - alpha(strong resolving graph); exact for any graph."""
-    alpha = independence_number(sr.boundary, sr.mmd_edges)
+    alpha = independence_number(sr.rows, sr.boundary_mask)
     return _exact(sr.order - alpha, "SDIM_PARTALPHA", method=METHOD_SR_FORMULA)
 
 
@@ -284,7 +284,7 @@ def dimk_closed(a: GraphAnalysis, k: int) -> ParameterResult:
     if kind is FamilyKind.TREE:
         total = 0
         for w in prof.strong_exterior_major:
-            dists = sorted(a.dm.d(u, w) for u in prof.terminal_map[w])
+            dists = sorted([prof.leg_lengths[u] for u in prof.terminal_map[w]])
             total += _i_r(len(dists), dists[0], k)
         return _exact(total, "DIMK_TREE")
     return _interval(k + 1, prof.n, "DIMK_UNIC_BOUNDS")

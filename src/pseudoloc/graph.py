@@ -3,9 +3,10 @@
 Vertices are dense 0-based integers.  Every constructor validates that the
 graph is simple and connected; everything downstream relies on both.
 
-A distance row is also kept packed: one Python integer with a fixed-width
-field per vertex, field v holding d(u, v).  Whole-row comparisons and
-updates are then a few integer operations instead of a loop over vertices.
+A distance row is kept packed: one Python integer with a fixed-width field
+per vertex, field v holding d(u, v).  Whole-row comparisons and updates are
+then a few integer operations instead of a loop over vertices; the rows of
+plain integers are unpacked only when something reads them.
 """
 
 from __future__ import annotations
@@ -13,7 +14,8 @@ from __future__ import annotations
 import os
 import re
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 
 from .errors import (
     Disconnected,
@@ -31,6 +33,8 @@ CAP_ENV_VAR = "PSEUDOLOC_MAX_N"
 GRAPH6_HEADER = ">>graph6<<"
 _G6_INVALID = re.compile(r"[^?-~]")  # graph6 characters are chr(63)..chr(126)
 _G6_BITS = {chr(c): format(c - 63, "06b") for c in range(63, 127)}
+# byte value -> ASCII "0" for 0, "1" otherwise: gathers nonzero bytes into a bit string
+_NONZERO = b"0" + b"1" * 255
 
 
 def size_cap(default: int) -> int:
@@ -98,39 +102,49 @@ def unpack_row(row: int, n: int, width: int) -> tuple[int, ...]:
     return tuple(int.from_bytes(data[i : i + size], "little") for i in range(0, len(data), size))
 
 
-@dataclass(frozen=True)
 class DistanceMatrix:
     """All-pairs hop distances of a connected graph.
 
-    `rows[u][v]` is d(u, v); `packed[u]` is the same row packed, with a
-    `width`-bit field per vertex.
+    `packed[u]` is row u packed, with a `width`-bit field per vertex;
+    `rows[u][v]` is d(u, v), unpacked from the packed rows on first read.
+    Give either the rows or the packed rows.
     """
 
-    rows: tuple[tuple[int, ...], ...]
-    packed: tuple[int, ...] = field(default=(), compare=False, repr=False)
+    def __init__(self, rows=None, packed=None):
+        if packed is None:
+            self.__dict__["rows"] = rows = tuple(map(tuple, rows))  # what `rows` would unpack
+            packed = [pack_row(row, field_width(len(rows))) for row in rows]
+        self.packed = tuple(packed)
 
-    def __post_init__(self):
-        if len(self.packed) != len(self.rows):
-            packed = tuple(pack_row(row, self.width) for row in self.rows)
-            object.__setattr__(self, "packed", packed)
+    @cached_property
+    def rows(self) -> tuple[tuple[int, ...], ...]:
+        return tuple(unpack_row(row, self.n, self.width) for row in self.packed)
 
     @property
     def n(self) -> int:
-        return len(self.rows)
+        return len(self.packed)
 
     @property
     def width(self) -> int:
-        return field_width(len(self.rows))
+        return field_width(len(self.packed))
 
-    @property
+    @cached_property
     def ones(self) -> int:
-        return field_ones(len(self.rows), self.width)
-
-    def d(self, u: int, v: int) -> int:
-        return self.rows[u][v]
+        return field_ones(len(self.packed), self.width)
 
     def __getitem__(self, u: int) -> tuple[int, ...]:
         return self.rows[u]
+
+    def __eq__(self, other) -> bool:
+        return isinstance(other, DistanceMatrix) and self.packed == other.packed
+
+    def __hash__(self) -> int:
+        return hash(self.packed)
+
+
+def nonzero_bytes_mask(data: bytes) -> int:
+    """The integer whose bit i is set iff byte i of data is nonzero."""
+    return int(data.translate(_NONZERO)[::-1], 2) if data else 0
 
 
 def _check_connected(n: int, adjacency: list[list[int]]) -> bool:
@@ -357,20 +371,16 @@ def distance_matrix(g: Graph) -> DistanceMatrix:
         if p >= 0:
             root[u] = root[p]
             depth[u] = depth[p] + 1
-    rows: list = [None] * n
     packed = [0] * n
     for c in [v for v in range(n) if alive[v]] or order[-1:]:
         within = _core_row(g, c, alive)
-        dist = [within[r] + h for r, h in zip(root, depth)]
-        rows[c] = tuple(dist)
-        packed[c] = pack_row(dist, width)
+        packed[c] = pack_row([within[r] + h for r, h in zip(root, depth)], width)
     ones = field_ones(n, width)
     for u in reversed(order):
         p = parent[u]
         if p >= 0:
             packed[u] = packed[p] + ones - twice_below[u]
-            rows[u] = unpack_row(packed[u], n, width)
-    return DistanceMatrix(rows=tuple(rows), packed=tuple(packed))
+    return DistanceMatrix(packed=packed)
 
 
 def girth_and_cycle(g: Graph) -> tuple[int, list[int]] | None:

@@ -28,11 +28,12 @@ TAOCP 4A, 7.1.3); above it a depth-first search runs.
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from dataclasses import dataclass
 from functools import cache, cached_property
 
 from .errors import KOutOfRange, SizeCapExceeded
-from .graph import DistanceMatrix, Graph, distance_matrix, field_ones, size_cap
+from .graph import DistanceMatrix, Graph, distance_matrix, field_ones, nonzero_bytes_mask, size_cap
 
 ORACLE_CAP = 16
 
@@ -111,14 +112,10 @@ class ParameterResult:
         return out
 
 
-# byte value -> ASCII "0" for 0, "1" otherwise: gathers nonzero fields into a bit string
-_NONZERO = b"0" + b"1" * 255
-
-
 def _nonzero_field_masks(diffs: list[int], n: int, width: int) -> list[int]:
     """For each packed row difference, the n-bit mask of its nonzero fields."""
     if width == 8:
-        return [int(d.to_bytes(n, "little").translate(_NONZERO)[::-1], 2) for d in diffs]
+        return [nonzero_bytes_mask(d.to_bytes(n, "little")) for d in diffs]
     # wider fields: leave only each nonzero field's top bit (the carry trick of
     # k_dimensional_value), then gather the byte holding it
     size = width // 8
@@ -126,10 +123,7 @@ def _nonzero_field_masks(diffs: list[int], n: int, width: int) -> list[int]:
     low = ones * ((1 << (width - 1)) - 1)
     top = ones << (width - 1)
     tops = ((((d & low) + low) | d) & top for d in diffs)
-    return [
-        int(t.to_bytes(n * size, "little")[size - 1 :: size].translate(_NONZERO)[::-1], 2)
-        for t in tops
-    ]
+    return [nonzero_bytes_mask(t.to_bytes(n * size, "little")[size - 1 :: size]) for t in tops]
 
 
 class OracleConstraints:
@@ -166,7 +160,8 @@ class OracleConstraints:
     @cached_property
     def k_dimensional_value(self) -> int:
         """Largest k admitting a k-locating set (0 without vertex pairs)."""
-        return k_dimensional_value(self.g, self.dm) if self.g.n >= 2 else 0
+        # the kernel reads the distance matrix only on a twin-free graph
+        return k_dimensional_value(self.g, lambda: self.dm) if self.g.n >= 2 else 0
 
     @cached_property
     def _edge_rows(self) -> list[int]:
@@ -458,29 +453,55 @@ def brute_force_dimension(
     )
 
 
-def k_dimensional_value(g: Graph, dm: DistanceMatrix | None = None) -> int:
+def k_dimensional_value(g: Graph, distances: Callable[[], DistanceMatrix] | None = None) -> int:
     """Largest k admitting a k-locating set: the minimum pair resolver count.
 
+    Every pair is resolved by its own two ends, and by no other vertex iff
+    the two are twins (equal open or equal closed neighbourhoods), so a
+    graph with twins has value 2, read off the adjacency.  Only a twin-free
+    graph reads distances, from `distances()` (default: distance_matrix(g)).
+    Its value is at least 3, so the pairs within distance 2 go first and one
+    with 3 resolvers ends the search.  A pair x, y at distance 3 or more is
+    resolved by x, y and every neighbour of either, at least
+    2 + deg x + deg y vertices, so after them only the pairs whose bound is
+    below the best count so far are counted.
+
     The resolvers of x and y are the nonzero fields of packed row x XOR
-    packed row y, counted with one mask, add, or and bit count.  Every pair
-    has at least two (x and y themselves), so a pair with two ends the search.
+    packed row y, counted with one mask, add, or and bit count.
     """
-    if g.n < 2:
+    n = g.n
+    if n < 2:
         raise ValueError("k-dimensional value needs at least 2 vertices")
-    if dm is None:
-        dm = distance_matrix(g)
+    adjacency = g.adjacency
+    if len(set(adjacency)) < n or len(set(closed_neighbourhoods(g))) < n:
+        return 2
+    dm = distance_matrix(g) if distances is None else distances()
     packed, ones = dm.packed, dm.ones
     low = ones * ((1 << (dm.width - 1)) - 1)  # all but the top bit of each field
     top = ones << (dm.width - 1)
-    best = g.n
-    for x, row_x in enumerate(packed):
-        for row_y in packed[x + 1 :]:
-            diff = row_x ^ row_y
-            # a field's top bit ends up set iff the field is nonzero; no carry
-            # leaves a field, since (diff & low) + low < 2 ** width
-            count = ((((diff & low) + low) | diff) & top).bit_count()
-            if count < best:
-                if count == 2:
-                    return 2
-                best = count
+
+    def resolvers(x: int, y: int) -> int:
+        diff = packed[x] ^ packed[y]
+        # a field's top bit ends up set iff the field is nonzero; no carry
+        # leaves a field, since (diff & low) + low < 2 ** width
+        return ((((diff & low) + low) | diff) & top).bit_count()
+
+    best = n
+    for c, nbrs in enumerate(adjacency):
+        near = [(c, x) for x in nbrs if x > c]  # at distance 1
+        near += [(x, y) for i, x in enumerate(nbrs) for y in nbrs[i + 1 :]]  # 1 or 2
+        for x, y in near:
+            count = resolvers(x, y)
+            if count == 3:
+                return 3
+            best = min(best, count)
+    # in order of degree, a pair whose bound reaches the best count ends the
+    # scan of its first vertex
+    degree = [len(nbrs) for nbrs in adjacency]
+    order = sorted(range(n), key=degree.__getitem__)
+    for i, x in enumerate(order):
+        for y in order[i + 1 :]:
+            if 2 + degree[x] + degree[y] >= best:
+                break
+            best = min(best, resolvers(x, y))
     return best

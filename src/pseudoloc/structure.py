@@ -2,10 +2,12 @@
 
 Everything the closed forms condition on lives here: family classification,
 the full profile (leaves, exterior major vertices, branching trees, threads,
-branch-active vertices, antipodal pair counts, twins), plus the boundary/MMD
-machinery and exact independence/domination solvers.
+branch-active vertices, antipodal pair counts, twins, leg lengths), plus the
+strong resolving graph and exact independence and domination solvers: a
+bitset maximum-clique search for alpha, and a linear-time dynamic programme
+for gamma.
 The profile reads no distances: each leaf's terminal vertex is the end of its
-leg.  Only the boundary/MMD machinery builds a distance matrix.
+leg.  Only the strong resolving graph builds a distance matrix.
 """
 
 from __future__ import annotations
@@ -14,8 +16,15 @@ import enum
 from dataclasses import dataclass, field
 
 from .errors import NotPseudotree, SizeCapExceeded
-from .graph import GRAPH_CAP, DistanceMatrix, Graph, distance_matrix, girth_and_cycle, size_cap
-from .resolvers import closed_neighbourhoods, lex_first_cover
+from .graph import (
+    GRAPH_CAP,
+    DistanceMatrix,
+    Graph,
+    distance_matrix,
+    girth_and_cycle,
+    nonzero_bytes_mask,
+    size_cap,
+)
 
 
 class FamilyKind(enum.Enum):
@@ -69,6 +78,8 @@ class PseudotreeProfile:
     antipodal_trivial_pairs: int
     antipodal_root_pairs: int
     twin_pairs: tuple[tuple[int, int], ...]
+    # each leaf with a terminal vertex, and its distance to it: its leg's length
+    leg_lengths: dict[int, int] = field(repr=False, default_factory=dict)
     _positions: dict[int, int] = field(repr=False, default_factory=dict)
 
     # count shorthands matching the usual notation
@@ -186,13 +197,15 @@ def profile(g: Graph) -> PseudotreeProfile:
     # every other major vertex lies beyond it, so it is the unique nearest one.
     # A leg that ends in a leaf spans a path, which has no major vertex.
     terminal_map: dict[int, list[int]] = {}
+    leg_lengths: dict[int, int] = {}
     for u in leaves:
-        prev, cur = u, g.adjacency[u][0]
+        prev, cur, length = u, g.adjacency[u][0], 1
         while degree[cur] == 2:
             a, b = g.adjacency[cur]
-            prev, cur = cur, (b if a == prev else a)
+            prev, cur, length = cur, (b if a == prev else a), length + 1
         if degree[cur] >= 3:
             terminal_map.setdefault(cur, []).append(u)
+            leg_lengths[u] = length
     terminal_map_t = {w: tuple(t) for w, t in terminal_map.items()}  # leaves ascend
     exterior_major = tuple(sorted(terminal_map_t))
     strong_exterior_major = tuple([w for w in exterior_major if len(terminal_map_t[w]) >= 2])
@@ -290,6 +303,7 @@ def profile(g: Graph) -> PseudotreeProfile:
         antipodal_trivial_pairs=r_trivial,
         antipodal_root_pairs=t_roots,
         twin_pairs=_twin_pairs(g),
+        leg_lengths=leg_lengths,
         _positions=positions,
     )
 
@@ -331,14 +345,17 @@ def find_geodesic_triple(prof: PseudotreeProfile, subset) -> tuple[int, int, int
 
 @dataclass(frozen=True)
 class StrongResolvingGraph:
-    """Boundary vertices of the host graph with MMD adjacency."""
+    """The mutually-maximally-distant (MMD) pairs of the host graph as
+    bitmask rows: bit u of rows[v] is set iff u and v are MMD.  The boundary
+    is the vertices in some MMD pair, those with a nonzero row; bit v of
+    boundary_mask is set iff v is one."""
 
-    boundary: tuple[int, ...]
-    mmd_edges: tuple[tuple[int, int], ...]
+    rows: tuple[int, ...]
+    boundary_mask: int
 
     @property
     def order(self) -> int:
-        return len(self.boundary)
+        return self.boundary_mask.bit_count()
 
 
 def boundary_and_sr_graph(g: Graph, dm: DistanceMatrix | None = None) -> StrongResolvingGraph:
@@ -348,103 +365,140 @@ def boundary_and_sr_graph(g: Graph, dm: DistanceMatrix | None = None) -> StrongR
     row[w] - row[v] + ONES is 0, 1 or 2, and field u is 2 exactly when w is
     farther than v from u.  OR-ing that over the neighbours w of v and
     keeping bit 1 of each field marks the u that v is not maximally distant
-    from; u and v are mutually maximally distant iff neither is marked.
+    from.  One byte per field of what is left, in a matrix with a row per v,
+    gives near[v][u] nonzero iff v is maximally distant from u, and u and v
+    are mutually maximally distant iff near[v][u] and near[u][v]: row v of
+    the SR graph is row v of near AND column v, the byte slice near[v::n].
+    The rows of near end to end, and its columns end to end, make two
+    integers of n * n bits; their AND holds every row of the SR graph.
     """
     if dm is None:
         dm = distance_matrix(g)
-    packed, ones, width = dm.packed, dm.ones, dm.width
-    near = []  # near[v]: field u set iff v is maximally distant from u
+    packed, ones, n = dm.packed, dm.ones, g.n
+    size = dm.width // 8
+    near = bytearray()
     for v, row_v in enumerate(packed):
         far = 0
         for w in g.adjacency[v]:
             far |= packed[w] + ones - row_v
-        near.append(~(far >> 1) & ones)
-    edges = []
-    for u, near_u in enumerate(near):
-        later = near_u >> ((u + 1) * width)  # field v > u moved to field v - u - 1
-        while later:
-            b = later & -later
-            later ^= b
-            v = u + 1 + (b.bit_length() - 1) // width
-            if near[v] >> (u * width) & 1:
-                edges.append((u, v))
-    boundary = tuple(sorted({x for e in edges for x in e}))
-    return StrongResolvingGraph(boundary=boundary, mmd_edges=tuple(edges))
+        near += (~(far >> 1) & ones).to_bytes(n * size, "little")[::size]
+    # bit v * n + u of both: near[v][u] and near[u][v], the column read by the
+    # slices; all n rows in one integer, read row by row
+    both = nonzero_bytes_mask(near) & nonzero_bytes_mask(b"".join([near[v::n] for v in range(n)]))
+    full = (1 << n) - 1
+    # a lone vertex has no neighbour to be farther than itself
+    rows = tuple([both >> (v * n) & full & ~(1 << v) for v in range(n)])
+    boundary = 0
+    for row in rows:
+        boundary |= row
+    return StrongResolvingGraph(rows=rows, boundary_mask=boundary)
 
 
-def independence_number(vertices, edges) -> int:
-    """Exact independence number of the graph on the vertex sequence
-    `vertices` with `edges`; accepts disconnected inputs.
+def independence_number(rows, vertices: int) -> int:
+    """Exact independence number of the subgraph induced on the bitmask
+    `vertices` of the graph whose vertex v has neighbour bitmask rows[v];
+    accepts disconnected inputs.
 
-    Branch and bound on a maximum-degree vertex with memoized component
-    decomposition.
+    A maximum independent set is a maximum clique of the complement, found by
+    the bitset branch and bound of Tomita & Seki (2003): a greedy colouring
+    of the complement's candidates, into cliques of this graph, bounds what a
+    branch can still add, and the vertices branch in reverse colour order.
     """
     cap = size_cap(GRAPH_CAP)
-    if len(vertices) > cap:
-        raise SizeCapExceeded(f"{len(vertices)} vertices exceeds graph cap {cap}")
-    index = {v: i for i, v in enumerate(vertices)}
-    nbr = [0] * len(vertices)
-    for u, v in edges:
-        nbr[index[u]] |= 1 << index[v]
-        nbr[index[v]] |= 1 << index[u]
-    full = (1 << len(vertices)) - 1
-    memo: dict[int, int] = {}
+    if len(rows) > cap:
+        raise SizeCapExceeded(f"{len(rows)} vertices exceeds graph cap {cap}")
+    best = 0
 
-    def alpha(mask: int) -> int:
-        if mask == 0:
-            return 0
-        cached = memo.get(mask)
-        if cached is not None:
-            return cached
-        # split off one connected component
-        seed = mask & (-mask)
-        comp = seed
-        frontier = seed
-        while frontier:
-            grow = 0
-            m = frontier
-            while m:
-                b = m & (-m)
-                m ^= b
-                grow |= nbr[b.bit_length() - 1] & mask
-            frontier = grow & ~comp
-            comp |= frontier
-        if comp != mask:
-            result = alpha(comp) + alpha(mask ^ comp)
-        else:
-            # pick a maximum-degree vertex of the component
-            best_v, best_deg = -1, -1
-            m = mask
-            while m:
-                b = m & (-m)
-                m ^= b
-                i = b.bit_length() - 1
-                deg = (nbr[i] & mask).bit_count()
-                if deg > best_deg:
-                    best_v, best_deg = i, deg
-            if best_deg <= 1:
-                # paths of length <= 1: one vertex per edge plus isolates
-                edge_count = 0
-                m = mask
-                while m:
-                    b = m & (-m)
-                    m ^= b
-                    if nbr[b.bit_length() - 1] & mask & ~(b - 1) & ~b:
-                        edge_count += 1
-                result = mask.bit_count() - edge_count
-            else:
-                without = alpha(mask & ~(1 << best_v))
-                with_v = 1 + alpha(mask & ~(nbr[best_v] | (1 << best_v)))
-                result = max(without, with_v)
-        memo[mask] = result
-        return result
+    def expand(cand: int, size: int) -> None:
+        nonlocal best
+        # colour classes are cliques of this graph: the picks of one class
+        # exclude each other, so a branch adds at most one vertex per class
+        picks: list[tuple[int, int]] = []
+        uncoloured, colour = cand, 0
+        while uncoloured:
+            colour += 1
+            free = uncoloured
+            while free:
+                b = free & -free
+                v = b.bit_length() - 1
+                free &= rows[v]
+                uncoloured ^= b
+                picks.append((b, colour))
+        for b, colour in reversed(picks):
+            if size + colour <= best:
+                return
+            rest = cand & ~rows[b.bit_length() - 1] & ~b
+            if rest:
+                expand(rest, size + 1)
+            elif size + 1 > best:
+                best = size + 1
+            cand ^= b
 
-    return alpha(full)
+    expand(vertices, 0)
+    return best
+
+
+# what a run of _tree_domination fixes at a vertex
+IN, OUT, DOMINATED = "in", "out", "dominated"
+
+
+def _tree_domination(order, parent, fixed: dict[int, str]) -> int:
+    """Smallest dominating set of a tree given as its vertices in
+    breadth-first order from the root and the parent of each (-1 at the
+    root), with vertices fixed IN the set, OUT of it, or DOMINATED from
+    outside the tree.  Three states per vertex v, each the least count in
+    v's subtree with every vertex below v dominated: v in the set (a), v out
+    and dominated by a child (b), v out and not yet dominated (c)."""
+    n = len(order)
+    never = n + 1  # more than any count, so it never wins a minimum
+    any_state = [0] * n  # sums over the children of each vertex
+    a_or_b = [0] * n
+    b_only = [0] * n
+    gap = [never] * n  # least extra cost of having one child in the set
+    for x in reversed(order):
+        a, b, c = 1 + any_state[x], a_or_b[x] + gap[x], b_only[x]
+        if x in fixed:
+            state = fixed[x]
+            if state == IN:
+                b = c = never
+            elif state == OUT:
+                a = never
+            elif c < b:  # DOMINATED: out and not dominated below is fine
+                b = c
+        p = parent[x]
+        ab = a if a < b else b
+        if p < 0:
+            return ab
+        any_state[p] += ab if ab < c else c
+        a_or_b[p] += ab
+        b_only[p] += b
+        if a - ab < gap[p]:
+            gap[p] = a - ab
+    raise AssertionError("unreachable: the walk ends at the root")
 
 
 def domination_number(g: Graph) -> int:
-    """Exact domination number: the smallest cover of the closed neighbourhoods."""
-    cap = size_cap(GRAPH_CAP)
-    if g.n > cap:
-        raise SizeCapExceeded(f"n={g.n} exceeds graph cap {cap}")
-    return len(lex_first_cover(g.n, closed_neighbourhoods(g)))
+    """Exact domination number of a pseudotree in linear time: the tree
+    dynamic programme of Cockayne, Goodman & Hedetniemi (1975).  A unicyclic
+    graph cuts one cycle edge uv and takes the least of three runs on the
+    tree left: u in the set with v dominated, v in with u dominated, and
+    both out."""
+    if g.m > g.n:
+        raise NotPseudotree(f"m={g.m} > n={g.n}: more than one cycle")
+    order, parent, cut = [0], [-2] * g.n, None  # -2: not reached yet
+    parent[0] = -1
+    for x in order:  # grows while it is walked: breadth-first from 0
+        for w in g.adjacency[x]:
+            if parent[w] == -2:
+                parent[w] = x
+                order.append(w)
+            elif w != parent[x] and cut is None:
+                cut = (x, w)  # the one edge off the search tree, on the cycle
+    if cut is None:
+        return _tree_domination(order, parent, {})
+    u, v = cut
+    return min(
+        _tree_domination(order, parent, {u: IN, v: DOMINATED}),
+        _tree_domination(order, parent, {v: IN, u: DOMINATED}),
+        _tree_domination(order, parent, {u: OUT, v: OUT}),
+    )

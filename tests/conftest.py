@@ -157,20 +157,20 @@ def thread_gap_c14() -> Graph:
 
 
 def resolves(dm: DistanceMatrix, v: int, x: int, y: int) -> bool:
-    return dm.d(x, v) != dm.d(y, v)
+    return dm[x][v] != dm[y][v]
 
 
 def doubly_resolves(dm: DistanceMatrix, u: int, v: int, x: int, y: int) -> bool:
-    return dm.d(x, u) - dm.d(x, v) != dm.d(y, u) - dm.d(y, v)
+    return dm[x][u] - dm[x][v] != dm[y][u] - dm[y][v]
 
 
 def strong_resolves(dm: DistanceMatrix, w: int, x: int, y: int) -> bool:
-    dxy = dm.d(x, y)
-    return dm.d(w, x) == dm.d(w, y) + dxy or dm.d(w, y) == dm.d(w, x) + dxy
+    dxy = dm[x][y]
+    return dm[w][x] == dm[w][y] + dxy or dm[w][y] == dm[w][x] + dxy
 
 
 def edge_distance(dm: DistanceMatrix, v: int, e: tuple[int, int]) -> int:
-    return min(dm.d(v, e[0]), dm.d(v, e[1]))
+    return min(dm[v][e[0]], dm[v][e[1]])
 
 
 # references for the closed forms: parity (ldim), zeta (dimk), the necklace (sdim)
@@ -198,7 +198,7 @@ def tree_zeta(prof: PseudotreeProfile, dm: DistanceMatrix) -> int:
     strong exterior major vertex."""
     zeta = None
     for w in prof.strong_exterior_major:
-        dists = sorted(dm.d(u, w) for u in prof.terminal_map[w])
+        dists = sorted(dm[u][w] for u in prof.terminal_map[w])
         cand = dists[0] + dists[1]
         if zeta is None or cand < zeta:
             zeta = cand
@@ -244,6 +244,65 @@ def alpha_by_enumeration(vertices, edges) -> int:
     return 0
 
 
+def alpha_by_branch_and_bound(vertices, edges) -> int:
+    """Independence number by branch and bound on a maximum-degree vertex,
+    with memoized component decomposition: the library's solver before the
+    clique search replaced it, kept as a second reference that scales past
+    enumeration."""
+    index = {v: i for i, v in enumerate(vertices)}
+    nbr = [0] * len(index)
+    for u, v in edges:
+        nbr[index[u]] |= 1 << index[v]
+        nbr[index[v]] |= 1 << index[u]
+    memo: dict[int, int] = {}
+
+    def alpha(mask: int) -> int:
+        if mask == 0:
+            return 0
+        if mask in memo:
+            return memo[mask]
+        comp = frontier = mask & -mask  # grow one connected component
+        while frontier:
+            grow = 0
+            for i in range(len(nbr)):
+                if frontier >> i & 1:
+                    grow |= nbr[i] & mask
+            frontier = grow & ~comp
+            comp |= frontier
+        if comp != mask:
+            result = alpha(comp) + alpha(mask ^ comp)
+        else:
+            members = [i for i in range(len(nbr)) if mask >> i & 1]
+            best = max(members, key=lambda i: (nbr[i] & mask).bit_count())
+            if (nbr[best] & mask).bit_count() <= 1:
+                # isolated vertices and disjoint edges: one vertex per edge
+                edges_left = sum((nbr[i] & mask).bit_count() for i in members) // 2
+                result = len(members) - edges_left
+            else:
+                result = max(
+                    alpha(mask & ~(1 << best)),
+                    1 + alpha(mask & ~(nbr[best] | 1 << best)),
+                )
+        memo[mask] = result
+        return result
+
+    return alpha((1 << len(nbr)) - 1)
+
+
+def neighbour_rows(n: int, edges) -> tuple[int, ...]:
+    """The bitmask row of each vertex 0..n-1: bit w of row v is set iff vw is an edge."""
+    rows = [0] * n
+    for u, v in edges:
+        rows[u] |= 1 << v
+        rows[v] |= 1 << u
+    return tuple(rows)
+
+
+def pairs_of_rows(rows) -> list[tuple[int, int]]:
+    """The pairs u < v with bit v of rows[u] set, in lexicographic order."""
+    return [(u, v) for u, row in enumerate(rows) for v in range(u + 1, len(rows)) if row >> v & 1]
+
+
 def gamma_by_enumeration(g: Graph) -> int:
     closed = [set(g.adjacency[v]) | {v} for v in range(g.n)]
     everything = set(range(g.n))
@@ -269,7 +328,7 @@ def _locates(g: Graph, dm, s: tuple[int, ...], param: str, k) -> bool:
         items = list(g.edges) if param == "edim" else list(range(g.n)) + list(g.edges)
 
         def dist(v, item):
-            return edge_distance(dm, v, item) if isinstance(item, tuple) else dm.d(v, item)
+            return edge_distance(dm, v, item) if isinstance(item, tuple) else dm[v][item]
 
         return all(
             any(dist(v, a) != dist(v, b) for v in s) for a, b in itertools.combinations(items, 2)
@@ -375,7 +434,7 @@ def _pairs_resolved_by_definition(g: Graph, items: str) -> dict[tuple, int]:
     for v in range(g.n):
         at: dict[int, list] = {}
         for it in listed:
-            d = edge_distance(dm, v, it) if isinstance(it, tuple) else dm.d(it, v)
+            d = edge_distance(dm, v, it) if isinstance(it, tuple) else dm[it][v]
             at.setdefault(d, []).append(it)
         for same in at.values():
             for pair in itertools.combinations(same, 2):

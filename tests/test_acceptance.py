@@ -289,7 +289,7 @@ class TestCriterion6:
         for n in range(3, 9):
             for g in unicyclic_classes_by_n[n]:
                 sr = boundary_and_sr_graph(g)
-                expected = sr.order - independence_number(sr.boundary, sr.mmd_edges)
+                expected = sr.order - independence_number(sr.rows, sr.boundary_mask)
                 got = oracle_value(g, "sdim")
                 if got != expected:
                     bad.append((encode_graph6(g), expected, got))

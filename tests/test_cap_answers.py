@@ -1,0 +1,64 @@
+"""The closed answers at the 64-vertex cap, pinned by digest.
+
+Every closed form's JSON for all nine parameters (dimk at every k from 2 to
+the k-dimensional value) over a seeded sample of 64-vertex pseudotrees.  The
+sample holds twin-free graphs, where the k-dimensional value exceeds 2, and
+proper unicyclic graphs of odd girth, where sdim reads the strong resolving
+graph.  A change that alters these answers on purpose updates the digest and
+says why.
+"""
+
+from __future__ import annotations
+
+import hashlib
+import json
+
+from pseudoloc import (
+    PARAMETER_NAMES,
+    FamilyKind,
+    compute_parameter,
+    encode_graph6,
+    k_dimensional_value,
+    profile,
+    random_pseudotree,
+)
+from pseudoloc.corpus import CorpusSpec
+
+from conftest import random_pseudotrees
+
+# seeds whose 64-vertex tree, and that tree plus its chord, have no twins;
+# at 606 both have k-dimensional value 4, at the others 3
+TWIN_FREE_SEEDS = (143, 193, 333, 606)
+
+CAP_ANSWERS_DIGEST = "fc8c1f28beb6d8e0eedb80630771d9db2268f79fee4fe356889fbf4b757b4095"
+
+
+def cap_sample():
+    graphs = random_pseudotrees(64, 40)
+    graphs += [
+        random_pseudotree(CorpusSpec(family=family, max_n=64, seed=seed))
+        for seed in TWIN_FREE_SEEDS
+        for family in ("tree", "unicyclic")
+    ]
+    return graphs
+
+
+def closed_answer_lines(graphs):
+    for g in graphs:
+        g6 = encode_graph6(g)
+        for param in PARAMETER_NAMES:
+            ks = range(2, k_dimensional_value(g) + 1) if param == "dimk" else (None,)
+            for k in ks:
+                result = compute_parameter(g, param, k=k, method="closed").to_json()
+                yield json.dumps({"graph6": g6, "param": param, "k": k, "result": result}, sort_keys=True)
+
+
+def test_sample_covers_twin_free_and_odd_girth():
+    profiles = [profile(g) for g in cap_sample()]
+    assert sum(not p.twin_pairs for p in profiles) >= len(TWIN_FREE_SEEDS) * 2
+    assert any(p.kind is FamilyKind.PROPER_UNICYCLIC and p.girth % 2 for p in profiles)
+
+
+def test_closed_answers_at_the_cap():
+    text = "\n".join(closed_answer_lines(cap_sample()))
+    assert hashlib.sha256(text.encode()).hexdigest() == CAP_ANSWERS_DIGEST

@@ -137,8 +137,19 @@ class TestCompute:
         lines = [good, "C~", good, "D??", "", good]  # not a pseudotree, disconnected, blank
         code, out, err = run_cli(capsys, command, stdin_text="\n".join(lines) + "\n")
         assert code == 3  # the largest code of the lines: 3 for C~, 2 for D??
-        assert len(out.strip().splitlines()) == 3
+        results = [line for line in out.strip().splitlines() if '"error"' not in line]
+        assert len(results) == 3
         assert [e.split(": ")[:2] for e in err.splitlines()] == [["error", "line 2"], ["error", "line 4"]]
+
+    @pytest.mark.parametrize("command", [["compute", "--param", "dim", "--json"], ["profile", "--json"]])
+    def test_json_error_record_for_a_bad_middle_line(self, capsys, command):
+        good = encode_graph6(cycle_graph(5))
+        code, out, err = run_cli(capsys, command, stdin_text=f"{good}\nC~\n\n{good}\n")
+        assert code == 3
+        records = [json.loads(line) for line in out.splitlines()]
+        assert len(records) == 3 and "error" not in records[0] and "error" not in records[2]
+        assert records[1] == {"error": err.split(": ", 2)[2].strip(), "exit_code": 3, "line": 2}
+        assert err.startswith("error: line 2: ") and len(err.splitlines()) == 1
 
     def test_malformed_graph6_exit_2(self, capsys):
         code, _, _ = run_cli(capsys, ["compute", "--param", "dim"], stdin_text="@@@\n")

@@ -410,7 +410,7 @@ class TestDoublyCycleResolvesThreads:
                 for combo in itertools.combinations(sorted(cycle), size):
                     doubly_on_cycle = all(
                         any(
-                            dm.d(x, u) - dm.d(x, v) != dm.d(y, u) - dm.d(y, v)
+                            dm[x][u] - dm[x][v] != dm[y][u] - dm[y][v]
                             for u in combo
                             for v in combo
                             if u != v
@@ -420,4 +420,4 @@ class TestDoublyCycleResolvesThreads:
                     if not doubly_on_cycle:
                         continue
                     for x, y in itertools.combinations(targets, 2):
-                        assert any(dm.d(x, s) != dm.d(y, s) for s in combo)
+                        assert any(dm[x][s] != dm[y][s] for s in combo)

@@ -1,7 +1,13 @@
 """What reads no distances: the profile's terminal map against the nearest
 major vertex by BFS, closed forms with distance_matrix made to raise,
 canonical forms without the profile, and one k-dimensional value per
-verified graph."""
+verified graph.
+
+Of the closed forms, only sdim on a proper unicyclic graph of odd girth (its
+strong resolving graph) and dimk on a twin-free graph (its k-dimensional
+value) build a distance matrix, at most one per graph.  dimk reads the
+k-dimensional value off the twins when there are any, and tree leg lengths
+off the profile."""
 
 from __future__ import annotations
 
@@ -19,8 +25,10 @@ from pseudoloc import (
     k_dimensional_value,
     ldim_closed,
     profile,
+    random_pseudotree,
     verify_graph,
 )
+from pseudoloc.corpus import CorpusSpec
 
 from conftest import (
     count_calls,
@@ -98,6 +106,26 @@ class TestClosedFormsWithoutDistances:
             res = compute_parameter(g, "sdim", method="closed")
             assert res.theorem_tag == "SDIM_EVEN_EXACT"
         assert dms == [] and srs == []
+
+
+class TestDimkDistances:
+    def test_dimk_with_twins_builds_none(self, no_distances, tree_classes_by_n, unicyclic_classes_by_n):
+        graphs = tree_classes_by_n[8] + unicyclic_classes_by_n[8] + random_pseudotrees(64, 20)
+        graphs = [g for g in graphs if profile(g).twin_pairs]
+        assert len(graphs) > 20
+        for g in graphs:
+            assert compute_parameter(g, "dimk", k=2, method="closed").theorem_tag
+
+    def test_dimk_on_a_twin_free_graph_builds_one(self, monkeypatch, spider122):
+        dms = count_calls(monkeypatch, "distance_matrix", MODULES_THAT_BUILD_DISTANCES)
+        trees = [path_graph(9), spider122, random_pseudotree(CorpusSpec(family="tree", max_n=64, seed=143))]
+        unicyclic = [cycle_graph(9), random_pseudotree(CorpusSpec(family="unicyclic", max_n=64, seed=143))]
+        for g in trees + unicyclic:
+            assert not profile(g).twin_pairs
+            for k in range(2, k_dimensional_value(g) + 1):
+                dms.clear()
+                assert compute_parameter(g, "dimk", k=k, method="closed").theorem_tag
+                assert dms == [g]
 
 
 class TestSharedWork:

@@ -67,11 +67,11 @@ class TestDistances:
 
     def test_cycle_symmetry(self, c5):
         dm = distance_matrix(c5)
-        assert dm.d(0, 2) == 2 and dm.d(0, 3) == 2
+        assert dm[0][2] == 2 and dm[0][3] == 2
 
     def test_paw_hand_bfs(self, paw):
         dm = distance_matrix(paw)
-        assert dm.d(3, 1) == 2 and dm.d(3, 2) == 2
+        assert dm[3][1] == 2 and dm[3][2] == 2
         assert max(map(max, dm.rows)) == 2
 
     def test_matrix_invariants_on_random_pseudotrees(self):
@@ -80,12 +80,12 @@ class TestDistances:
             g = random_pseudotree(CorpusSpec(family=family, max_n=3 + seed % 8, seed=seed))
             dm = distance_matrix(g)
             for u in range(g.n):
-                assert dm.d(u, u) == 0
+                assert dm[u][u] == 0
                 for v in range(g.n):
-                    assert dm.d(u, v) == dm.d(v, u) >= 0
-                    assert (dm.d(u, v) == 1) == (v in g.adjacency[u])
+                    assert dm[u][v] == dm[v][u] >= 0
+                    assert (dm[u][v] == 1) == (v in g.adjacency[u])
                     for w in range(g.n):
-                        assert dm.d(u, w) <= dm.d(u, v) + dm.d(v, w)
+                        assert dm[u][w] <= dm[u][v] + dm[v][w]
 
 
 class TestGraph6:

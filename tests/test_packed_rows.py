@@ -13,7 +13,9 @@ from pseudoloc import (
     from_edge_list,
     k_dimensional_value,
     profile,
+    random_pseudotree,
 )
+from pseudoloc.corpus import CorpusSpec
 from pseudoloc.graph import field_width, unpack_row
 from pseudoloc.structure import _twin_pairs
 
@@ -22,6 +24,7 @@ from conftest import (
     distance_rows_by_bfs,
     k_dimensional_by_pairs,
     mmd_pairs_by_definition,
+    neighbour_rows,
     path_graph,
     random_pseudotrees,
     twin_pairs_by_definition,
@@ -36,11 +39,11 @@ def assert_kernels_match(g):
     assert dm.rows == rows
     assert all(unpack_row(p, g.n, dm.width) == row for p, row in zip(dm.packed, rows))
     if g.n >= 2:
-        assert k_dimensional_value(g, dm) == k_dimensional_by_pairs(rows)
+        assert k_dimensional_value(g, lambda: dm) == k_dimensional_by_pairs(rows)
     pairs = mmd_pairs_by_definition(g, rows)
     sr = boundary_and_sr_graph(g, dm)
-    assert sr.mmd_edges == tuple(pairs)
-    assert sr.boundary == tuple(sorted({x for e in pairs for x in e}))
+    assert sr.rows == neighbour_rows(g.n, pairs)
+    assert sr.boundary_mask == sum(1 << x for x in {x for e in pairs for x in e})
     assert _twin_pairs(g) == tuple(twin_pairs_by_definition(g))
 
 
@@ -98,3 +101,46 @@ class TestAgainstReferences:
         g = make(300)
         assert distance_matrix(g).width == 16
         assert_kernels_match(g)
+
+
+def twin_free(g) -> bool:
+    return not twin_pairs_by_definition(g)
+
+
+class TestKDimensionalValue:
+    """The twin test and the degree bound against the count over all pairs."""
+
+    def assert_matches(self, graphs):
+        for g in graphs:
+            assert k_dimensional_value(g) == k_dimensional_by_pairs(distance_rows_by_bfs(g)), g.edges
+
+    def test_every_class(self, tree_classes_by_n, unicyclic_classes_by_n):
+        for by_n in (tree_classes_by_n, unicyclic_classes_by_n):
+            for graphs in by_n.values():
+                self.assert_matches(graphs)
+
+    def test_paths_and_cycles_up_to_40(self):
+        self.assert_matches([path_graph(n) for n in range(2, 41)] + [cycle_graph(n) for n in range(3, 41)])
+        # the path's value grows with n: its distance-2 pairs leave out one vertex
+        assert k_dimensional_value(path_graph(40)) == 39
+
+    def test_twin_free_graphs_at_the_cap(self):
+        graphs = [
+            g
+            for seed in range(3000)
+            for family in ("tree", "unicyclic")
+            if not _twin_pairs(g := random_pseudotree(CorpusSpec(family=family, max_n=64, seed=seed)))
+        ]
+        assert len(graphs) >= 100
+        self.assert_matches(graphs)
+
+    def test_twins_need_no_distances(self, tree_classes_by_n, unicyclic_classes_by_n):
+        def refuse():
+            raise AssertionError("distances read")
+
+        by_order = list(tree_classes_by_n.values()) + list(unicyclic_classes_by_n.values())
+        graphs = [g for gs in by_order for g in gs]
+        with_twins = [g for g in graphs if not twin_free(g)]
+        assert with_twins and len(with_twins) < len(graphs)
+        assert all(k_dimensional_value(g, refuse) == 2 for g in with_twins)
+        assert all(k_dimensional_value(g) >= 3 for g in graphs if twin_free(g))

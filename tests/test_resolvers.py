@@ -28,6 +28,7 @@ from conftest import (
     dimension_by_enumeration,
     doubly_resolves,
     edge_distance,
+    pairs_of_rows,
     path_graph,
     random_pseudotrees,
     resolves,
@@ -160,7 +161,7 @@ class TestBruteForce:
             for size in range(1, g.n + 1):
                 for combo in itertools.combinations(range(g.n), size):
                     expected = all(
-                        sum(1 for s in combo if dm.d(x, s) != dm.d(y, s)) >= 2
+                        sum(1 for s in combo if dm[x][s] != dm[y][s]) >= 2
                         for x, y in itertools.combinations(range(g.n), 2)
                     )
                     assert is_locating_set(g, combo, "dimk", 2, dm) == expected
@@ -289,11 +290,11 @@ class TestStructuralProperties:
             g = random_pseudotree(CorpusSpec(family="unicyclic", max_n=8, seed=seed + 200))
             sr = boundary_and_sr_graph(g)
             witness = set(brute_force_dimension(g, "sdim").witness)
-            for u, v in sr.mmd_edges:
+            for u, v in pairs_of_rows(sr.rows):
                 assert witness & {u, v}
             for s in _sample_sets(g, seed):
                 if is_locating_set(g, s, "sdim"):
-                    for u, v in sr.mmd_edges:
+                    for u, v in pairs_of_rows(sr.rows):
                         assert set(s) & {u, v}
 
     def test_vertex_cover_identity_to_n9(self, tree_classes_by_n, unicyclic_classes_by_n):
@@ -301,7 +302,7 @@ class TestStructuralProperties:
         graphs += [u for n in (7, 9) for u in unicyclic_classes_by_n[n]]
         for g in graphs:
             sr = boundary_and_sr_graph(g)
-            alpha = independence_number(sr.boundary, sr.mmd_edges)
+            alpha = independence_number(sr.rows, sr.boundary_mask)
             assert brute_force_dimension(g, "sdim").value == sr.order - alpha
 
 

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import itertools
+import random
 
 import pytest
 
@@ -18,12 +19,24 @@ from pseudoloc import (
     find_geodesic_triple,
     from_edge_list,
     independence_number,
+    lex_first_cover,
     parse_graph6,
     profile,
 )
 from pseudoloc.corpus import CorpusSpec, random_pseudotree, unicyclic_canonical_key
+from pseudoloc.resolvers import closed_neighbourhoods
 
-from conftest import alpha_by_enumeration, closed_necklace, cycle_graph, gamma_by_enumeration, path_graph
+from conftest import (
+    alpha_by_branch_and_bound,
+    alpha_by_enumeration,
+    closed_necklace,
+    cycle_graph,
+    gamma_by_enumeration,
+    neighbour_rows,
+    pairs_of_rows,
+    path_graph,
+    random_pseudotrees,
+)
 
 
 class TestClassify:
@@ -137,25 +150,25 @@ class TestCycleSubsets:
 
 
 class TestBoundary:
+    def assert_sr_graph(self, g, pairs):
+        sr = boundary_and_sr_graph(g)
+        assert set(pairs_of_rows(sr.rows)) == pairs
+        assert sr.boundary_mask == sum(1 << x for x in {x for e in pairs for x in e})
+
     def test_paw_triangle(self, paw):
-        sr = boundary_and_sr_graph(paw)
-        assert sr.boundary == (1, 2, 3)
-        assert set(sr.mmd_edges) == {(1, 2), (1, 3), (2, 3)}
+        self.assert_sr_graph(paw, {(1, 2), (1, 3), (2, 3)})
 
     def test_c4p_two_disjoint_edges(self, c4p):
-        sr = boundary_and_sr_graph(c4p)
-        assert sr.boundary == (1, 2, 3, 4)
-        assert set(sr.mmd_edges) == {(1, 3), (2, 4)}
+        self.assert_sr_graph(c4p, {(1, 3), (2, 4)})
 
     def test_cycle_antipodal(self, c6):
-        sr = boundary_and_sr_graph(c6)
-        assert sr.boundary == (0, 1, 2, 3, 4, 5)
-        assert set(sr.mmd_edges) == {(0, 3), (1, 4), (2, 5)}
+        self.assert_sr_graph(c6, {(0, 3), (1, 4), (2, 5)})
+        assert boundary_and_sr_graph(c6).order == 6
 
     def test_every_leaf_pair_is_mmd(self, tree_classes_by_n, unicyclic_classes_by_n):
         for g in tree_classes_by_n[8] + unicyclic_classes_by_n[8]:
             prof = profile(g)
-            edges = set(boundary_and_sr_graph(g).mmd_edges)
+            edges = set(pairs_of_rows(boundary_and_sr_graph(g).rows))
             for u, v in itertools.combinations(prof.leaves, 2):
                 assert (u, v) in edges
 
@@ -189,17 +202,19 @@ class TestClosedNecklace:
             sr = boundary_and_sr_graph(g)
             necklace, mapping = closed_necklace(g)
             sr_neck = boundary_and_sr_graph(necklace)
-            assert len(sr.boundary) == len(sr_neck.boundary)
-            mapped = {tuple(sorted((mapping[u], mapping[v]))) for u, v in sr.mmd_edges}
-            assert mapped == set(sr_neck.mmd_edges)
+            assert sr.order == sr_neck.order
+            mapped = {tuple(sorted((mapping[u], mapping[v]))) for u, v in pairs_of_rows(sr.rows)}
+            assert mapped == set(pairs_of_rows(sr_neck.rows))
 
 
 class TestExactSolvers:
     def test_alpha_examples(self, c6, c5p13):
-        assert independence_number(range(4), parse_graph6("C~").edges) == 1
-        assert independence_number(range(6), c6.edges) == 3
+        assert independence_number(neighbour_rows(4, parse_graph6("C~").edges), 0b1111) == 1
+        assert independence_number(neighbour_rows(6, c6.edges), 0b111111) == 3
         sr = boundary_and_sr_graph(c5p13)
-        assert independence_number(sr.boundary, sr.mmd_edges) == 2
+        assert independence_number(sr.rows, sr.boundary_mask) == 2
+        # the vertices off the boundary are isolated, counted only when asked
+        assert independence_number(sr.rows, (1 << 7) - 1) == 2 + 7 - sr.order
 
     def test_gamma_examples(self, paw):
         assert domination_number(path_graph(6)) == 2
@@ -208,19 +223,60 @@ class TestExactSolvers:
 
     def test_alpha_on_disconnected_sr_inputs(self, c4p):
         sr = boundary_and_sr_graph(c4p)  # 2K2
-        assert independence_number(sr.boundary, sr.mmd_edges) == 2
+        assert independence_number(sr.rows, sr.boundary_mask) == 2
 
     def test_agree_with_enumeration(self, tree_classes_by_n, unicyclic_classes_by_n):
         graphs = tree_classes_by_n[7] + unicyclic_classes_by_n[7]
+        graphs += [
+            random_pseudotree(CorpusSpec(family="unicyclic", max_n=9 + seed % 4, seed=seed))
+            for seed in range(12)
+        ]
         for g in graphs:
-            assert independence_number(range(g.n), g.edges) == alpha_by_enumeration(range(g.n), g.edges)
-            assert domination_number(g) == gamma_by_enumeration(g)
-        for seed in range(12):
-            g = random_pseudotree(CorpusSpec(family="unicyclic", max_n=9 + seed % 4, seed=seed))
-            assert independence_number(range(g.n), g.edges) == alpha_by_enumeration(range(g.n), g.edges)
-            assert domination_number(g) == gamma_by_enumeration(g)
+            expected = alpha_by_enumeration(range(g.n), g.edges)
+            assert independence_number(neighbour_rows(g.n, g.edges), (1 << g.n) - 1) == expected
+
+    def test_alpha_on_every_sr_graph_of_the_corpora(self, tree_classes_by_n, unicyclic_classes_by_n):
+        for graphs in list(tree_classes_by_n.values()) + list(unicyclic_classes_by_n.values()):
+            for g in graphs:
+                sr = boundary_and_sr_graph(g)
+                boundary = [v for v in range(g.n) if sr.boundary_mask >> v & 1]
+                pairs = pairs_of_rows(sr.rows)
+                expected = alpha_by_enumeration(boundary, pairs)
+                assert alpha_by_branch_and_bound(boundary, pairs) == expected
+                assert independence_number(sr.rows, sr.boundary_mask) == expected
+
+    def test_alpha_at_the_cap(self):
+        # the SR graph and the graph itself of 300 random 64-vertex pseudotrees
+        for g in random_pseudotrees(64, 300):
+            sr = boundary_and_sr_graph(g)
+            boundary = [v for v in range(g.n) if sr.boundary_mask >> v & 1]
+            expected = alpha_by_branch_and_bound(boundary, pairs_of_rows(sr.rows))
+            assert independence_number(sr.rows, sr.boundary_mask) == expected
+            expected = alpha_by_branch_and_bound(range(g.n), g.edges)
+            assert independence_number(neighbour_rows(g.n, g.edges), (1 << g.n) - 1) == expected
+
+    @pytest.mark.parametrize("p", [0.2, 0.5, 0.8])
+    def test_alpha_on_random_dense_graphs(self, p):
+        rng = random.Random(p)
+        for n in range(2, 41, 2):
+            edges = [e for e in itertools.combinations(range(n), 2) if rng.random() < p]
+            rows = neighbour_rows(n, edges)
+            assert independence_number(rows, (1 << n) - 1) == alpha_by_branch_and_bound(range(n), edges)
+            within = rng.getrandbits(n)
+            inside = [v for v in range(n) if within >> v & 1]
+            expected = alpha_by_branch_and_bound(inside, [e for e in edges if set(e) <= set(inside)])
+            assert independence_number(rows, within) == expected
+
+    def test_gamma_on_every_class_of_the_corpora(self, tree_classes_by_n, unicyclic_classes_by_n):
+        for graphs in list(tree_classes_by_n.values()) + list(unicyclic_classes_by_n.values()):
+            for g in graphs:
+                expected = gamma_by_enumeration(g)
+                assert len(lex_first_cover(g.n, closed_neighbourhoods(g))) == expected
+                assert domination_number(g) == expected
 
     def test_gamma_at_the_cap(self):
+        for g in random_pseudotrees(64, 300):
+            assert domination_number(g) == len(lex_first_cover(g.n, closed_neighbourhoods(g)))
         # a 32-vertex path with one pendant per vertex
         comb = from_edge_list(64, [(i, i + 1) for i in range(31)] + [(i, 32 + i) for i in range(32)])
         assert domination_number(comb) == 32
@@ -231,6 +287,6 @@ class TestExactSolvers:
 
     def test_known_formulas_to_n12(self):
         for n in range(3, 13):
-            assert independence_number(range(n), cycle_graph(n).edges) == n // 2
+            assert independence_number(neighbour_rows(n, cycle_graph(n).edges), (1 << n) - 1) == n // 2
             assert domination_number(cycle_graph(n)) == (n + 2) // 3
             assert domination_number(path_graph(n)) == (n + 2) // 3
