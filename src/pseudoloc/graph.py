@@ -102,19 +102,15 @@ def unpack_row(row: int, n: int, width: int) -> tuple[int, ...]:
     return tuple(int.from_bytes(data[i : i + size], "little") for i in range(0, len(data), size))
 
 
+@dataclass(frozen=True)
 class DistanceMatrix:
     """All-pairs hop distances of a connected graph.
 
     `packed[u]` is row u packed, with a `width`-bit field per vertex;
     `rows[u][v]` is d(u, v), unpacked from the packed rows on first read.
-    Give either the rows or the packed rows.
     """
 
-    def __init__(self, rows=None, packed=None):
-        if packed is None:
-            self.__dict__["rows"] = rows = tuple(map(tuple, rows))  # what `rows` would unpack
-            packed = [pack_row(row, field_width(len(rows))) for row in rows]
-        self.packed = tuple(packed)
+    packed: tuple[int, ...]
 
     @cached_property
     def rows(self) -> tuple[tuple[int, ...], ...]:
@@ -134,12 +130,6 @@ class DistanceMatrix:
 
     def __getitem__(self, u: int) -> tuple[int, ...]:
         return self.rows[u]
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, DistanceMatrix) and self.packed == other.packed
-
-    def __hash__(self) -> int:
-        return hash(self.packed)
 
 
 def nonzero_bytes_mask(data: bytes) -> int:
@@ -380,7 +370,7 @@ def distance_matrix(g: Graph) -> DistanceMatrix:
         p = parent[u]
         if p >= 0:
             packed[u] = packed[p] + ones - twice_below[u]
-    return DistanceMatrix(packed=packed)
+    return DistanceMatrix(tuple(packed))
 
 
 def girth_and_cycle(g: Graph) -> tuple[int, list[int]] | None:

@@ -29,6 +29,7 @@ from pseudoloc import (
     unicyclic_canonical_key,
 )
 from pseudoloc.corpus import _tree_centers, _tree_code
+from pseudoloc.graph import field_width, pack_row
 
 
 def count_calls(monkeypatch, name: str, modules) -> list[Graph]:
@@ -375,6 +376,12 @@ def distance_rows_by_bfs(g: Graph) -> tuple[tuple[int, ...], ...]:
     return tuple(rows)
 
 
+def packed_matrix(rows) -> DistanceMatrix:
+    """The DistanceMatrix holding the given rows of distances."""
+    width = field_width(len(rows))
+    return DistanceMatrix(tuple(pack_row(row, width) for row in rows))
+
+
 def k_dimensional_by_pairs(rows) -> int:
     """The fewest vertices resolving a pair, over all pairs."""
     return min(
@@ -426,7 +433,7 @@ def _pairs_resolved_by_definition(g: Graph, items: str) -> dict[tuple, int]:
     leaves unresolved exactly the pairs inside one class of items at equal
     distance from v.  The last result is kept, since dim, dimk, ddim and
     ldim read the same vertex pairs."""
-    dm = DistanceMatrix(rows=distance_rows_by_bfs(g))
+    dm = packed_matrix(distance_rows_by_bfs(g))
     listed: list = list(range(g.n)) if items != "edges" else []
     if items != "vertices":
         listed += list(g.edges)
@@ -460,7 +467,7 @@ def constraint_masks_by_definition(g: Graph, param: str, k=None) -> tuple[list[i
         return sum(1 << v for v in members)
 
     if param in ("sdim", "dmd"):
-        dm = DistanceMatrix(rows=distance_rows_by_bfs(g))
+        dm = packed_matrix(distance_rows_by_bfs(g))
         pairs = list(itertools.combinations(range(n), 2))
     if param == "sdim":
         masks = [mask(w for w in range(n) if strong_resolves(dm, w, x, y)) for x, y in pairs]

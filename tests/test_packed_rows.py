@@ -4,10 +4,12 @@ resolver count, the pairwise MMD test and the pairwise twin test."""
 
 from __future__ import annotations
 
+import itertools
+import operator
+
 import pytest
 
 from pseudoloc import (
-    DistanceMatrix,
     boundary_and_sr_graph,
     distance_matrix,
     from_edge_list,
@@ -25,6 +27,7 @@ from conftest import (
     k_dimensional_by_pairs,
     mmd_pairs_by_definition,
     neighbour_rows,
+    packed_matrix,
     path_graph,
     random_pseudotrees,
     twin_pairs_by_definition,
@@ -54,7 +57,7 @@ class TestFieldWidth:
         assert field_width(65536) == 32
 
     def test_rows_given_alone_are_packed(self, paw):
-        dm = DistanceMatrix(rows=distance_rows_by_bfs(paw))
+        dm = packed_matrix(distance_rows_by_bfs(paw))
         assert dm == distance_matrix(paw)
         assert dm.packed == distance_matrix(paw).packed
 
@@ -132,6 +135,24 @@ class TestKDimensionalValue:
             if not _twin_pairs(g := random_pseudotree(CorpusSpec(family=family, max_n=64, seed=seed)))
         ]
         assert len(graphs) >= 100
+        self.assert_matches(graphs)
+
+    def test_degree_bound_decides_off_pseudotrees(self):
+        # two twin-free bicyclic graphs whose fewest resolvers, 5, are those of
+        # a pair at distance 3 with 2 + deg x + deg y = 5: every pair within
+        # distance 2 has 6, so the value comes from the degree-bound pass
+        graphs = [
+            from_edge_list(9, [(0, 7), (1, 4), (1, 5), (1, 7), (2, 3), (2, 6), (2, 7), (4, 6), (4, 8), (6, 8)]),
+            from_edge_list(
+                10, [(0, 1), (0, 3), (0, 8), (1, 3), (2, 5), (2, 7), (2, 8), (3, 5), (4, 8), (4, 9), (5, 6)]
+            ),
+        ]
+        for g in graphs:
+            rows = distance_rows_by_bfs(g)
+            assert twin_free(g) and g.m == g.n + 1
+            near = [(x, y) for x, y in itertools.combinations(range(g.n), 2) if rows[x][y] <= 2]
+            assert k_dimensional_by_pairs(rows) == 5
+            assert min(sum(map(operator.ne, rows[x], rows[y])) for x, y in near) == 6
         self.assert_matches(graphs)
 
     def test_twins_need_no_distances(self, tree_classes_by_n, unicyclic_classes_by_n):

@@ -234,6 +234,7 @@ class TestExactSolvers:
         for g in graphs:
             expected = alpha_by_enumeration(range(g.n), g.edges)
             assert independence_number(neighbour_rows(g.n, g.edges), (1 << g.n) - 1) == expected
+            assert domination_number(g) == gamma_by_enumeration(g)
 
     def test_alpha_on_every_sr_graph_of_the_corpora(self, tree_classes_by_n, unicyclic_classes_by_n):
         for graphs in list(tree_classes_by_n.values()) + list(unicyclic_classes_by_n.values()):
