@@ -41,7 +41,6 @@ from .errors import (
     KOutOfRange,
     MalformedGraph6,
     NotPseudotree,
-    NotUnicyclic,
     PseudolocError,
     SelfLoop,
     SizeCapExceeded,
@@ -54,6 +53,7 @@ from .graph import (
     encode_graph6,
     from_edge_list,
     girth_and_cycle,
+    hanging_trees,
     parse_edgelist,
     parse_graph6,
 )

@@ -23,7 +23,6 @@ from .errors import (
     GraphConstructionError,
     KOutOfRange,
     NotPseudotree,
-    NotUnicyclic,
     SizeCapExceeded,
 )
 from .graph import GRAPH_CAP, Graph, encode_graph6, parse_edgelist, parse_graph6, size_cap
@@ -41,7 +40,7 @@ EXIT_K_RANGE = 5
 _EXIT_CODES = (
     ((KOutOfRange,), EXIT_K_RANGE),
     ((SizeCapExceeded,), EXIT_SIZE_CAP),
-    ((NotPseudotree, NotUnicyclic), EXIT_NOT_PSEUDOTREE),
+    ((NotPseudotree,), EXIT_NOT_PSEUDOTREE),
     ((GraphConstructionError, OSError, ValueError), EXIT_PARSE),
 )
 _REPORTED = tuple(kind for kinds, _ in _EXIT_CODES for kind in kinds)

@@ -28,6 +28,7 @@ from .structure import (
     StrongResolvingGraph,
     antipodal_pairs,
     boundary_and_sr_graph,
+    classify,
     domination_number,
     find_geodesic_triple,
     independence_number,
@@ -419,10 +420,12 @@ def compute_parameter(
     method: str = "auto",
     max_n: int | None = None,
 ) -> ParameterResult:
-    """CLI-facing dispatch: closed forms, oracle, or closed-with-oracle-upgrade."""
+    """CLI-facing dispatch: closed forms, oracle, or closed-with-oracle-upgrade.
+    Under every method a graph that is no pseudotree raises NotPseudotree."""
     if method not in ("auto", "closed", "brute"):
         raise ValueError(f"unknown method {method!r}")
     if method == "brute":
+        classify(g)  # the closed forms' rule; the oracle alone answers any connected graph
         return oracle_result(g, param, k=k, max_n=max_n)
     # the oracle reuses what the closed form built
     a = GraphAnalysis(g)

@@ -5,9 +5,10 @@ generates one canonically labeled representative per isomorphism class,
 straight from the class's canonical key, with no candidate graphs to sort
 out.  Trees are keyed by their centre-rooted subtree codes and unicyclic
 graphs by the sequence of rooted branching-tree codes around their cycle,
-least over rotations and reflections.  Both are built from the rooted codes
-of each size, generated once per corpus: a free tree is one centred rooted
-tree, or two rooted trees of equal height with an edge between their roots
+least over rotations and reflections; both build their codes children first
+along the leaf stripping of graph.hanging_trees.  The classes are built from
+the rooted codes of each size, generated once per corpus: a free tree is one
+centred rooted tree, or two rooted trees of equal height with an edge between their roots
 (Wright, Richmond, Odlyzko & McKay 1986), and a unicyclic graph is a
 dihedral necklace of rooted trees on its cycle.
 """
@@ -24,7 +25,7 @@ from typing import Iterator
 
 from .closed_form import GraphAnalysis, closed_result, oracle_result
 from .errors import SizeCapExceeded
-from .graph import Graph, encode_graph6, from_edge_list, girth_and_cycle, size_cap
+from .graph import Graph, encode_graph6, from_edge_list, hanging_trees, size_cap
 from .resolvers import ORACLE_CAP, PARAMETER_NAMES, ParameterResult, check_name, parameter_label
 
 TREE_ENUM_CAP = 12
@@ -82,62 +83,50 @@ def _prufer_sequences(n: int) -> Iterator[tuple[int, ...]]:
 # Canonical keys and forms
 
 
-def _tree_code(adj: dict[int, list[int]], root: int, parent: int) -> tuple:
-    children = sorted(
-        (_tree_code(adj, w, root) for w in adj[root] if w != parent),
-    )
-    return tuple(children)
-
-
-def _tree_centers(n: int, adj: dict[int, list[int]]) -> list[int]:
-    if n == 1:
-        return [0]
-    degree = {v: len(adj[v]) for v in adj}
-    layer = [v for v in adj if degree[v] == 1]
-    remaining = n
-    while remaining > 2:
-        remaining -= len(layer)
-        nxt = []
-        for v in layer:
-            degree[v] = 0
-            for w in adj[v]:
-                if degree[w] > 1:
-                    degree[w] -= 1
-                    if degree[w] == 1:
-                        nxt.append(w)
-        layer = nxt
-    return sorted(layer)
+def _child_codes(n: int, order: list[int], parent: list[int]) -> list[list[tuple]]:
+    """The codes of each vertex's children in the hanging trees of
+    graph.hanging_trees, built children first along its order; a vertex's
+    code is the sorted tuple of its children's."""
+    below: list[list[tuple]] = [[] for _ in range(n)]
+    for u in order:
+        below[parent[u]].append(tuple(sorted(below[u])))
+    return below
 
 
 def tree_canonical_key(g: Graph) -> tuple:
     """Complete isomorphism invariant for trees (centre-rooted subtree codes):
     ("c1", code) rooted at a single centre, or ("c2", a, b) for the two halves
-    of the central edge, a <= b."""
-    adj = {v: list(g.adjacency[v]) for v in range(g.n)}
-    centers = _tree_centers(g.n, adj)
-    if len(centers) == 1:
-        return ("c1", _tree_code(adj, centers[0], -1))
-    a, b = centers
-    code_a = _tree_code(adj, a, b)
-    code_b = _tree_code(adj, b, a)
-    return ("c2",) + tuple(sorted([code_a, code_b]))
+    of the central edge, a <= b.
+
+    The last vertex leaf stripping removes is a centre.  It is the only one
+    unless exactly one of its children is the highest, and then that child
+    is the other: the "two highest children tie" rule of _rooted_codes.
+    """
+    (centre,), order, parent, _, _ = hanging_trees(g)
+    below = _child_codes(g.n, order, parent)
+    height = [0] * g.n
+    for u in order:
+        height[parent[u]] = max(height[parent[u]], height[u] + 1)
+    highest = [u for u in order if parent[u] == centre and height[u] + 1 == height[centre]]
+    if len(highest) != 1:
+        return ("c1", tuple(sorted(below[centre])))
+    other = tuple(sorted(below[highest[0]]))
+    below[centre].remove(other)
+    return ("c2",) + tuple(sorted([other, tuple(sorted(below[centre]))]))
 
 
 def unicyclic_canonical_key(g: Graph) -> tuple:
     """Complete isomorphism invariant for unicyclic graphs: (girth, codes).
 
     codes is the cycle's sequence of rooted branching-tree codes, least over
-    rotation and reflection.  Every edge between two cycle vertices is a
-    cycle edge, so from a cycle vertex the adjacency without cycle edges
-    reaches exactly its branching tree.
+    rotation and reflection; the branching tree of a cycle vertex is the
+    tree hanging off it.
     """
-    _, cycle = girth_and_cycle(g)  # type: ignore[misc]
-    on_cycle = set(cycle)
-    trimmed = {
-        x: [w for w in nbrs if not (x in on_cycle and w in on_cycle)]
-        for x, nbrs in enumerate(g.adjacency)
-    }
-    codes = [_tree_code(trimmed, v, -1) for v in cycle]
+    if g.m != g.n:
+        raise ValueError(f"m={g.m} != n={g.n}: not a unicyclic graph")
+    cycle, order, parent, _, _ = hanging_trees(g)
+    below = _child_codes(g.n, order, parent)
+    codes = [tuple(sorted(below[v])) for v in cycle]
     rotations = (seq[i:] + seq[:i] for seq in (codes, codes[::-1]) for i in range(len(seq)))
     return (len(cycle), tuple(min(rotations)))
 

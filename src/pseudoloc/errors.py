@@ -33,10 +33,6 @@ class NotPseudotree(PseudolocError):
     """The graph has more edges than vertices (no pseudotree structure)."""
 
 
-class NotUnicyclic(PseudolocError):
-    """Operation requires a proper unicyclic graph."""
-
-
 class SizeCapExceeded(PseudolocError):
     """Instance is larger than the configured exact-computation cap."""
 

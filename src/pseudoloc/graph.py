@@ -1,7 +1,10 @@
-"""Immutable graph core: construction, text formats, and BFS distances.
+"""Immutable graph core: construction, text formats, leaf stripping and
+distances.
 
 Vertices are dense 0-based integers.  Every constructor validates that the
 graph is simple and connected; everything downstream relies on both.
+`hanging_trees` is the one leaf stripping: the distances, the cycle, the
+profile, gamma and the canonical keys read the core and hanging trees it finds.
 
 A distance row is kept packed: one Python integer with a fixed-width field
 per vertex, field v holding d(u, v).  Whole-row comparisons and updates are
@@ -294,30 +297,54 @@ def parse_graph6(text: str) -> Graph:
     return from_edge_list(n, pairs)
 
 
-def _strip_leaves(g: Graph) -> tuple[list[bool], list[int], list[int]]:
-    """Remove degree-1 vertices until none is left.
+def hanging_trees(g: Graph) -> tuple[list[int], list[int], list[int], list[int], list[int]]:
+    """The core of g and the trees hanging off it, by the one leaf stripping.
 
-    Returns (alive, order, parent): alive marks the 2-core, order lists the
-    removed vertices as they went, and parent[u] is the neighbour u still had
-    when it went (-1 for the last vertex of a tree, whose core is empty).
+    Degree-1 vertices are removed until none is left.  Returns (core, order,
+    parent, root, depth).  core is the cycle of a unicyclic graph, walked
+    from its smallest vertex and stepping first to the smaller of that
+    vertex's two cycle neighbours; the last stripped vertex of a tree; and
+    the 2-core, ascending, of any other connected graph.  order lists every
+    other vertex as it was stripped, children before parents; parent[u] is
+    the neighbour u still had when it went (-1 on the core), root[x] the core
+    vertex whose hanging tree holds x, and depth[x] the distance from x to
+    root[x], 0 exactly on the core.
     """
-    degree = list(map(len, g.adjacency))
-    alive = [True] * g.n
-    parent = [-1] * g.n
-    order = [v for v in range(g.n) if degree[v] == 1]
+    n, adjacency = g.n, g.adjacency
+    degree = list(map(len, adjacency))
+    alive = [True] * n
+    parent = [-1] * n
+    order = [v for v in range(n) if degree[v] == 1]
     for u in order:  # order grows while it is walked: it is the queue
         alive[u] = False
-        for w in g.adjacency[u]:
+        for w in adjacency[u]:
             if alive[w]:
                 parent[u] = w
                 degree[w] -= 1
                 if degree[w] == 1:
                     order.append(w)
-    return alive, order, parent
+    if g.m == n:  # the core is the cycle: walk it
+        core = [alive.index(True)]
+        prev, cur = core[0], next(w for w in adjacency[core[0]] if alive[w])
+        while cur != core[0]:
+            core.append(cur)
+            for w in adjacency[cur]:  # the cycle neighbour not just left
+                if alive[w] and w != prev:
+                    break
+            prev, cur = cur, w
+    else:
+        core = [v for v in range(n) if alive[v]] or [order.pop()]
+    root = list(range(n))
+    depth = [0] * n
+    for u in reversed(order):
+        p = parent[u]
+        root[u] = root[p]
+        depth[u] = depth[p] + 1
+    return core, order, parent, root, depth
 
 
-def _core_row(g: Graph, src: int, alive: list[bool]) -> list[int]:
-    """BFS distances from src to the vertices marked alive, -1 elsewhere."""
+def _core_row(g: Graph, src: int, depth: list[int]) -> list[int]:
+    """BFS distances from src to the core vertices, those of depth 0, -1 elsewhere."""
     dist = [-1] * g.n
     dist[src] = 0
     frontier = [src]
@@ -327,7 +354,7 @@ def _core_row(g: Graph, src: int, alive: list[bool]) -> list[int]:
         reached = []
         for u in frontier:
             for w in g.adjacency[u]:
-                if dist[w] < 0 and alive[w]:
+                if dist[w] < 0 and not depth[w]:
                     dist[w] = d
                     reached.append(w)
         frontier = reached
@@ -337,39 +364,28 @@ def _core_row(g: Graph, src: int, alive: list[bool]) -> list[int]:
 def distance_matrix(g: Graph) -> DistanceMatrix:
     """Exact hop distances between all vertex pairs, for any connected graph.
 
-    Leaf stripping leaves the 2-core (for a tree, its last stripped vertex)
-    with a tree hanging off each core vertex by bridges.  Shortest paths
-    between core vertices stay in the core, so a core vertex c is at
-    d_core(c, r) + depth(x) from a vertex x of the tree hanging off r; BFS
-    runs only inside the core.  Every other vertex w hangs off its parent p
-    by a bridge: w is one closer than p to the vertices on its side of the
-    bridge and one farther from all others, so in packed form
+    Each vertex x hangs off its core vertex r = root[x] by bridges
+    (hanging_trees).  Shortest paths between core vertices stay in the core,
+    so a core vertex c is at d_core(c, r) + depth(x) from x; BFS runs only
+    inside the core.  Every other vertex w hangs off its parent p by a
+    bridge: w is one closer than p to the vertices on its side of the bridge
+    and one farther from all others, so in packed form
     row[w] = row[p] + ONES - 2 * BELOW[w].  No field borrows, since each
     vertex below w is at least 1 from p.
     """
     n = g.n
     width = field_width(n)
-    alive, order, parent = _strip_leaves(g)
+    core, order, parent, root, depth = hanging_trees(g)
     twice_below = [2 << (v * width) for v in range(n)]
     for u in order:  # children go before their parents
-        if parent[u] >= 0:
-            twice_below[parent[u]] += twice_below[u]
-    root = list(range(n))
-    depth = [0] * n
-    for u in reversed(order):
-        p = parent[u]
-        if p >= 0:
-            root[u] = root[p]
-            depth[u] = depth[p] + 1
+        twice_below[parent[u]] += twice_below[u]
     packed = [0] * n
-    for c in [v for v in range(n) if alive[v]] or order[-1:]:
-        within = _core_row(g, c, alive)
+    for c in core:
+        within = _core_row(g, c, depth)
         packed[c] = pack_row([within[r] + h for r, h in zip(root, depth)], width)
     ones = field_ones(n, width)
     for u in reversed(order):
-        p = parent[u]
-        if p >= 0:
-            packed[u] = packed[p] + ones - twice_below[u]
+        packed[u] = packed[parent[u]] + ones - twice_below[u]
     return DistanceMatrix(tuple(packed))
 
 
@@ -379,20 +395,9 @@ def girth_and_cycle(g: Graph) -> tuple[int, list[int]] | None:
     The cycle is listed in traversal order starting at its smallest vertex,
     stepping first to the smaller of that vertex's two cycle neighbours.
     """
-    if g.m == g.n - 1:
-        return None
     if g.m > g.n:
         raise NotPseudotree(f"m={g.m} > n={g.n}: more than one cycle")
-    # m == n: strip leaves until only the cycle remains
-    alive = _strip_leaves(g)[0]
-    core = [v for v in range(g.n) if alive[v]]
-    start = core[0]
-    cycle_neighbors = [w for w in g.adjacency[start] if alive[w]]
-    walk = [start, min(cycle_neighbors)]
-    while True:
-        prev, cur = walk[-2], walk[-1]
-        nxt = next(w for w in g.adjacency[cur] if alive[w] and w != prev)
-        if nxt == start:
-            break
-        walk.append(nxt)
-    return len(walk), walk
+    if g.m == g.n - 1:
+        return None
+    core = hanging_trees(g)[0]
+    return len(core), core

@@ -7,7 +7,9 @@ strong resolving graph and exact independence and domination solvers: a
 bitset maximum-clique search for alpha, and a linear-time dynamic programme
 for gamma.
 The profile reads no distances: each leaf's terminal vertex is the end of its
-leg.  Only the strong resolving graph builds a distance matrix.
+leg.  Only the strong resolving graph builds a distance matrix.  The cycle,
+the branching trees and the threads are read off graph.hanging_trees, the
+one leaf stripping, and gamma's dynamic programme runs on its hanging trees.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ from .graph import (
     DistanceMatrix,
     Graph,
     distance_matrix,
-    girth_and_cycle,
+    hanging_trees,
     nonzero_bytes_mask,
     size_cap,
 )
@@ -225,50 +227,28 @@ def profile(g: Graph) -> PseudotreeProfile:
     t_roots = 0
 
     if kind.is_unicyclic:
-        girth, cycle_list = girth_and_cycle(g)  # type: ignore[misc]
-        cycle = tuple(cycle_list)
-        cycle_set = set(cycle)
+        cycle_list, _, _, root, depth = hanging_trees(g)
+        cycle, girth = tuple(cycle_list), len(cycle_list)
         positions = {v: i for i, v in enumerate(cycle)}
-        # branching tree of v = component of G - E(C) containing v
-        tree_members: dict[int, list[int]] = {}
-        thread_map: dict[int, tuple[int, ...]] = {}
-        active = []
-        for v in cycle:
-            members = [v]
-            parent = {v: v}
-            stack = [v]
-            while stack:
-                x = stack.pop()
-                for w in g.adjacency[x]:
-                    if w in cycle_set and x == v:
-                        continue  # do not cross cycle edges out of v
-                    if w not in parent:
-                        parent[w] = x
-                        members.append(w)
-                        stack.append(w)
-            tree_members[v] = sorted(members)
-            # branch-active: T_v contains a branching vertex
-            is_active = degree[v] >= 4 or any(
-                degree[w] >= 3 for w in members if w != v
-            )
-            if is_active:
-                active.append(v)
-            # thread: T_v is a path and deg(v) == 3
-            if len(members) >= 2 and degree[v] == 3 and not is_active:
-                path = []
-                cur = next(w for w in g.adjacency[v] if w not in cycle_set)
-                prev = v
-                path.append(cur)
-                while degree[cur] == 2:
-                    nxt = next(w for w in g.adjacency[cur] if w != prev)
-                    prev, cur = cur, nxt
-                    path.append(cur)
-                thread_map[v] = tuple(path)
-        branching_trees = {v: tuple(tree_members[v]) for v in cycle}
-        roots = tuple(sorted(v for v in cycle if len(tree_members[v]) >= 2))
-        trivial = tuple(sorted(v for v in cycle if len(tree_members[v]) == 1))
-        branch_active = tuple(sorted(active))
-        threads = thread_map
+        # branching tree of v = component of G - E(C) containing v: the
+        # vertices whose root is v, ascending
+        members: dict[int, list[int]] = {v: [] for v in cycle}
+        for x in range(g.n):
+            members[root[x]].append(x)
+        branching_trees = {v: tuple(members[v]) for v in cycle}
+        roots = tuple(sorted(v for v in cycle if len(members[v]) >= 2))
+        trivial = tuple(sorted(v for v in cycle if len(members[v]) == 1))
+        # branch-active: T_v contains a branching vertex; on the cycle, two
+        # of v's edges are not in T_v
+        branch_active = tuple(
+            sorted({root[x] for x in range(g.n) if degree[x] >= (4 if depth[x] == 0 else 3)})
+        )
+        # thread: T_v is a path and deg(v) == 3, listed outward from v
+        threads = {
+            v: tuple(sorted(members[v], key=depth.__getitem__)[1:])
+            for v in roots
+            if degree[v] == 3 and v not in branch_active
+        }
         half = girth // 2
 
         def count_antipodal(subset: tuple[int, ...]) -> int:
@@ -443,8 +423,8 @@ IN, OUT, DOMINATED = "in", "out", "dominated"
 
 
 def _tree_domination(order, parent, fixed: dict[int, str]) -> int:
-    """Smallest dominating set of a tree given as its vertices in
-    breadth-first order from the root and the parent of each (-1 at the
+    """Smallest dominating set of a tree given as its vertices with parents
+    before children, the root first, and the parent of each (-1 at the
     root), with vertices fixed IN the set, OUT of it, or DOMINATED from
     outside the tree.  Three states per vertex v, each the least count in
     v's subtree with every vertex below v dominated: v in the set (a), v out
@@ -479,26 +459,22 @@ def _tree_domination(order, parent, fixed: dict[int, str]) -> int:
 
 def domination_number(g: Graph) -> int:
     """Exact domination number of a pseudotree in linear time: the tree
-    dynamic programme of Cockayne, Goodman & Hedetniemi (1975).  A unicyclic
-    graph cuts one cycle edge uv and takes the least of three runs on the
-    tree left: u in the set with v dominated, v in with u dominated, and
-    both out."""
+    dynamic programme of Cockayne, Goodman & Hedetniemi (1975), run on the
+    hanging trees with the core as a path from its first vertex.  On a
+    unicyclic graph that path leaves out the closing cycle edge uv, and the
+    answer is the least of three runs: u in the set with v dominated, v in
+    with u dominated, and both out."""
     if g.m > g.n:
         raise NotPseudotree(f"m={g.m} > n={g.n}: more than one cycle")
-    order, parent, cut = [0], [-2] * g.n, None  # -2: not reached yet
-    parent[0] = -1
-    for x in order:  # grows while it is walked: breadth-first from 0
-        for w in g.adjacency[x]:
-            if parent[w] == -2:
-                parent[w] = x
-                order.append(w)
-            elif w != parent[x] and cut is None:
-                cut = (x, w)  # the one edge off the search tree, on the cycle
-    if cut is None:
-        return _tree_domination(order, parent, {})
-    u, v = cut
+    core, order, parent, _, _ = hanging_trees(g)
+    for a, b in zip(core, core[1:]):
+        parent[b] = a
+    top_down = core + order[::-1]
+    if g.m < g.n:
+        return _tree_domination(top_down, parent, {})
+    u, v = core[0], core[-1]
     return min(
-        _tree_domination(order, parent, {u: IN, v: DOMINATED}),
-        _tree_domination(order, parent, {v: IN, u: DOMINATED}),
-        _tree_domination(order, parent, {u: OUT, v: OUT}),
+        _tree_domination(top_down, parent, {u: IN, v: DOMINATED}),
+        _tree_domination(top_down, parent, {v: IN, u: DOMINATED}),
+        _tree_domination(top_down, parent, {u: OUT, v: OUT}),
     )

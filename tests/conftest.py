@@ -16,19 +16,14 @@ from pseudoloc import (
     DistanceMatrix,
     FamilyKind,
     Graph,
-    NotUnicyclic,
     PseudotreeProfile,
     distance_matrix,
     enumerate_trees,
     enumerate_unicyclic,
     from_edge_list,
-    girth_and_cycle,
     profile,
     random_pseudotree,
-    tree_canonical_key,
-    unicyclic_canonical_key,
 )
-from pseudoloc.corpus import _tree_centers, _tree_code
 from pseudoloc.graph import field_width, pack_row
 
 
@@ -208,6 +203,10 @@ def tree_zeta(prof: PseudotreeProfile, dm: DistanceMatrix) -> int:
     return zeta
 
 
+class NotProperUnicyclic(Exception):
+    """closed_necklace was given a tree or a cycle."""
+
+
 def closed_necklace(g: Graph) -> tuple[Graph, dict[int, int]]:
     """Replace every branching tree by a star with the same leaf count.
 
@@ -216,7 +215,7 @@ def closed_necklace(g: Graph) -> tuple[Graph, dict[int, int]]:
     """
     prof = profile(g)
     if prof.kind is not FamilyKind.PROPER_UNICYCLIC:
-        raise NotUnicyclic(f"closed necklace requires a proper unicyclic graph, got {prof.kind.value}")
+        raise NotProperUnicyclic(f"closed necklace requires a proper unicyclic graph, got {prof.kind.value}")
     gsize = prof.girth
     mapping: dict[int, int] = {v: i for i, v in enumerate(prof.cycle)}
     edges = [(i, (i + 1) % gsize) for i in range(gsize)]
@@ -493,9 +492,80 @@ def constraint_masks_by_definition(g: Graph, param: str, k=None) -> tuple[list[i
     return sorted(masks), need, floor
 
 
-# reference class enumeration: leaf growth for trees, one chord on every tree
-# class for unicyclic graphs, the first candidate of each canonical key kept,
-# relabelled by the reference forms
+# reference canonical keys and class enumeration, sharing no code with
+# pseudoloc.corpus: recursive subtree codes from the centres that layer-by-layer
+# leaf peeling leaves; leaf growth for trees, one chord on every tree class for
+# unicyclic graphs, the first candidate of each canonical key kept, relabelled
+# by the reference forms
+
+
+def _tree_code(adj: dict[int, list[int]], root: int, parent: int) -> tuple:
+    children = sorted(
+        (_tree_code(adj, w, root) for w in adj[root] if w != parent),
+    )
+    return tuple(children)
+
+
+def _tree_centers(n: int, adj: dict[int, list[int]]) -> list[int]:
+    if n == 1:
+        return [0]
+    degree = {v: len(adj[v]) for v in adj}
+    layer = [v for v in adj if degree[v] == 1]
+    remaining = n
+    while remaining > 2:
+        remaining -= len(layer)
+        nxt = []
+        for v in layer:
+            degree[v] = 0
+            for w in adj[v]:
+                if degree[w] > 1:
+                    degree[w] -= 1
+                    if degree[w] == 1:
+                        nxt.append(w)
+        layer = nxt
+    return sorted(layer)
+
+
+def _trimmed_adjacency(g: Graph) -> tuple[list[int], dict[int, list[int]]]:
+    """The cycle of a unicyclic graph, found by peeling leaves one at a time
+    and walking what is left, and the adjacency without its edges: from a
+    cycle vertex it reaches exactly that vertex's branching tree."""
+    left = {v: set(nbrs) for v, nbrs in enumerate(g.adjacency)}
+    leaves = [v for v in left if len(left[v]) == 1]
+    while leaves:
+        (w,) = left.pop(leaves.pop())
+        left[w] &= left.keys()
+        if len(left[w]) == 1:
+            leaves.append(w)
+    cycle = [min(left)]
+    step = min(left[cycle[0]])
+    while step != cycle[0]:
+        cycle.append(step)
+        (step,) = left[step] - {cycle[-2]}
+    on_cycle = set(cycle)
+    trimmed = {
+        x: [w for w in nbrs if not (x in on_cycle and w in on_cycle)]
+        for x, nbrs in enumerate(g.adjacency)
+    }
+    return cycle, trimmed
+
+
+def reference_tree_key(g: Graph) -> tuple:
+    """tree_canonical_key by recursion from the peeled centres."""
+    adj = {v: list(g.adjacency[v]) for v in range(g.n)}
+    centers = _tree_centers(g.n, adj)
+    if len(centers) == 1:
+        return ("c1", _tree_code(adj, centers[0], -1))
+    a, b = centers
+    return ("c2",) + tuple(sorted([_tree_code(adj, a, b), _tree_code(adj, b, a)]))
+
+
+def reference_unicyclic_key(g: Graph) -> tuple:
+    """unicyclic_canonical_key by recursion over the trimmed adjacency."""
+    cycle, trimmed = _trimmed_adjacency(g)
+    codes = [_tree_code(trimmed, v, -1) for v in cycle]
+    rotations = (seq[i:] + seq[:i] for seq in (codes, codes[::-1]) for i in range(len(seq)))
+    return (len(cycle), tuple(min(rotations)))
 
 
 def _relabel_rooted(adj: dict[int, list[int]], root: int, parent: int, order: list[int]) -> None:
@@ -528,12 +598,7 @@ def reference_unicyclic_form(g: Graph) -> Graph:
     """The graph relabelled with its cycle first, in the rotation or
     reflection whose branching-tree codes are least, then each branching
     tree in preorder, children in code order."""
-    _, cycle = girth_and_cycle(g)
-    on_cycle = set(cycle)
-    trimmed = {
-        x: [w for w in nbrs if not (x in on_cycle and w in on_cycle)]
-        for x, nbrs in enumerate(g.adjacency)
-    }
+    cycle, trimmed = _trimmed_adjacency(g)
     codes = {v: _tree_code(trimmed, v, -1) for v in cycle}
     best, best_order = None, cycle
     for seq in (cycle, cycle[::-1]):
@@ -563,7 +628,7 @@ def reference_tree_classes(max_n: int) -> dict[int, list[Graph]]:
         for smaller in levels[n - 1]:
             for v in range(smaller.n):
                 grown = from_edge_list(n, list(smaller.edges) + [(v, n - 1)])
-                key = tree_canonical_key(grown)
+                key = reference_tree_key(grown)
                 if key not in reps:
                     reps[key] = reference_tree_form(grown)
         levels[n] = [reps[k] for k in sorted(reps)]
@@ -581,7 +646,7 @@ def reference_unicyclic_classes(n: int, trees: list[Graph]) -> list[Graph]:
                 if (u, v) in edge_set:
                     continue
                 candidate = from_edge_list(n, list(tree.edges) + [(u, v)])
-                key = unicyclic_canonical_key(candidate)
+                key = reference_unicyclic_key(candidate)
                 if key not in reps:
                     reps[key] = reference_unicyclic_form(candidate)
     return [reps[key] for key in sorted(reps)]

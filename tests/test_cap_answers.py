@@ -1,11 +1,12 @@
-"""The closed answers at the 64-vertex cap, pinned by digest.
+"""The closed answers and the profiles at the 64-vertex cap, pinned by digest.
 
 Every closed form's JSON for all nine parameters (dimk at every k from 2 to
 the k-dimensional value) over a seeded sample of 64-vertex pseudotrees.  The
 sample holds twin-free graphs, where the k-dimensional value exceeds 2, and
 proper unicyclic graphs of odd girth, where sdim reads the strong resolving
-graph.  A change that alters these answers on purpose updates the digest and
-says why.
+graph.  The profiles' JSON over that sample and the small class corpora is
+pinned the same way.  A change that alters these answers on purpose updates
+the digest and says why.
 """
 
 from __future__ import annotations
@@ -18,6 +19,8 @@ from pseudoloc import (
     FamilyKind,
     compute_parameter,
     encode_graph6,
+    enumerate_trees,
+    enumerate_unicyclic,
     k_dimensional_value,
     profile,
     random_pseudotree,
@@ -31,6 +34,7 @@ from conftest import random_pseudotrees
 TWIN_FREE_SEEDS = (143, 193, 333, 606)
 
 CAP_ANSWERS_DIGEST = "fc8c1f28beb6d8e0eedb80630771d9db2268f79fee4fe356889fbf4b757b4095"
+PROFILE_DIGEST = "a03c12f87f5803ac1d479fc4a1040d0652fa347631cf5fe0d329129d45cc9ffc"
 
 
 def cap_sample():
@@ -62,3 +66,11 @@ def test_sample_covers_twin_free_and_odd_girth():
 def test_closed_answers_at_the_cap():
     text = "\n".join(closed_answer_lines(cap_sample()))
     assert hashlib.sha256(text.encode()).hexdigest() == CAP_ANSWERS_DIGEST
+
+
+def test_profiles_at_the_cap_and_of_the_small_classes():
+    graphs = cap_sample()
+    graphs += [g for n in range(2, 11) for g in enumerate_trees(n, dedup=True)]
+    graphs += [g for n in range(3, 9) for g in enumerate_unicyclic(n, dedup=True)]
+    text = "\n".join(json.dumps(profile(g).to_json(), sort_keys=True) for g in graphs)
+    assert hashlib.sha256(text.encode()).hexdigest() == PROFILE_DIGEST

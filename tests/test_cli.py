@@ -155,9 +155,12 @@ class TestCompute:
         code, _, _ = run_cli(capsys, ["compute", "--param", "dim"], stdin_text="@@@\n")
         assert code == 2
 
-    def test_not_pseudotree_exit_3(self, capsys):
-        code, _, _ = run_cli(capsys, ["compute", "--param", "dim"], stdin_text="C~\n")
+    @pytest.mark.parametrize("method", ["auto", "closed", "brute"])
+    def test_not_pseudotree_exit_3(self, capsys, method):
+        argv = ["compute", "--param", "dim", "--method", method]
+        code, _, err = run_cli(capsys, argv, stdin_text="C~\n")
         assert code == 3
+        assert err == "error: line 1: m=6 > n=4: not a pseudotree\n"
 
 
     @pytest.mark.parametrize("raw", ["abc", "0", "-1"])

@@ -32,10 +32,15 @@ from pseudoloc.corpus import (
 )
 
 from conftest import (
+    cycle_graph,
+    path_graph,
+    random_pseudotrees,
     reference_tree_classes,
     reference_tree_form,
+    reference_tree_key,
     reference_unicyclic_classes,
     reference_unicyclic_form,
+    reference_unicyclic_key,
 )
 
 # OEIS A000055 (trees) and A001429 (connected unicyclic graphs) up to the
@@ -124,6 +129,33 @@ class TestCanonicalForms:
             perm = list(range(g.n))
             rng.shuffle(perm)
             assert unicyclic_canonical_key(relabel(g, perm)) == unicyclic_canonical_key(g)
+
+    def test_keys_equal_the_reference_keys(self):
+        """Random relabellings at n = 64, paths, cycles, and stars and
+        double stars, where the centre rule picks one centre or two."""
+        rng = random.Random(16)
+        graphs = []
+        for g in random_pseudotrees(64, 100):
+            for _ in range(3):
+                perm = list(range(g.n))
+                rng.shuffle(perm)
+                graphs.append(relabel(g, perm))
+        graphs += [path_graph(n) for n in range(1, 13)] + [cycle_graph(n) for n in range(3, 13)]
+        graphs += [from_edge_list(s + 1, [(0, v) for v in range(1, s + 1)]) for s in range(1, 9)]
+        for a, b in itertools.product(range(1, 5), repeat=2):
+            edges = [(0, 1)] + [(0, 2 + i) for i in range(a)] + [(1, 2 + a + i) for i in range(b)]
+            graphs.append(from_edge_list(2 + a + b, edges))
+        for g in graphs:
+            if g.m < g.n:
+                assert tree_canonical_key(g) == reference_tree_key(g), g.edges
+            else:
+                assert unicyclic_canonical_key(g) == reference_unicyclic_key(g), g.edges
+
+    def test_keys_reject_the_other_family(self):
+        with pytest.raises(ValueError):
+            unicyclic_canonical_key(path_graph(4))
+        with pytest.raises(ValueError):
+            tree_canonical_key(cycle_graph(4))
 
     def test_keys_separate_classes(self, tree_classes_by_n, unicyclic_classes_by_n):
         keys = {tree_canonical_key(g) for g in tree_classes_by_n[9]}

@@ -10,7 +10,6 @@ import pytest
 from pseudoloc import (
     FamilyKind,
     NotPseudotree,
-    NotUnicyclic,
     antipodal_pairs,
     boundary_and_sr_graph,
     classify,
@@ -27,6 +26,7 @@ from pseudoloc.corpus import CorpusSpec, random_pseudotree, unicyclic_canonical_
 from pseudoloc.resolvers import closed_neighbourhoods
 
 from conftest import (
+    NotProperUnicyclic,
     alpha_by_branch_and_bound,
     alpha_by_enumeration,
     closed_necklace,
@@ -190,9 +190,9 @@ class TestClosedNecklace:
         assert unicyclic_canonical_key(necklace) == unicyclic_canonical_key(c5p13)
 
     def test_rejects_trees_and_cycles(self, p4, c6):
-        with pytest.raises(NotUnicyclic):
+        with pytest.raises(NotProperUnicyclic):
             closed_necklace(p4)
-        with pytest.raises(NotUnicyclic):
+        with pytest.raises(NotProperUnicyclic):
             closed_necklace(c6)
 
     def test_preserves_strong_resolving_graph(self, unicyclic_classes_by_n):
