@@ -83,7 +83,7 @@ def _prufer_sequences(n: int) -> Iterator[tuple[int, ...]]:
 # Canonical keys and forms
 
 
-def _child_codes(n: int, order: list[int], parent: list[int]) -> list[list[tuple]]:
+def _child_codes(n: int, order: tuple[int, ...], parent: tuple[int, ...]) -> list[list[tuple]]:
     """The codes of each vertex's children in the hanging trees of
     graph.hanging_trees, built children first along its order; a vertex's
     code is the sorted tuple of its children's."""
@@ -102,6 +102,8 @@ def tree_canonical_key(g: Graph) -> tuple:
     unless exactly one of its children is the highest, and then that child
     is the other: the "two highest children tie" rule of _rooted_codes.
     """
+    if g.m != g.n - 1:
+        raise ValueError(f"m={g.m} != n-1={g.n - 1}: not a tree")
     (centre,), order, parent, _, _ = hanging_trees(g)
     below = _child_codes(g.n, order, parent)
     height = [0] * g.n

@@ -3,8 +3,9 @@ distances.
 
 Vertices are dense 0-based integers.  Every constructor validates that the
 graph is simple and connected; everything downstream relies on both.
-`hanging_trees` is the one leaf stripping: the distances, the cycle, the
-profile, gamma and the canonical keys read the core and hanging trees it finds.
+`hanging_trees` is the one leaf stripping, run once per Graph: the distances,
+the cycle, the profile, gamma, the strong resolving graph and the canonical
+keys read the core and hanging trees it finds.
 
 A distance row is kept packed: one Python integer with a fixed-width field
 per vertex, field v holding d(u, v).  Whole-row comparisons and updates are
@@ -74,6 +75,11 @@ class Graph:
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"Graph(n={self.n}, edges={list(self.edges)})"
+
+    @cached_property
+    def _hanging_trees(self) -> tuple[tuple[int, ...], ...]:
+        # kept beside the fields, outside eq and hash: see hanging_trees
+        return _strip_leaves(self)
 
 
 def field_width(n: int) -> int:
@@ -297,19 +303,26 @@ def parse_graph6(text: str) -> Graph:
     return from_edge_list(n, pairs)
 
 
-def hanging_trees(g: Graph) -> tuple[list[int], list[int], list[int], list[int], list[int]]:
+def hanging_trees(g: Graph) -> tuple[tuple[int, ...], ...]:
     """The core of g and the trees hanging off it, by the one leaf stripping.
 
     Degree-1 vertices are removed until none is left.  Returns (core, order,
-    parent, root, depth).  core is the cycle of a unicyclic graph, walked
-    from its smallest vertex and stepping first to the smaller of that
-    vertex's two cycle neighbours; the last stripped vertex of a tree; and
-    the 2-core, ascending, of any other connected graph.  order lists every
-    other vertex as it was stripped, children before parents; parent[u] is
-    the neighbour u still had when it went (-1 on the core), root[x] the core
-    vertex whose hanging tree holds x, and depth[x] the distance from x to
-    root[x], 0 exactly on the core.
+    parent, root, depth), each a tuple.  core is the cycle of a unicyclic
+    graph, walked from its smallest vertex and stepping first to the smaller
+    of that vertex's two cycle neighbours; the last stripped vertex of a
+    tree; and the 2-core, ascending, of any other connected graph.  order
+    lists every other vertex as it was stripped, children before parents;
+    parent[u] is the neighbour u still had when it went (-1 on the core),
+    root[x] the core vertex whose hanging tree holds x, and depth[x] the
+    distance from x to root[x], 0 exactly on the core.
+
+    The stripping runs once per Graph: every later call on the same graph
+    returns the same tuples.
     """
+    return g._hanging_trees
+
+
+def _strip_leaves(g: Graph) -> tuple[tuple[int, ...], ...]:
     n, adjacency = g.n, g.adjacency
     degree = list(map(len, adjacency))
     alive = [True] * n
@@ -340,10 +353,10 @@ def hanging_trees(g: Graph) -> tuple[list[int], list[int], list[int], list[int],
         p = parent[u]
         root[u] = root[p]
         depth[u] = depth[p] + 1
-    return core, order, parent, root, depth
+    return tuple(core), tuple(order), tuple(parent), tuple(root), tuple(depth)
 
 
-def _core_row(g: Graph, src: int, depth: list[int]) -> list[int]:
+def _core_row(g: Graph, src: int, depth: tuple[int, ...]) -> list[int]:
     """BFS distances from src to the core vertices, those of depth 0, -1 elsewhere."""
     dist = [-1] * g.n
     dist[src] = 0
@@ -365,13 +378,20 @@ def distance_matrix(g: Graph) -> DistanceMatrix:
     """Exact hop distances between all vertex pairs, for any connected graph.
 
     Each vertex x hangs off its core vertex r = root[x] by bridges
-    (hanging_trees).  Shortest paths between core vertices stay in the core,
-    so a core vertex c is at d_core(c, r) + depth(x) from x; BFS runs only
-    inside the core.  Every other vertex w hangs off its parent p by a
-    bridge: w is one closer than p to the vertices on its side of the bridge
-    and one farther from all others, so in packed form
-    row[w] = row[p] + ONES - 2 * BELOW[w].  No field borrows, since each
-    vertex below w is at least 1 from p.
+    (hanging_trees), so a core vertex c is at d_core(c, r) + depth(x) from x.
+    Every vertex w off the core hangs off its parent p by a bridge: w is one
+    closer than p to the vertices on its side of the bridge and one farther
+    from all others, so in packed form row[w] = row[p] + ONES - 2 * BELOW[w].
+    No field borrows, since each vertex below w is at least 1 from p.
+
+    The core of a pseudotree is a cycle c_0 .. c_{g-1}, or a tree's centre
+    (g = 1).  Row c_0 is min(i, g - i) + depth in the field of each vertex
+    hanging off c_i.  From c_i to c_{i+1}, the vertices hanging off
+    c_{i+1} .. c_{i+g//2}, the arc, get one closer; for odd g those off
+    c_{i+g//2+1} stay as far; all others get one farther:
+    row[c_{i+1}] = row[c_i] + ONES - 2 * ARC - [g odd] * HANG[c_{i+g//2+1}],
+    with HANG[c] the ones in the fields of the tree hanging off c.  Any other
+    graph runs one BFS inside the core per core vertex.
     """
     n = g.n
     width = field_width(n)
@@ -380,10 +400,26 @@ def distance_matrix(g: Graph) -> DistanceMatrix:
     for u in order:  # children go before their parents
         twice_below[parent[u]] += twice_below[u]
     packed = [0] * n
-    for c in core:
-        within = _core_row(g, c, depth)
-        packed[c] = pack_row([within[r] + h for r, h in zip(root, depth)], width)
     ones = field_ones(n, width)
+    if g.m > n:
+        for c in core:
+            within = _core_row(g, c, depth)
+            packed[c] = pack_row([within[r] + h for r, h in zip(root, depth)], width)
+    else:
+        cyc, half = len(core), len(core) // 2
+        step = [0] * n
+        for i, c in enumerate(core):
+            step[c] = min(i, cyc - i)
+        row = packed[core[0]] = pack_row([step[r] + h for r, h in zip(root, depth)], width)
+        twice_hang = [twice_below[c] for c in core]  # twice_below of a core vertex is 2 * HANG
+        twice_arc = sum(twice_hang[1 : half + 1])
+        for i in range(1, cyc):
+            entering = twice_hang[(i + half) % cyc]  # the arc's next vertex
+            row += ones - twice_arc
+            if cyc & 1:
+                row -= entering >> 1
+            packed[core[i]] = row
+            twice_arc += entering - twice_hang[i]
     for u in reversed(order):
         packed[u] = packed[parent[u]] + ones - twice_below[u]
     return DistanceMatrix(tuple(packed))
@@ -400,4 +436,4 @@ def girth_and_cycle(g: Graph) -> tuple[int, list[int]] | None:
     if g.m == g.n - 1:
         return None
     core = hanging_trees(g)[0]
-    return len(core), core
+    return len(core), list(core)

@@ -227,8 +227,8 @@ def profile(g: Graph) -> PseudotreeProfile:
     t_roots = 0
 
     if kind.is_unicyclic:
-        cycle_list, _, _, root, depth = hanging_trees(g)
-        cycle, girth = tuple(cycle_list), len(cycle_list)
+        cycle, _, _, root, depth = hanging_trees(g)
+        girth = len(cycle)
         positions = {v: i for i, v in enumerate(cycle)}
         # branching tree of v = component of G - E(C) containing v: the
         # vertices whose root is v, ascending
@@ -252,13 +252,11 @@ def profile(g: Graph) -> PseudotreeProfile:
         half = girth // 2
 
         def count_antipodal(subset: tuple[int, ...]) -> int:
-            total = 0
-            for i, u in enumerate(subset):
-                for v in subset[i + 1 :]:
-                    delta = abs(positions[u] - positions[v])
-                    if min(delta, girth - delta) == half:
-                        total += 1
-            return total
+            # a pair at cycle distance half is p, p + half for one of its
+            # positions p when g is odd, and for both when g is even
+            at = {positions[v] for v in subset}
+            total = sum((p + half) % girth in at for p in at)
+            return total if girth & 1 else total // 2
 
         r_trivial = count_antipodal(trivial)
         t_roots = count_antipodal(roots)
@@ -351,13 +349,24 @@ def boundary_and_sr_graph(g: Graph, dm: DistanceMatrix | None = None) -> StrongR
     the SR graph is row v of near AND column v, the byte slice near[v::n].
     The rows of near end to end, and its columns end to end, make two
     integers of n * n bits; their AND holds every row of the SR graph.
+
+    A cut vertex v is maximally distant from no vertex: for any u != v, a
+    neighbour of v in a component of G - v without u is farther from u.
+    So near[v] is zero for the parents of degree >= 2 in hanging_trees,
+    which are cut vertices, and their neighbours are not read.
     """
     if dm is None:
         dm = distance_matrix(g)
     packed, ones, n = dm.packed, dm.ones, g.n
     size = dm.width // 8
+    _, order, parent, _, _ = hanging_trees(g)
+    cut = {parent[u] for u in order}
+    zero = bytes(n)
     near = bytearray()
     for v, row_v in enumerate(packed):
+        if v in cut and len(g.adjacency[v]) > 1:
+            near += zero
+            continue
         far = 0
         for w in g.adjacency[v]:
             far |= packed[w] + ones - row_v
@@ -467,6 +476,7 @@ def domination_number(g: Graph) -> int:
     if g.m > g.n:
         raise NotPseudotree(f"m={g.m} > n={g.n}: more than one cycle")
     core, order, parent, _, _ = hanging_trees(g)
+    parent = list(parent)  # the graph's own tuple stays as it is
     for a, b in zip(core, core[1:]):
         parent[b] = a
     top_down = core + order[::-1]

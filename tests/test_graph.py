@@ -14,16 +14,22 @@ from pseudoloc import (
     SelfLoop,
     SizeCapExceeded,
     VertexOutOfRange,
+    boundary_and_sr_graph,
     distance_matrix,
+    domination_number,
     encode_graph6,
     from_edge_list,
     girth_and_cycle,
+    hanging_trees,
     parse_edgelist,
     parse_graph6,
+    profile,
+    tree_canonical_key,
+    unicyclic_canonical_key,
 )
 from pseudoloc.corpus import CorpusSpec, random_pseudotree
 
-from conftest import cycle_graph, is_bipartite, path_graph
+from conftest import cycle_graph, is_bipartite, path_graph, random_pseudotrees
 
 
 class TestFromEdgeList:
@@ -192,6 +198,43 @@ class TestGirthAndCycle:
                 assert cyc[(i + 1) % length] in g.adjacency[v]
             assert cyc[0] == min(cyc)
             assert cyc[1] == min(w for w in g.adjacency[cyc[0]] if w in set(cyc))
+
+
+def decomposition_readers(g):
+    """Everything read off the leaf stripping of g, by name, in call order."""
+    key = tree_canonical_key if g.m < g.n else unicyclic_canonical_key
+    return {
+        "gamma": lambda: domination_number(g),
+        "profile": lambda: profile(g).to_json(),
+        "distances": lambda: distance_matrix(g).packed,
+        "sr_graph": lambda: boundary_and_sr_graph(g),
+        "key": lambda: key(g),
+    }
+
+
+class TestHangingTrees:
+    GRAPHS = random_pseudotrees(64, 20) + [path_graph(1), path_graph(2), path_graph(5), cycle_graph(7)]
+
+    def test_one_decomposition_of_tuples_per_graph(self):
+        for g in self.GRAPHS:
+            parts = hanging_trees(g)
+            assert hanging_trees(g) is parts
+            assert len(parts) == 5 and all(type(p) is tuple for p in parts)
+            fresh = parse_graph6(encode_graph6(g))
+            assert fresh == g and hash(fresh) == hash(g)
+
+    @pytest.mark.parametrize("reverse", [False, True])
+    def test_readers_agree_in_any_order(self, reverse):
+        # each reader on a fresh parse, then all of them on one shared graph:
+        # a reader that wrote into the shared decomposition would show
+        for g in self.GRAPHS:
+            line = encode_graph6(g)
+            expected = {name: read() for name, read in decomposition_readers(parse_graph6(line)).items()}
+            shared = parse_graph6(line)
+            readers = list(decomposition_readers(shared).items())
+            for name, read in readers[::-1] if reverse else readers:
+                assert read() == expected[name], name
+            assert hanging_trees(shared) == hanging_trees(parse_graph6(line))
 
 
 class TestBipartite:

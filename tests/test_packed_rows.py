@@ -4,15 +4,20 @@ resolver count, the pairwise MMD test and the pairwise twin test."""
 
 from __future__ import annotations
 
+import hashlib
 import itertools
 import operator
+import random
 
 import pytest
 
 from pseudoloc import (
     boundary_and_sr_graph,
     distance_matrix,
+    encode_graph6,
     from_edge_list,
+    girth_and_cycle,
+    hanging_trees,
     k_dimensional_value,
     profile,
     random_pseudotree,
@@ -22,6 +27,7 @@ from pseudoloc.graph import field_width, unpack_row
 from pseudoloc.structure import _twin_pairs
 
 from conftest import (
+    count_calls,
     cycle_graph,
     distance_rows_by_bfs,
     k_dimensional_by_pairs,
@@ -35,19 +41,48 @@ from conftest import (
 
 K4 = ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3))
 
+# sha256 of rows_pin_text over random_pseudotrees(64, 300), recorded before the
+# cycle rows were derived by arc sums and cut vertices skipped in the SR graph
+ROWS_DIGEST = "27800e43b1aec4f160feb5d999497be73bab1c80dc5c4b7ec960e74b6257cdd9"
 
-def assert_kernels_match(g):
+
+def assert_rows_match(g):
+    """Distance rows against BFS from every vertex, SR rows and boundary
+    against the pairwise MMD test."""
     dm = distance_matrix(g)
     rows = distance_rows_by_bfs(g)
     assert dm.rows == rows
     assert all(unpack_row(p, g.n, dm.width) == row for p, row in zip(dm.packed, rows))
-    if g.n >= 2:
-        assert k_dimensional_value(g, lambda: dm) == k_dimensional_by_pairs(rows)
     pairs = mmd_pairs_by_definition(g, rows)
     sr = boundary_and_sr_graph(g, dm)
     assert sr.rows == neighbour_rows(g.n, pairs)
     assert sr.boundary_mask == sum(1 << x for x in {x for e in pairs for x in e})
+    return dm, rows
+
+
+def assert_kernels_match(g):
+    dm, rows = assert_rows_match(g)
+    if g.n >= 2:
+        assert k_dimensional_value(g, lambda: dm) == k_dimensional_by_pairs(rows)
     assert _twin_pairs(g) == tuple(twin_pairs_by_definition(g))
+
+
+def unicyclic_of_girth(n: int, girth: int):
+    """A cycle of the given girth with n - girth vertices hung off it at random."""
+    rng = random.Random(girth)
+    edges = [(i, (i + 1) % girth) for i in range(girth)]
+    edges += [(v, rng.randrange(v)) for v in range(girth, n)]
+    return from_edge_list(n, edges)
+
+
+def rows_pin_text(graphs) -> str:
+    """Per graph, its graph6, packed distance rows, SR rows and boundary in hex."""
+    return "\n".join(
+        " ".join([encode_graph6(g), *map("{:x}".format, dm.packed + sr.rows), f"{sr.boundary_mask:x}"])
+        for g in graphs
+        for dm in [distance_matrix(g)]
+        for sr in [boundary_and_sr_graph(g, dm)]
+    )
 
 
 class TestFieldWidth:
@@ -104,6 +139,57 @@ class TestAgainstReferences:
         g = make(300)
         assert distance_matrix(g).width == 16
         assert_kernels_match(g)
+
+
+class TestArcAndCutVertexRules:
+    """Cycle rows from the row before by the arc of vertices that get closer,
+    BFS inside the core only off pseudotrees, and no maximally distant
+    partner for a cut vertex."""
+
+    def test_cycles_3_to_64(self):
+        for n in range(3, 65):
+            assert_rows_match(cycle_graph(n))
+
+    def test_every_girth_at_the_cap(self):
+        for girth in range(3, 64):
+            g = unicyclic_of_girth(64, girth)
+            assert g.m == g.n and len(girth_and_cycle(g)[1]) == girth
+            assert_rows_match(g)
+
+    def test_cut_vertices_are_maximally_distant_from_none(self, tree_classes_by_n, unicyclic_classes_by_n):
+        for g in tree_classes_by_n[9] + unicyclic_classes_by_n[9] + random_pseudotrees(64, 20):
+            _, order, parent, _, _ = hanging_trees(g)
+            rows = distance_rows_by_bfs(g)
+            sr_rows = boundary_and_sr_graph(g).rows
+            for v in {parent[u] for u in order}:
+                if len(g.adjacency[v]) > 1:
+                    assert not sr_rows[v]
+                    assert all(any(rows[u][w] > rows[u][v] for w in g.adjacency[v]) for u in range(g.n) if u != v)
+
+    @pytest.mark.parametrize(
+        "n, edges",
+        [
+            # K4 with the path 3-4-5-6 hanging off it
+            (7, K4 + ((3, 4), (4, 5), (5, 6))),
+            # triangles 0-1-2 and 0-3-4 sharing 0, with leaves 5 on 1, 6 on 3, 7 on 0
+            (8, ((0, 1), (0, 2), (1, 2), (0, 3), (0, 4), (3, 4), (1, 5), (3, 6), (0, 7))),
+        ],
+    )
+    def test_core_bfs_and_cut_vertices_off_pseudotrees(self, monkeypatch, n, edges):
+        g = from_edge_list(n, edges)
+        calls = count_calls(monkeypatch, "_core_row", ["graph"])
+        assert_kernels_match(g)
+        assert len(calls) == len(hanging_trees(g)[0]) and g.m > g.n
+
+    def test_core_bfs_only_off_pseudotrees(self, monkeypatch):
+        calls = count_calls(monkeypatch, "_core_row", ["graph"])
+        for g in random_pseudotrees(64, 40) + [path_graph(2), from_edge_list(1, [])]:
+            distance_matrix(g)
+        assert not calls
+
+    def test_rows_pinned_at_the_cap(self):
+        text = rows_pin_text(random_pseudotrees(64, 300))
+        assert hashlib.sha256(text.encode()).hexdigest() == ROWS_DIGEST
 
 
 def twin_free(g) -> bool:

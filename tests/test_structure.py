@@ -144,6 +144,14 @@ class TestCycleSubsets:
         assert antipodal_pairs(profile(c5), [0, 2]) == [(0, 2)]
         assert antipodal_pairs(profile(c5), [0, 1]) == []
 
+    def test_antipodal_counts_equal_the_pairs(self, unicyclic_classes_by_n):
+        graphs = [g for n in range(3, 10) for g in unicyclic_classes_by_n[n]]
+        graphs += [g for g in random_pseudotrees(64, 300) if g.m == g.n]
+        for g in graphs:
+            prof = profile(g)
+            assert prof.antipodal_trivial_pairs == len(antipodal_pairs(prof, prof.trivial_vertices))
+            assert prof.antipodal_root_pairs == len(antipodal_pairs(prof, prof.root_vertices))
+
     def test_rejects_off_cycle_vertices(self, paw):
         with pytest.raises(ValueError):
             antipodal_pairs(profile(paw), [3])
