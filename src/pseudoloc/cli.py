@@ -25,8 +25,8 @@ from .errors import (
     NotPseudotree,
     SizeCapExceeded,
 )
-from .graph import GRAPH_CAP, Graph, encode_graph6, parse_edgelist, parse_graph6, size_cap
-from .resolvers import PARAMETER_NAMES
+from .graph import Graph, encode_graph6, parse_edgelist, parse_graph6, size_cap
+from .resolvers import ORACLE_CAP, PARAMETER_NAMES
 from .structure import profile
 
 EXIT_OK = 0
@@ -108,7 +108,7 @@ def _answer_inputs(args, answer) -> int:
     exit code seen.  A graph6 line that fails to parse or to answer is
     reported as `error: line N: ...` on stderr, and with --json also as a
     JSON error record on stdout; the lines after it are still answered."""
-    size_cap(GRAPH_CAP)  # a bad PSEUDOLOC_MAX_N fails the whole input once, not each line
+    size_cap(ORACLE_CAP)  # a bad PSEUDOLOC_MAX_N fails the whole input once, not each line
     with _open_input(args.input) as fh:
         if args.format == "edgelist":
             answer(parse_edgelist(fh.read()))

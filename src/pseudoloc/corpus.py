@@ -30,6 +30,10 @@ from .resolvers import ORACLE_CAP, PARAMETER_NAMES, ParameterResult, check_name,
 
 TREE_ENUM_CAP = 12
 UNICYCLIC_ENUM_CAP = 10
+# the labelled corpora hold at least n**(n-2) graphs of order n, so their caps
+# are fixed: verifying the labelled trees up to n = 8 takes over 100 s
+TREE_LABELLED_CAP = 8
+UNICYCLIC_LABELLED_CAP = 7
 
 STATUS_AGREE = "Agree"
 STATUS_IN_BOUNDS = "InBounds"
@@ -270,18 +274,26 @@ def _unicyclic_keys(n: int, pools: list) -> list[tuple]:
 # Enumerators
 
 
-# each family's smallest order and its cap: paths and cycles stop at the
-# oracle cap, since verify runs the oracle on every graph of the corpus
+# each family's smallest order, its cap and its labelled cap: paths and
+# cycles stop at the oracle cap, since verify runs the oracle on every graph
+# of the corpus, and have one labelling each
 _ORDERS = {
-    "tree": (2, TREE_ENUM_CAP),
-    "unicyclic": (3, UNICYCLIC_ENUM_CAP),
-    "path": (2, ORACLE_CAP),
-    "cycle": (3, ORACLE_CAP),
+    "tree": (2, TREE_ENUM_CAP, TREE_LABELLED_CAP),
+    "unicyclic": (3, UNICYCLIC_ENUM_CAP, UNICYCLIC_LABELLED_CAP),
+    "path": (2, ORACLE_CAP, None),
+    "cycle": (3, ORACLE_CAP, None),
 }
 
 
-def _check_order(family: str, n: int) -> None:
-    lo, cap = _ORDERS[family][0], size_cap(_ORDERS[family][1])
+def _check_order(family: str, n: int, labelled: bool = False) -> None:
+    """The cap rule of every corpus: PSEUDOLOC_MAX_N overrides the family's
+    cap, and a labelled corpus stops at the smaller of it and the fixed
+    labelled cap."""
+    lo, cap, labelled_cap = _ORDERS[family]
+    cap = size_cap(cap)
+    if labelled and labelled_cap:
+        cap = min(cap, labelled_cap)
+        family = "labelled " + family
     if not lo <= n <= cap:
         raise SizeCapExceeded(f"{family} enumeration supports {lo} <= n <= {cap}, got {n}")
 
@@ -289,7 +301,7 @@ def _check_order(family: str, n: int) -> None:
 def enumerate_trees(n: int, dedup: bool = False) -> Iterator[Graph]:
     """All labeled trees on n vertices (Prüfer order), or one canonical
     representative per isomorphism class when dedup is set."""
-    _check_order("tree", n)
+    _check_order("tree", n, labelled=not dedup)
     if dedup:
         yield from _class_corpus("tree", n, n)
         return
@@ -300,7 +312,7 @@ def enumerate_trees(n: int, dedup: bool = False) -> Iterator[Graph]:
 def enumerate_unicyclic(n: int, dedup: bool = False) -> Iterator[Graph]:
     """All connected unicyclic graphs on n vertices (tree plus one chord), or
     one canonical representative per isomorphism class when dedup is set."""
-    _check_order("unicyclic", n)
+    _check_order("unicyclic", n, labelled=not dedup)
     if dedup:
         yield from _class_corpus("unicyclic", n, n)
         return
@@ -465,9 +477,9 @@ def corpus_graphs(spec: CorpusSpec) -> Iterator[Graph]:
     """Every graph of the corpus, orders ascending, enumerated as it is read.
     spec.max_n is checked on the call, before anything is enumerated: from
     the family's smallest order up to its cap, the enumeration cap for trees
-    and unicyclic graphs."""
+    and unicyclic graphs, or the labelled cap for their labelled corpora."""
     family = spec.family.lower()
-    _check_order(family, spec.max_n)
+    _check_order(family, spec.max_n, labelled=not spec.dedup)
     orders = range(_ORDERS[family][0], spec.max_n + 1)
     if family in ("tree", "unicyclic") and spec.dedup:
         return _class_corpus(family, orders.start, spec.max_n)

@@ -7,10 +7,11 @@ graph is simple and connected; everything downstream relies on both.
 the cycle, the profile, gamma, the strong resolving graph and the canonical
 keys read the core and hanging trees it finds.
 
-A distance row is kept packed: one Python integer with a fixed-width field
-per vertex, field v holding d(u, v).  Whole-row comparisons and updates are
-then a few integer operations instead of a loop over vertices; the rows of
-plain integers are unpacked only when something reads them.
+A distance row is kept packed: one Python integer with a one-byte field per
+vertex, field v holding d(u, v), which fits since no graph exceeds GRAPH_CAP
+vertices.  Whole-row comparisons and updates are then a few integer
+operations instead of a loop over vertices; the rows of plain integers are
+unpacked only when something reads them.
 """
 
 from __future__ import annotations
@@ -31,7 +32,10 @@ from .errors import (
     VertexOutOfRange,
 )
 
+# fixed: distances stay below 64, so each field of a packed row, and of the
+# sums of two rows that the oracle masks read, fits in one byte
 GRAPH_CAP = 64
+# overrides the oracle cap and the class enumeration caps, never GRAPH_CAP
 CAP_ENV_VAR = "PSEUDOLOC_MAX_N"
 
 GRAPH6_HEADER = ">>graph6<<"
@@ -42,7 +46,8 @@ _NONZERO = b"0" + b"1" * 255
 
 
 def size_cap(default: int) -> int:
-    """The PSEUDOLOC_MAX_N override when set, otherwise default.
+    """The PSEUDOLOC_MAX_N override of a search cap, the oracle cap or a
+    class enumeration cap, when set; otherwise default.
 
     Raises ValueError naming the variable unless it is an integer >= 1.
     """
@@ -82,40 +87,19 @@ class Graph:
         return _strip_leaves(self)
 
 
-def field_width(n: int) -> int:
-    """Bits per vertex field of a packed row on n vertices: one byte while
-    every distance + 1 (at most n) fits, doubled until it does."""
-    width = 8
-    while n >= 1 << width:
-        width *= 2
-    return width
+def pack_row(values) -> int:
+    return int.from_bytes(bytes(values), "little")
 
 
-def field_ones(n: int, width: int) -> int:
-    """The packed row with 1 in each of its n fields."""
-    return int.from_bytes((1).to_bytes(width // 8, "little") * n, "little")
-
-
-def pack_row(values, width: int) -> int:
-    if width == 8:
-        return int.from_bytes(bytes(values), "little")
-    size = width // 8
-    return int.from_bytes(b"".join(v.to_bytes(size, "little") for v in values), "little")
-
-
-def unpack_row(row: int, n: int, width: int) -> tuple[int, ...]:
-    if width == 8:
-        return tuple(row.to_bytes(n, "little"))
-    size = width // 8
-    data = row.to_bytes(n * size, "little")
-    return tuple(int.from_bytes(data[i : i + size], "little") for i in range(0, len(data), size))
+def unpack_row(row: int, n: int) -> tuple[int, ...]:
+    return tuple(row.to_bytes(n, "little"))
 
 
 @dataclass(frozen=True)
 class DistanceMatrix:
     """All-pairs hop distances of a connected graph.
 
-    `packed[u]` is row u packed, with a `width`-bit field per vertex;
+    `packed[u]` is row u packed, with a one-byte field per vertex;
     `rows[u][v]` is d(u, v), unpacked from the packed rows on first read.
     """
 
@@ -123,19 +107,16 @@ class DistanceMatrix:
 
     @cached_property
     def rows(self) -> tuple[tuple[int, ...], ...]:
-        return tuple(unpack_row(row, self.n, self.width) for row in self.packed)
+        return tuple(unpack_row(row, self.n) for row in self.packed)
 
     @property
     def n(self) -> int:
         return len(self.packed)
 
-    @property
-    def width(self) -> int:
-        return field_width(len(self.packed))
-
     @cached_property
     def ones(self) -> int:
-        return field_ones(len(self.packed), self.width)
+        """The packed row with 1 in each field."""
+        return pack_row(b"\x01" * len(self.packed))
 
     def __getitem__(self, u: int) -> tuple[int, ...]:
         return self.rows[u]
@@ -169,9 +150,8 @@ def from_edge_list(n: int, pairs) -> Graph:
     """
     if n < 1:
         raise VertexOutOfRange(f"vertex count must be >= 1, got {n}")
-    cap = size_cap(GRAPH_CAP)
-    if n > cap:
-        raise SizeCapExceeded(f"n={n} exceeds graph cap {cap}")
+    if n > GRAPH_CAP:
+        raise SizeCapExceeded(f"n={n} exceeds graph cap {GRAPH_CAP}")
     seen: set[tuple[int, int]] = set()
     canonical: list[tuple[int, int]] = []
     for u, v in pairs:
@@ -277,9 +257,8 @@ def parse_graph6(text: str) -> Graph:
         body = s[1:]
     if n < 1:
         raise MalformedGraph6(f"graph6 order {n} out of range")
-    cap = size_cap(GRAPH_CAP)
-    if n > cap:
-        raise SizeCapExceeded(f"graph6 order {n} exceeds graph cap {cap}")
+    if n > GRAPH_CAP:
+        raise SizeCapExceeded(f"graph6 order {n} exceeds graph cap {GRAPH_CAP}")
     nbits = n * (n - 1) // 2
     nbytes = (nbits + 5) // 6
     if len(body) != nbytes:
@@ -394,23 +373,22 @@ def distance_matrix(g: Graph) -> DistanceMatrix:
     graph runs one BFS inside the core per core vertex.
     """
     n = g.n
-    width = field_width(n)
     core, order, parent, root, depth = hanging_trees(g)
-    twice_below = [2 << (v * width) for v in range(n)]
+    twice_below = [2 << 8 * v for v in range(n)]
     for u in order:  # children go before their parents
         twice_below[parent[u]] += twice_below[u]
     packed = [0] * n
-    ones = field_ones(n, width)
+    ones = pack_row(b"\x01" * n)
     if g.m > n:
         for c in core:
             within = _core_row(g, c, depth)
-            packed[c] = pack_row([within[r] + h for r, h in zip(root, depth)], width)
+            packed[c] = pack_row([within[r] + h for r, h in zip(root, depth)])
     else:
         cyc, half = len(core), len(core) // 2
         step = [0] * n
         for i, c in enumerate(core):
             step[c] = min(i, cyc - i)
-        row = packed[core[0]] = pack_row([step[r] + h for r, h in zip(root, depth)], width)
+        row = packed[core[0]] = pack_row([step[r] + h for r, h in zip(root, depth)])
         twice_hang = [twice_below[c] for c in core]  # twice_below of a core vertex is 2 * HANG
         twice_arc = sum(twice_hang[1 : half + 1])
         for i in range(1, cyc):

@@ -33,7 +33,7 @@ from dataclasses import dataclass
 from functools import cache, cached_property
 
 from .errors import KOutOfRange, SizeCapExceeded
-from .graph import DistanceMatrix, Graph, distance_matrix, field_ones, nonzero_bytes_mask, size_cap
+from .graph import DistanceMatrix, Graph, distance_matrix, nonzero_bytes_mask, size_cap
 
 ORACLE_CAP = 16
 
@@ -112,18 +112,10 @@ class ParameterResult:
         return out
 
 
-def _nonzero_field_masks(diffs: list[int], n: int, width: int) -> list[int]:
-    """For each packed row difference, the n-bit mask of its nonzero fields."""
-    if width == 8:
-        return [nonzero_bytes_mask(d.to_bytes(n, "little")) for d in diffs]
-    # wider fields: leave only each nonzero field's top bit (the carry trick of
-    # k_dimensional_value), then gather the byte holding it
-    size = width // 8
-    ones = field_ones(n, width)
-    low = ones * ((1 << (width - 1)) - 1)
-    top = ones << (width - 1)
-    tops = ((((d & low) + low) | d) & top for d in diffs)
-    return [nonzero_bytes_mask(t.to_bytes(n * size, "little")[size - 1 :: size]) for t in tops]
+# byte value -> ASCII "0" or "1", as graph.nonzero_bytes_mask gathers a bit per
+# field: for each d, "1" at 0 and 2d; for each value, "1" at every other value
+_STRONG = {d: b"1" + b"0" * (2 * d - 1) + b"1" + b"0" * (255 - 2 * d) for d in range(1, 64)}
+_OFF_LEVEL = [b"1" * b + b"0" + b"1" * (255 - b) for b in range(128)]
 
 
 class OracleConstraints:
@@ -149,7 +141,20 @@ class OracleConstraints:
         return distance_matrix(self.g)
 
     def _masks(self, diffs: list[int]) -> list[int]:
-        return _nonzero_field_masks(diffs, self.g.n, self.dm.width)
+        """For each packed row difference, the mask of its nonzero fields."""
+        n = self.g.n
+        return [nonzero_bytes_mask(d.to_bytes(n, "little")) for d in diffs]
+
+    def _pair_sums(self):
+        """For each vertex pair x < y in lexicographic order, d(x, y) and the
+        packed row_x + d(x, y) * ONES - row_y as bytes.  Field w is
+        d(x, w) - d(y, w) + d(x, y), in 0..2 d(x, y) by the triangle
+        inequality, so nothing carries or borrows across fields."""
+        packed, ones, n = self.dm.packed, self.dm.ones, self.g.n
+        for x, px in enumerate(packed):
+            for y in range(x + 1, n):
+                d = px >> (8 * y) & 255
+                yield d, (px + d * ones - packed[y]).to_bytes(n, "little")
 
     @cached_property
     def vertex_pairs(self) -> list[int]:
@@ -202,36 +207,20 @@ class OracleConstraints:
         return masks, need, floor
 
     def _strong_pair_masks(self) -> list[int]:
-        dm, n = self.dm, self.g.n
-        masks = []
-        for x in range(n):
-            row_x = dm[x]
-            for y in range(x + 1, n):
-                row_y = dm[y]
-                dxy = row_x[y]
-                mask = 0
-                for w in range(n):
-                    if row_x[w] == row_y[w] + dxy or row_y[w] == row_x[w] + dxy:
-                        mask |= 1 << w
-                masks.append(mask)
-        return masks
+        # w strongly resolves x and y iff d(x, w) = d(y, w) +- d(x, y), iff
+        # its field is 0 or 2 d(x, y)
+        return [int(t.translate(_STRONG[d])[::-1], 2) for d, t in self._pair_sums()]
 
     def _doubly_level_masks(self) -> list[int]:
-        dm, n = self.dm, self.g.n
-        full = (1 << n) - 1
-        masks = []
-        for x in range(n):
-            row_x = dm[x]
-            for y in range(x + 1, n):
-                row_y = dm[y]
-                levels: dict[int, int] = {}
-                for v in range(n):
-                    diff = row_x[v] - row_y[v]
-                    levels[diff] = levels.get(diff, 0) | (1 << v)
-                # a set fails this pair iff it sits inside one level, so it must
-                # meet the complement of each level (singletons are below the floor)
-                masks += [full & ~m for m in levels.values() if m.bit_count() >= 2]
-        return masks
+        # a level is the vertices v of one d(x, v) - d(y, v), one byte value; a
+        # set fails the pair iff it sits inside one level, so it must meet the
+        # complement of each level (singletons are below the floor)
+        return [
+            int(t.translate(_OFF_LEVEL[b])[::-1], 2)
+            for _, t in self._pair_sums()
+            for b in dict.fromkeys(t)  # the levels in order of their first vertex
+            if t.count(b) >= 2
+        ]
 
 
 def closed_neighbourhoods(g: Graph) -> list[int]:
@@ -477,13 +466,13 @@ def k_dimensional_value(g: Graph, distances: Callable[[], DistanceMatrix] | None
         return 2
     dm = distance_matrix(g) if distances is None else distances()
     packed, ones = dm.packed, dm.ones
-    low = ones * ((1 << (dm.width - 1)) - 1)  # all but the top bit of each field
-    top = ones << (dm.width - 1)
+    low = ones * 0x7F  # all but the top bit of each byte
+    top = ones * 0x80
 
     def resolvers(x: int, y: int) -> int:
         diff = packed[x] ^ packed[y]
         # a field's top bit ends up set iff the field is nonzero; no carry
-        # leaves a field, since (diff & low) + low < 2 ** width
+        # leaves a field, since (diff & low) + low < 256
         return ((((diff & low) + low) | diff) & top).bit_count()
 
     best = n

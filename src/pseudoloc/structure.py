@@ -25,7 +25,6 @@ from .graph import (
     distance_matrix,
     hanging_trees,
     nonzero_bytes_mask,
-    size_cap,
 )
 
 
@@ -358,7 +357,6 @@ def boundary_and_sr_graph(g: Graph, dm: DistanceMatrix | None = None) -> StrongR
     if dm is None:
         dm = distance_matrix(g)
     packed, ones, n = dm.packed, dm.ones, g.n
-    size = dm.width // 8
     _, order, parent, _, _ = hanging_trees(g)
     cut = {parent[u] for u in order}
     zero = bytes(n)
@@ -370,7 +368,7 @@ def boundary_and_sr_graph(g: Graph, dm: DistanceMatrix | None = None) -> StrongR
         far = 0
         for w in g.adjacency[v]:
             far |= packed[w] + ones - row_v
-        near += (~(far >> 1) & ones).to_bytes(n * size, "little")[::size]
+        near += (~(far >> 1) & ones).to_bytes(n, "little")
     # bit v * n + u of both: near[v][u] and near[u][v], the column read by the
     # slices; all n rows in one integer, read row by row
     both = nonzero_bytes_mask(near) & nonzero_bytes_mask(b"".join([near[v::n] for v in range(n)]))
@@ -393,9 +391,8 @@ def independence_number(rows, vertices: int) -> int:
     of the complement's candidates, into cliques of this graph, bounds what a
     branch can still add, and the vertices branch in reverse colour order.
     """
-    cap = size_cap(GRAPH_CAP)
-    if len(rows) > cap:
-        raise SizeCapExceeded(f"{len(rows)} vertices exceeds graph cap {cap}")
+    if len(rows) > GRAPH_CAP:
+        raise SizeCapExceeded(f"{len(rows)} vertices exceeds graph cap {GRAPH_CAP}")
     best = 0
 
     def expand(cand: int, size: int) -> None:

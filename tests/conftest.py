@@ -24,7 +24,7 @@ from pseudoloc import (
     profile,
     random_pseudotree,
 )
-from pseudoloc.graph import field_width, pack_row
+from pseudoloc.graph import pack_row
 
 
 def count_calls(monkeypatch, name: str, modules) -> list[Graph]:
@@ -377,8 +377,7 @@ def distance_rows_by_bfs(g: Graph) -> tuple[tuple[int, ...], ...]:
 
 def packed_matrix(rows) -> DistanceMatrix:
     """The DistanceMatrix holding the given rows of distances."""
-    width = field_width(len(rows))
-    return DistanceMatrix(tuple(pack_row(row, width) for row in rows))
+    return DistanceMatrix(tuple(map(pack_row, rows)))
 
 
 def k_dimensional_by_pairs(rows) -> int:

@@ -10,7 +10,7 @@ import sys
 
 import pytest
 
-from pseudoloc import encode_graph6, from_edge_list
+from pseudoloc import CorpusSpec, encode_graph6, from_edge_list, random_pseudotree
 from pseudoloc.cli import main
 
 from conftest import count_calls, cycle_graph, path_graph
@@ -170,6 +170,15 @@ class TestCompute:
         code, _, err = run_cli(capsys, ["compute", "--param", "dim"], stdin_text=line + "\n" + line + "\n")
         assert code == 2 and err.count("PSEUDOLOC_MAX_N") == 1
 
+    def test_cap_variable_leaves_the_graph_cap(self, capsys, monkeypatch):
+        # a 30-vertex tree is above the oracle cap of 20, not the graph cap
+        line = encode_graph6(random_pseudotree(CorpusSpec(family="tree", max_n=30, seed=3))) + "\n"
+        monkeypatch.setenv("PSEUDOLOC_MAX_N", "20")
+        code, out, _ = run_cli(capsys, ["compute", "--param", "dim", "--method", "closed"], stdin_text=line)
+        assert code == 0 and out.startswith("dim = ")
+        code, _, err = run_cli(capsys, ["compute", "--param", "dim", "--method", "brute"], stdin_text=line)
+        assert code == 4 and "n=30 exceeds oracle cap 20" in err
+
 
 class TestProfile:
     def test_c5p13_json(self, capsys):
@@ -220,6 +229,15 @@ class TestVerify:
         # an empty corpus is an error, not "verified 0 records"
         code, out, err = run_cli(capsys, ["verify", "--family", family, "--max-n", str(max_n)])
         assert code == 4 and not out and "enumeration supports" in err
+
+    @pytest.mark.parametrize("family, max_n", [("tree", 9), ("unicyclic", 8)])
+    def test_labelled_cap_before_the_report(self, capsys, monkeypatch, tmp_path, family, max_n):
+        # the labelled corpora stop at 8 and 7 vertices, whatever the variable says
+        monkeypatch.setenv("PSEUDOLOC_MAX_N", "20")
+        report = tmp_path / "r.jsonl"
+        argv = ["verify", "--family", family, "--max-n", str(max_n), "--no-dedup", "--report", str(report)]
+        code, _, err = run_cli(capsys, argv)
+        assert code == 4 and f"labelled {family} enumeration supports" in err and not report.exists()
 
     def test_cap_checked_before_enumerating(self, capsys, monkeypatch):
         built = count_calls(monkeypatch, "from_edge_list", ("corpus",))

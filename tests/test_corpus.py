@@ -115,6 +115,28 @@ class TestUnicyclicEnumeration:
             list(enumerate_unicyclic(11))
 
 
+class TestLabelledCaps:
+    """The labelled corpora stop at 8 (trees) and 7 (unicyclic) vertices,
+    below the class caps, and PSEUDOLOC_MAX_N does not raise them."""
+
+    @pytest.mark.parametrize("value", [None, "20"])
+    def test_checked_on_the_call(self, monkeypatch, value):
+        if value:
+            monkeypatch.setenv("PSEUDOLOC_MAX_N", value)
+        for family, enumerate_, cap in (("tree", enumerate_trees, 8), ("unicyclic", enumerate_unicyclic, 7)):
+            assert next(enumerate_(cap)).n == cap
+            assert next(enumerate_(cap + 1, dedup=True)).n == cap + 1
+            with pytest.raises(SizeCapExceeded, match=f"labelled {family} enumeration supports"):
+                next(enumerate_(cap + 1))
+            with pytest.raises(SizeCapExceeded, match=f"<= n <= {cap}, got {cap + 1}"):
+                corpus_graphs(CorpusSpec(family=family, max_n=cap + 1, dedup=False))
+
+    def test_the_variable_can_lower_them(self, monkeypatch):
+        monkeypatch.setenv("PSEUDOLOC_MAX_N", "5")
+        with pytest.raises(SizeCapExceeded, match="2 <= n <= 5, got 6"):
+            next(enumerate_trees(6))
+
+
 class TestCanonicalForms:
     def test_tree_key_is_isomorphism_invariant(self, tree_classes_by_n):
         rng = random.Random(5)

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from pseudoloc import (
     Disconnected,
     DuplicateEdge,
+    Graph,
     MalformedGraph6,
     NotPseudotree,
     SelfLoop,
@@ -60,11 +61,18 @@ class TestFromEdgeList:
             from_edge_list(3, [(0, 3)])
 
     def test_cap_env_override(self, monkeypatch):
+        # the variable overrides the search caps, never the graph cap of 64
         monkeypatch.setenv("PSEUDOLOC_MAX_N", "4")
-        with pytest.raises(SizeCapExceeded):
-            from_edge_list(5, [(i, i + 1) for i in range(4)])
-        monkeypatch.delenv("PSEUDOLOC_MAX_N")
         assert from_edge_list(5, [(i, i + 1) for i in range(4)]).n == 5
+        monkeypatch.setenv("PSEUDOLOC_MAX_N", "100")
+        edges = [(i, i + 1) for i in range(64)]
+        with pytest.raises(SizeCapExceeded, match="n=65 exceeds graph cap 64"):
+            from_edge_list(65, edges)
+        # encoded from a Graph built around the validating constructor
+        adjacency = tuple(tuple(w for w in (v - 1, v + 1) if 0 <= w < 65) for v in range(65))
+        text = encode_graph6(Graph(n=65, adjacency=adjacency, edges=tuple(edges)))
+        with pytest.raises(SizeCapExceeded, match="graph6 order 65 exceeds graph cap 64"):
+            parse_graph6(text)
 
 
 class TestDistances:
@@ -155,8 +163,7 @@ class TestGraph6:
             assert text.startswith("~") == (n >= 63)
             assert parse_graph6(text) == g
 
-    def test_large_n_two_byte_order(self, monkeypatch):
-        monkeypatch.setenv("PSEUDOLOC_MAX_N", "70")
+    def test_large_n_two_byte_order(self):
         g = path_graph(64)
         assert parse_graph6(encode_graph6(g)).edges == g.edges
 

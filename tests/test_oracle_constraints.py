@@ -6,14 +6,11 @@ one canonical key and one canonical form per class of a corpus."""
 
 from __future__ import annotations
 
-import pytest
-
 from pseudoloc import (
     PARAMETER_NAMES,
     CorpusSpec,
     OracleConstraints,
     compute_parameter,
-    distance_matrix,
     enumerate_trees,
     enumerate_unicyclic,
     from_edge_list,
@@ -25,15 +22,14 @@ from pseudoloc import corpus
 from conftest import (
     constraint_masks_by_definition,
     count_calls,
-    cycle_graph,
     path_graph,
     random_pseudotrees,
 )
 
-# (parameter, k) of the problems whose masks come from packed rows, those on
-# vertex pairs first (the reference keeps its last pair table); sdim and dmd
-# loop over tuple rows, and their reference takes about a second per graph
-# at n = 64
+# (parameter, k) of the problems whose masks gather the nonzero fields of
+# XORed packed rows, those on vertex pairs first (the reference keeps its last
+# pair table); sdim and dmd read the fields of row_x + d(x, y) * ONES - row_y,
+# and their reference takes about a second per graph at n = 64
 PACKED = (("dim", None), ("dimk", 2), ("dimk", 3), ("ddim", None), ("ldim", None),
           ("edim", None), ("mdim", None))
 PARAMS = PACKED + (("sdim", None), ("dmd", None))
@@ -71,19 +67,10 @@ class TestAgainstDefinition:
         for g in graphs[:2]:  # one tree, one unicyclic graph
             assert_constraints_match(g, (("sdim", None), ("dmd", None)))
 
-    @pytest.mark.parametrize("make", [path_graph, cycle_graph])
-    def test_distances_in_the_top_bit_of_a_byte(self, monkeypatch, make):
-        monkeypatch.setenv("PSEUDOLOC_MAX_N", "300")
-        g = make(255)
-        assert distance_matrix(g).width == 8
-        assert_constraints_match(g, PACKED)
-
-    @pytest.mark.parametrize("make", [path_graph, cycle_graph])
-    def test_fields_wider_than_a_byte(self, monkeypatch, make):
-        monkeypatch.setenv("PSEUDOLOC_MAX_N", "300")
-        g = make(300)
-        assert distance_matrix(g).width == 16
-        assert_constraints_match(g, PACKED)
+    def test_longest_distances_at_the_cap(self):
+        # P64 holds distance 63, where a field of row_x + d * ONES - row_y
+        # reaches 2 * 63 = 126: still one byte
+        assert_constraints_match(path_graph(64))
 
 
 class TestSharedOracle:

@@ -23,7 +23,7 @@ from pseudoloc import (
     random_pseudotree,
 )
 from pseudoloc.corpus import CorpusSpec
-from pseudoloc.graph import field_width, unpack_row
+from pseudoloc.graph import unpack_row
 from pseudoloc.structure import _twin_pairs
 
 from conftest import (
@@ -52,7 +52,7 @@ def assert_rows_match(g):
     dm = distance_matrix(g)
     rows = distance_rows_by_bfs(g)
     assert dm.rows == rows
-    assert all(unpack_row(p, g.n, dm.width) == row for p, row in zip(dm.packed, rows))
+    assert all(unpack_row(p, g.n) == row for p, row in zip(dm.packed, rows))
     pairs = mmd_pairs_by_definition(g, rows)
     sr = boundary_and_sr_graph(g, dm)
     assert sr.rows == neighbour_rows(g.n, pairs)
@@ -87,9 +87,13 @@ def rows_pin_text(graphs) -> str:
 
 class TestFieldWidth:
     def test_one_byte_while_distance_plus_one_fits(self):
-        assert field_width(1) == field_width(255) == 8
-        assert field_width(256) == field_width(65535) == 16
-        assert field_width(65536) == 32
+        # the graph cap of 64 keeps every distance + 1 within a byte: P64 and
+        # C64 hold the longest distances, 63 and 32, one byte per field
+        for g in (path_graph(64), cycle_graph(64)):
+            dm = distance_matrix(g)
+            assert all(p.bit_length() <= 8 * g.n for p in dm.packed)
+            assert tuple(tuple(p.to_bytes(g.n, "little")) for p in dm.packed) == distance_rows_by_bfs(g)
+        assert max(distance_matrix(path_graph(64))[0]) == 63
 
     def test_rows_given_alone_are_packed(self, paw):
         dm = packed_matrix(distance_rows_by_bfs(paw))
@@ -125,20 +129,6 @@ class TestAgainstReferences:
         assert profile(c4).twin_pairs == ((0, 2), (1, 3))
         assert profile(paw).twin_pairs == ((1, 2),)
         assert profile(spider122).twin_pairs == ()
-
-    @pytest.mark.parametrize("make", [path_graph, cycle_graph])
-    def test_distances_in_the_top_bit_of_a_byte(self, monkeypatch, make):
-        monkeypatch.setenv("PSEUDOLOC_MAX_N", "300")
-        g = make(255)
-        assert distance_matrix(g).width == 8
-        assert_kernels_match(g)
-
-    @pytest.mark.parametrize("make", [path_graph, cycle_graph])
-    def test_fields_wider_than_a_byte(self, monkeypatch, make):
-        monkeypatch.setenv("PSEUDOLOC_MAX_N", "300")
-        g = make(300)
-        assert distance_matrix(g).width == 16
-        assert_kernels_match(g)
 
 
 class TestArcAndCutVertexRules:
