@@ -6,7 +6,6 @@ plus an exhaustive corpus-verification harness.
 """
 
 from .closed_form import (
-    GraphAnalysis,
     closed_result,
     compute_parameter,
     ddim_closed,
@@ -54,14 +53,15 @@ from .graph import (
     from_edge_list,
     girth_and_cycle,
     hanging_trees,
+    kept,
     parse_edgelist,
     parse_graph6,
 )
 from .resolvers import (
     PARAMETER_NAMES,
-    OracleConstraints,
     ParameterResult,
     brute_force_dimension,
+    cover_problem,
     is_locating_set,
     k_dimensional_value,
     lex_first_cover,

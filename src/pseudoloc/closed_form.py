@@ -1,26 +1,25 @@
 """Closed-form dispatch for the nine location parameters.
 
-Each closed form takes the GraphAnalysis of a pseudotree, which holds what
-the closed forms and the oracle read of one graph, and returns the exact
-value when a characterization covers the instance, and the certified
-interval otherwise.  The engine never guesses: interval results carry the
-bounded-by-theorem method and can be upgraded to the oracle on request.
+Each closed form takes a pseudotree and returns the exact value when a
+characterization covers the instance, and the certified interval otherwise.
+What they read of the graph, the profile, the SR graph and the k-dimensional
+value, is kept on it (graph.kept), where the oracle reads the same distances
+and k-dimensional value.  The engine never guesses: interval results carry
+the bounded-by-theorem method and can be upgraded to the oracle on request.
 """
 
 from __future__ import annotations
 
-from functools import cached_property
-
 from .errors import KOutOfRange, SizeCapExceeded
-from .graph import Graph
+from .graph import Graph, kept
 from .resolvers import (
     METHOD_BOUNDED,
     METHOD_CLOSED_FORM,
     METHOD_SR_FORMULA,
-    OracleConstraints,
     ParameterResult,
     brute_force_dimension,
     check_k,
+    k_dimensional_value,
 )
 from .structure import (
     FamilyKind,
@@ -34,21 +33,6 @@ from .structure import (
     independence_number,
     profile,
 )
-
-class GraphAnalysis(OracleConstraints):
-    """Everything the closed forms and the oracle read of one graph, each
-    built on first use and kept: the profile, the SR graph, and the distance
-    matrix, oracle masks and k-dimensional value of OracleConstraints.
-    Create one per graph and pass it to closed_result and oracle_result.
-    """
-
-    @cached_property
-    def profile(self) -> PseudotreeProfile:
-        return profile(self.g)
-
-    @cached_property
-    def sr(self) -> StrongResolvingGraph:
-        return boundary_and_sr_graph(self.g, self.dm)
 
 
 def _exact(value, tag, witness=None, method=METHOD_CLOSED_FORM) -> ParameterResult:
@@ -72,9 +56,9 @@ def _first_antipodal_pair(prof: PseudotreeProfile, subset) -> tuple[int, int] | 
     return pairs[0] if pairs else None
 
 
-def dmd_closed(a: GraphAnalysis) -> ParameterResult:
+def dmd_closed(g: Graph) -> ParameterResult:
     """Doubly metric dimension; always exact, with a constructive witness."""
-    prof = a.profile
+    prof = kept(g, profile)
     kind = prof.kind
     if kind is FamilyKind.PATH:
         return _exact(2, "DMD_PATH", witness=prof.leaves)
@@ -149,9 +133,9 @@ def _tree_metric_basis(prof: PseudotreeProfile) -> tuple[int, ...]:
     return tuple(sorted(picked))
 
 
-def dim_closed(a: GraphAnalysis) -> ParameterResult:
+def dim_closed(g: Graph) -> ParameterResult:
     """Metric dimension: exact where characterized, else the width-1 interval."""
-    prof = a.profile
+    prof = kept(g, profile)
     kind = prof.kind
     if kind is FamilyKind.PATH:
         return _exact(1, "DIM_PATH", witness=(prof.leaves[0],))
@@ -202,8 +186,8 @@ def sdim_even_fast(prof: PseudotreeProfile) -> ParameterResult:
     return _exact(value, "SDIM_EVEN_EXACT")
 
 
-def sdim_closed(a: GraphAnalysis) -> ParameterResult:
-    prof = a.profile
+def sdim_closed(g: Graph) -> ParameterResult:
+    prof = kept(g, profile)
     kind = prof.kind
     if kind is FamilyKind.PATH:
         return _exact(1, "SDIM_PATH", witness=(prof.leaves[0],))
@@ -215,22 +199,22 @@ def sdim_closed(a: GraphAnalysis) -> ParameterResult:
     if prof.girth % 2 == 0:
         # the tests check the SR route against this formula, so no SR graph here
         return sdim_even_fast(prof)
-    return sdim_sr_formula(a.sr)
+    return sdim_sr_formula(kept(g, boundary_and_sr_graph))
 
 
 # ---------------------------------------------------------------------------
 # Dominating metric dimension
 
 
-def ddim_closed(a: GraphAnalysis) -> ParameterResult:
-    prof = a.profile
+def ddim_closed(g: Graph) -> ParameterResult:
+    prof = kept(g, profile)
     kind = prof.kind
     if kind is FamilyKind.CYCLE:
         gamma_c = (prof.girth + 2) // 3
         if prof.girth not in (3, 4, 6):
             return _exact(gamma_c, "DDIM_CYCLE")
         return _interval(gamma_c, gamma_c + 1, "DDIM_G346_INTERVAL")
-    base = domination_number(a.g) + prof.num_leaves - prof.num_supports
+    base = domination_number(g) + prof.num_leaves - prof.num_supports
     if kind.is_tree:
         return _exact(base, "DDIM_TREE")
     if prof.girth not in (3, 4, 6):
@@ -242,8 +226,8 @@ def ddim_closed(a: GraphAnalysis) -> ParameterResult:
 # Fault-tolerant (2-metric) dimension
 
 
-def dim2_closed(a: GraphAnalysis) -> ParameterResult:
-    prof = a.profile
+def dim2_closed(g: Graph) -> ParameterResult:
+    prof = kept(g, profile)
     kind = prof.kind
     if kind is FamilyKind.PATH:
         return _exact(2, "DIM2_PATH", witness=prof.leaves)
@@ -267,12 +251,12 @@ def _i_r(ter: int, low: int, r: int) -> int:
     return (ter - 1) * ((r + 1) // 2) + r // 2
 
 
-def dimk_closed(a: GraphAnalysis, k: int) -> ParameterResult:
+def dimk_closed(g: Graph, k: int) -> ParameterResult:
     """k-metric dimension, for 2 <= k <= the k-dimensional value."""
-    kmax = a.k_dimensional_value
+    kmax = kept(g, k_dimensional_value)
     if k > kmax:
         raise KOutOfRange(f"k={k} exceeds the k-dimensional value {kmax}")
-    prof = a.profile
+    prof = kept(g, profile)
     kind = prof.kind
     if kind is FamilyKind.PATH:
         # k = 2 is the fault-tolerant case: both ends already resolve every pair twice
@@ -295,8 +279,8 @@ def dimk_closed(a: GraphAnalysis, k: int) -> ParameterResult:
 # Edge metric dimension
 
 
-def edim_closed(a: GraphAnalysis) -> ParameterResult:
-    prof = a.profile
+def edim_closed(g: Graph) -> ParameterResult:
+    prof = kept(g, profile)
     kind = prof.kind
     if kind is FamilyKind.PATH:
         return _exact(1, "EDIM_PATH", witness=(prof.leaves[0],))
@@ -309,7 +293,7 @@ def edim_closed(a: GraphAnalysis) -> ParameterResult:
     rho_hat = _rho_hat(prof)
     base = prof.num_leaves - prof.num_exterior_major + rho_hat
     lo, hi = base, base + 1
-    dim_value = dim_closed(a).value
+    dim_value = dim_closed(g).value
     if dim_value is not None:
         # |dim - edim| <= 1, dim <= edim for odd girth, dim >= edim for even
         if prof.girth % 2 == 1:
@@ -327,8 +311,8 @@ def edim_closed(a: GraphAnalysis) -> ParameterResult:
 # Mixed metric dimension
 
 
-def mdim_closed(a: GraphAnalysis) -> ParameterResult:
-    prof = a.profile
+def mdim_closed(g: Graph) -> ParameterResult:
+    prof = kept(g, profile)
     kind = prof.kind
     if kind is FamilyKind.PATH:
         return _exact(2, "MDIM_PATH", witness=prof.leaves)
@@ -345,8 +329,8 @@ def mdim_closed(a: GraphAnalysis) -> ParameterResult:
 # Local metric dimension
 
 
-def ldim_closed(a: GraphAnalysis) -> ParameterResult:
-    prof = a.profile
+def ldim_closed(g: Graph) -> ParameterResult:
+    prof = kept(g, profile)
     if prof.kind.is_tree:
         return _exact(1, "LDIM_BIPARTITE", witness=(0,))
     if prof.girth % 2 == 0:  # a unicyclic graph is bipartite iff its girth is even
@@ -378,39 +362,24 @@ def _singleton_result(param: str) -> ParameterResult:
     return _exact(1, "SINGLETON", witness=(0,))
 
 
-def closed_result(
-    g: Graph,
-    param: str,
-    k: int | None = None,
-    analysis: GraphAnalysis | None = None,
-) -> ParameterResult:
+def closed_result(g: Graph, param: str, k: int | None = None) -> ParameterResult:
     """Closed-form (or certified-interval) result; never calls the oracle.
 
     The profile reads no distances.  Only sdim on a proper unicyclic graph
-    of odd girth (its SR graph) and dimk (the k-dimensional value and the terminal
-    distances) read the distance matrix.  Pass the graph's GraphAnalysis to
-    reuse what it has built; a new one is made when analysis is None.
+    of odd girth (its SR graph) and dimk on a twin-free graph (its
+    k-dimensional value) read the distance matrix.
     """
     check_k(param, k)
     if g.n == 1:
         return _singleton_result(param)
-    a = GraphAnalysis(g) if analysis is None else analysis
-    return dimk_closed(a, k) if param == "dimk" else _CLOSED_FORMS[param](a)
+    return dimk_closed(g, k) if param == "dimk" else _CLOSED_FORMS[param](g)
 
 
 def oracle_result(
-    g: Graph,
-    param: str,
-    k: int | None = None,
-    max_n: int | None = None,
-    analysis: GraphAnalysis | None = None,
+    g: Graph, param: str, k: int | None = None, max_n: int | None = None
 ) -> ParameterResult:
-    """Exact-search ground truth for the same parameter.
-
-    Pass the graph's GraphAnalysis to share its distances, masks and
-    k-dimensional value across parameters and with the closed forms.
-    """
-    return brute_force_dimension(g, param, k=k, max_n=max_n, constraints=analysis)
+    """Exact-search ground truth for the same parameter."""
+    return brute_force_dimension(g, param, k=k, max_n=max_n)
 
 
 def compute_parameter(
@@ -427,12 +396,11 @@ def compute_parameter(
     if method == "brute":
         classify(g)  # the closed forms' rule; the oracle alone answers any connected graph
         return oracle_result(g, param, k=k, max_n=max_n)
-    # the oracle reuses what the closed form built
-    a = GraphAnalysis(g)
-    result = closed_result(g, param, k=k, analysis=a)
+    # the oracle reuses what the closed form kept on the graph
+    result = closed_result(g, param, k=k)
     if method == "closed" or result.is_exact:
         return result
     try:
-        return oracle_result(g, param, k=k, max_n=max_n, analysis=a)
+        return oracle_result(g, param, k=k, max_n=max_n)
     except SizeCapExceeded:
         return result

@@ -23,10 +23,17 @@ import json
 from dataclasses import dataclass
 from typing import Iterator
 
-from .closed_form import GraphAnalysis, closed_result, oracle_result
+from .closed_form import closed_result, oracle_result
 from .errors import SizeCapExceeded
-from .graph import Graph, encode_graph6, from_edge_list, hanging_trees, size_cap
-from .resolvers import ORACLE_CAP, PARAMETER_NAMES, ParameterResult, check_name, parameter_label
+from .graph import GRAPH_CAP, Graph, encode_graph6, from_edge_list, hanging_trees, kept, size_cap
+from .resolvers import (
+    ORACLE_CAP,
+    PARAMETER_NAMES,
+    ParameterResult,
+    check_name,
+    k_dimensional_value,
+    parameter_label,
+)
 
 TREE_ENUM_CAP = 12
 UNICYCLIC_ENUM_CAP = 10
@@ -287,10 +294,10 @@ _ORDERS = {
 
 def _check_order(family: str, n: int, labelled: bool = False) -> None:
     """The cap rule of every corpus: PSEUDOLOC_MAX_N overrides the family's
-    cap, and a labelled corpus stops at the smaller of it and the fixed
-    labelled cap."""
+    cap, never above the graph cap, and a labelled corpus stops at the
+    smaller of it and the fixed labelled cap."""
     lo, cap, labelled_cap = _ORDERS[family]
-    cap = size_cap(cap)
+    cap = min(size_cap(cap), GRAPH_CAP)
     if labelled and labelled_cap:
         cap = min(cap, labelled_cap)
         family = "labelled " + family
@@ -439,26 +446,25 @@ def compare_results(closed: ParameterResult, oracle: ParameterResult) -> str:
 def verify_graph(g: Graph, parameters) -> list[VerificationRecord]:
     """Closed-vs-oracle records for one graph, in deterministic order.
 
-    One GraphAnalysis serves every record: one distance matrix, one profile,
-    one set of oracle masks, and one k-dimensional value, where the k-range
-    of dimk ends.  dim2 and dimk[2], the same k-metric problem, share one
-    oracle search.
+    Every record reads what is kept on the graph: one distance matrix, one
+    profile, one set of shared oracle masks, and one k-dimensional value,
+    where the k-range of dimk ends.  dim2 and dimk[2], the same k-metric
+    problem, share one oracle search.
     """
     g6 = encode_graph6(g)
-    a = GraphAnalysis(g)
     expanded: list[tuple[str, int | None]] = []
     for p in parameters:
         if p == "dimk":
-            expanded.extend(("dimk", k) for k in range(2, a.k_dimensional_value + 1))
+            expanded.extend(("dimk", k) for k in range(2, kept(g, k_dimensional_value) + 1))
         else:
             expanded.append((p, None))
     oracles: dict[tuple[str, int | None], ParameterResult] = {}
     records = []
     for param, k in expanded:
-        closed = closed_result(g, param, k=k, analysis=a)
+        closed = closed_result(g, param, k=k)
         key = ("dimk", 2) if param == "dim2" else (param, k)
         if key not in oracles:
-            oracles[key] = oracle_result(g, param, k=k, analysis=a)
+            oracles[key] = oracle_result(g, param, k=k)
         oracle = oracles[key]
         records.append(
             VerificationRecord(

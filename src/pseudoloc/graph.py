@@ -3,9 +3,13 @@ distances.
 
 Vertices are dense 0-based integers.  Every constructor validates that the
 graph is simple and connected; everything downstream relies on both.
-`hanging_trees` is the one leaf stripping, run once per Graph: the distances,
-the cycle, the profile, gamma, the strong resolving graph and the canonical
-keys read the core and hanging trees it finds.
+`kept` is the one per-graph memo: what the package derives from a graph and
+reads more than once (the leaf stripping, the distances, the profile, the
+strong resolving graph, the k-dimensional value and the oracle's shared
+masks) is built on first use and kept on the graph.  `hanging_trees` is the
+one leaf stripping: the distances, the cycle, the profile, gamma, the strong
+resolving graph and the canonical keys read the core and hanging trees it
+finds.
 
 A distance row is kept packed: one Python integer with a one-byte field per
 vertex, field v holding d(u, v), which fits since no graph exceeds GRAPH_CAP
@@ -81,10 +85,21 @@ class Graph:
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"Graph(n={self.n}, edges={list(self.edges)})"
 
-    @cached_property
-    def _hanging_trees(self) -> tuple[tuple[int, ...], ...]:
-        # kept beside the fields, outside eq and hash: see hanging_trees
-        return _strip_leaves(self)
+
+def kept(g: Graph, build):
+    """build(g), built on the first call for g and kept on g: every later
+    call with the same build returns the same object.
+
+    The entry is keyed by the function object itself, so a name rebound to
+    another function (a tracer's or a test's wrapper) builds and keeps its
+    own.  It sits in g.__dict__ beside the fields, outside eq and hash.
+    """
+    memo = g.__dict__
+    try:
+        return memo[build]
+    except KeyError:
+        value = memo[build] = build(g)
+        return value
 
 
 def pack_row(values) -> int:
@@ -295,10 +310,10 @@ def hanging_trees(g: Graph) -> tuple[tuple[int, ...], ...]:
     root[x] the core vertex whose hanging tree holds x, and depth[x] the
     distance from x to root[x], 0 exactly on the core.
 
-    The stripping runs once per Graph: every later call on the same graph
-    returns the same tuples.
+    The stripping runs once per Graph (kept): every later call on the same
+    graph returns the same tuples.
     """
-    return g._hanging_trees
+    return kept(g, _strip_leaves)
 
 
 def _strip_leaves(g: Graph) -> tuple[tuple[int, ...], ...]:

@@ -8,11 +8,12 @@ the one unknown-name rule (ValueError) and check_k the one k rule
 Every parameter is a cover problem over vertex bitmasks: a set locates iff
 it meets each constraint mask of the graph at least `need` times (one mask
 per pair it must tell apart, plus the closed neighbourhoods for ddim); dim2
-is the dimk problem at k = 2.  `OracleConstraints` builds one graph's masks
-once, from its packed distance rows, for every parameter that reads them.
+is the dimk problem at k = 2.  `cover_problem` builds them from the packed
+distance rows; the masks that several parameters share are kept on the
+graph (graph.kept), so each is built once per graph.
 The oracle, the ground truth every closed form is verified against, solves
-that problem with one exact search, `lex_first_cover`, which also gives the
-domination number.
+that problem with one exact search, `lex_first_cover`, which the tests also
+check the domination number against.
 
 Witness contract: the oracle's witness is the lexicographically first
 locating set of minimum size, the set that enumerating subsets by increasing
@@ -28,12 +29,11 @@ TAOCP 4A, 7.1.3); above it a depth-first search runs.
 
 from __future__ import annotations
 
-from collections.abc import Callable
 from dataclasses import dataclass
-from functools import cache, cached_property
+from functools import cache
 
 from .errors import KOutOfRange, SizeCapExceeded
-from .graph import DistanceMatrix, Graph, distance_matrix, nonzero_bytes_mask, size_cap
+from .graph import Graph, distance_matrix, kept, nonzero_bytes_mask, size_cap
 
 ORACLE_CAP = 16
 
@@ -118,109 +118,87 @@ _STRONG = {d: b"1" + b"0" * (2 * d - 1) + b"1" + b"0" * (255 - 2 * d) for d in r
 _OFF_LEVEL = [b"1" * b + b"0" + b"1" * (255 - b) for b in range(128)]
 
 
-class OracleConstraints:
-    """One graph's oracle constraints: a set locates for a parameter iff it
-    meets every constraint mask at least `need` times and has at least
-    `floor` members.
+def _masks(n: int, diffs: list[int]) -> tuple[int, ...]:
+    """For each packed row difference, the mask of its nonzero fields."""
+    return tuple([nonzero_bytes_mask(d.to_bytes(n, "little")) for d in diffs])
 
-    The distance matrix and the masks are built on first use and kept for the
-    life of this object, so every parameter of one graph reads the same
-    vertex-pair masks (dim, dim2, dimk, ddim with the closed neighbourhoods,
-    mdim), edge rows and edge-pair masks (edim, mdim).  A pair mask gathers
-    the nonzero fields of two XORed packed rows.  Create one per graph and
-    drop it with the graph; nothing is cached on the Graph or DistanceMatrix.
+
+def _pair_sums(g: Graph):
+    """For each vertex pair x < y in lexicographic order, d(x, y) and the
+    packed row_x + d(x, y) * ONES - row_y as bytes.  Field w is
+    d(x, w) - d(y, w) + d(x, y), in 0..2 d(x, y) by the triangle
+    inequality, so nothing carries or borrows across fields."""
+    dm, n = kept(g, distance_matrix), g.n
+    packed, ones = dm.packed, dm.ones
+    for x, px in enumerate(packed):
+        for y in range(x + 1, n):
+            d = px >> (8 * y) & 255
+            yield d, (px + d * ones - packed[y]).to_bytes(n, "little")
+
+
+def _vertex_pairs(g: Graph) -> tuple[int, ...]:
+    """Resolvers of each vertex pair x < y, in lexicographic pair order."""
+    packed = kept(g, distance_matrix).packed
+    return _masks(g.n, [px ^ py for x, px in enumerate(packed) for py in packed[x + 1 :]])
+
+
+def _edge_rows(g: Graph) -> tuple[int, ...]:
+    """Packed distances to each edge, in edge order: the fieldwise minimum
+    of its endpoint rows.  Adjacent rows differ by at most 1 per field, so
+    bit 1 of each field of row_u + ONES - row_v marks where row_u is larger."""
+    dm = kept(g, distance_matrix)
+    packed, ones = dm.packed, dm.ones
+    return tuple([packed[u] - ((packed[u] + ones - packed[v]) >> 1 & ones) for u, v in g.edges])
+
+
+def _edge_pairs(g: Graph) -> tuple[int, ...]:
+    rows = kept(g, _edge_rows)
+    return _masks(g.n, [ei ^ ej for i, ei in enumerate(rows) for ej in rows[i + 1 :]])
+
+
+def cover_problem(g: Graph, param: str, k: int | None = None) -> tuple[tuple[int, ...], int, int]:
+    """(masks, need, floor) of the cover problem for param: a set locates iff
+    it meets every mask at least `need` times and has at least `floor`
+    members; dim2 is the dimk problem at k = 2.
+
+    The vertex-pair masks (dim, dim2, dimk, ddim with the closed
+    neighbourhoods, mdim), the edge rows and the edge-pair masks (edim,
+    mdim) are kept on the graph, so every parameter of one graph reads the
+    same ones, tuples that no caller can change.  A pair mask gathers the
+    nonzero fields of two XORed packed rows.
     """
-
-    def __init__(self, g: Graph, dm: DistanceMatrix | None = None):
-        self.g = g
-        if dm is not None:
-            self.dm = dm
-
-    @cached_property
-    def dm(self) -> DistanceMatrix:
-        return distance_matrix(self.g)
-
-    def _masks(self, diffs: list[int]) -> list[int]:
-        """For each packed row difference, the mask of its nonzero fields."""
-        n = self.g.n
-        return [nonzero_bytes_mask(d.to_bytes(n, "little")) for d in diffs]
-
-    def _pair_sums(self):
-        """For each vertex pair x < y in lexicographic order, d(x, y) and the
-        packed row_x + d(x, y) * ONES - row_y as bytes.  Field w is
-        d(x, w) - d(y, w) + d(x, y), in 0..2 d(x, y) by the triangle
-        inequality, so nothing carries or borrows across fields."""
-        packed, ones, n = self.dm.packed, self.dm.ones, self.g.n
-        for x, px in enumerate(packed):
-            for y in range(x + 1, n):
-                d = px >> (8 * y) & 255
-                yield d, (px + d * ones - packed[y]).to_bytes(n, "little")
-
-    @cached_property
-    def vertex_pairs(self) -> list[int]:
-        """Resolvers of each vertex pair x < y, in lexicographic pair order."""
-        packed = self.dm.packed
-        return self._masks([px ^ py for x, px in enumerate(packed) for py in packed[x + 1 :]])
-
-    @cached_property
-    def k_dimensional_value(self) -> int:
-        """Largest k admitting a k-locating set (0 without vertex pairs)."""
-        # the kernel reads the distance matrix only on a twin-free graph
-        return k_dimensional_value(self.g, lambda: self.dm) if self.g.n >= 2 else 0
-
-    @cached_property
-    def _edge_rows(self) -> list[int]:
-        """Packed distances to each edge, in edge order: the fieldwise minimum
-        of its endpoint rows.  Adjacent rows differ by at most 1 per field, so
-        bit 1 of each field of row_u + ONES - row_v marks where row_u is larger."""
-        packed, ones = self.dm.packed, self.dm.ones
-        return [packed[u] - ((packed[u] + ones - packed[v]) >> 1 & ones) for u, v in self.g.edges]
-
-    @cached_property
-    def _edge_pairs(self) -> list[int]:
-        rows = self._edge_rows
-        return self._masks([ei ^ ej for i, ei in enumerate(rows) for ej in rows[i + 1 :]])
-
-    def problem(self, param: str, k: int | None = None) -> tuple[list[int], int, int]:
-        """(masks, need, floor) of the cover problem for param; dim2 is the
-        dimk problem at k = 2."""
-        check_k(param, k)
-        need = 2 if param == "dim2" else k or 1
-        floor = min(2, self.g.n) if param == "dmd" else 1
-        if param in ("dim", "dim2", "dimk"):
-            masks = self.vertex_pairs
-        elif param == "ddim":
-            masks = self.vertex_pairs + closed_neighbourhoods(self.g)
-        elif param == "ldim":
-            # m gathers: cheaper than all n(n-1)/2 pairs when ldim runs alone
-            packed = self.dm.packed
-            masks = self._masks([packed[x] ^ packed[y] for x, y in self.g.edges])
-        elif param == "edim":
-            masks = self._edge_pairs
-        elif param == "mdim":
-            to_edges = self._masks([px ^ e for px in self.dm.packed for e in self._edge_rows])
-            masks = self.vertex_pairs + to_edges + self._edge_pairs
-        elif param == "sdim":
-            masks = self._strong_pair_masks()
-        else:
-            masks = self._doubly_level_masks()
-        return masks, need, floor
-
-    def _strong_pair_masks(self) -> list[int]:
+    check_k(param, k)
+    need = 2 if param == "dim2" else k or 1
+    floor = min(2, g.n) if param == "dmd" else 1
+    if param in ("dim", "dim2", "dimk"):
+        masks = kept(g, _vertex_pairs)
+    elif param == "ddim":
+        masks = kept(g, _vertex_pairs) + tuple(closed_neighbourhoods(g))
+    elif param == "ldim":
+        # m gathers: cheaper than all n(n-1)/2 pairs when ldim runs alone
+        packed = kept(g, distance_matrix).packed
+        masks = _masks(g.n, [packed[x] ^ packed[y] for x, y in g.edges])
+    elif param == "edim":
+        masks = kept(g, _edge_pairs)
+    elif param == "mdim":
+        edge_rows = kept(g, _edge_rows)
+        to_edges = _masks(g.n, [px ^ e for px in kept(g, distance_matrix).packed for e in edge_rows])
+        masks = kept(g, _vertex_pairs) + to_edges + kept(g, _edge_pairs)
+    elif param == "sdim":
         # w strongly resolves x and y iff d(x, w) = d(y, w) +- d(x, y), iff
         # its field is 0 or 2 d(x, y)
-        return [int(t.translate(_STRONG[d])[::-1], 2) for d, t in self._pair_sums()]
-
-    def _doubly_level_masks(self) -> list[int]:
+        masks = tuple([int(t.translate(_STRONG[d])[::-1], 2) for d, t in _pair_sums(g)])
+    else:
         # a level is the vertices v of one d(x, v) - d(y, v), one byte value; a
         # set fails the pair iff it sits inside one level, so it must meet the
         # complement of each level (singletons are below the floor)
-        return [
+        masks = tuple([
             int(t.translate(_OFF_LEVEL[b])[::-1], 2)
-            for _, t in self._pair_sums()
+            for _, t in _pair_sums(g)
             for b in dict.fromkeys(t)  # the levels in order of their first vertex
             if t.count(b) >= 2
-        ]
+        ])
+    return masks, need, floor
 
 
 def closed_neighbourhoods(g: Graph) -> list[int]:
@@ -388,16 +366,14 @@ def lex_first_cover(n: int, masks, need: int = 1, floor: int = 1) -> tuple[int, 
     return None
 
 
-def is_locating_set(
-    g: Graph, s, param: str, k: int | None = None, dm: DistanceMatrix | None = None
-) -> bool:
+def is_locating_set(g: Graph, s, param: str, k: int | None = None) -> bool:
     """Whether s locates for the parameter: the exact set predicate."""
     members = sorted(set(s))
     if not members:
         raise ValueError("locating set must be nonempty")
     if any(not 0 <= v < g.n for v in members):
         raise ValueError("locating set contains out-of-range vertices")
-    constraints, need, floor = OracleConstraints(g, dm).problem(param, k)
+    constraints, need, floor = cover_problem(g, param, k)
     mask = 0
     for v in members:
         mask |= 1 << v
@@ -407,31 +383,25 @@ def is_locating_set(
 
 
 def brute_force_dimension(
-    g: Graph,
-    param: str,
-    k: int | None = None,
-    max_n: int | None = None,
-    constraints: OracleConstraints | None = None,
+    g: Graph, param: str, k: int | None = None, max_n: int | None = None
 ) -> ParameterResult:
     """Minimum locating-set size by exact search, with a reproducible witness:
     the lexicographically first locating set of that size (lex_first_cover).
 
-    Pass the graph's OracleConstraints to share its distances and masks
-    across parameters.
+    The distances, the shared masks and the k-dimensional value are kept on
+    the graph, for every parameter and for the closed forms.
     """
     check_k(param, k)
     cap = size_cap(ORACLE_CAP) if max_n is None else max_n
-    if constraints is None:
-        constraints = OracleConstraints(g)
     need = 2 if param == "dim2" else k
     if need is not None:
         # k is range-checked before the cap, as the closed form checks it
-        kmax = constraints.k_dimensional_value
+        kmax = kept(g, k_dimensional_value)
         if need > kmax:
             raise KOutOfRange(f"no {need}-locating set exists (k-dimensional value {kmax})")
     if g.n > cap:
         raise SizeCapExceeded(f"n={g.n} exceeds oracle cap {cap} for {parameter_label(param, k)}")
-    witness = lex_first_cover(g.n, *constraints.problem(param, k))
+    witness = lex_first_cover(g.n, *cover_problem(g, param, k))
     if witness is None:
         raise RuntimeError(f"no locating set found for {parameter_label(param, k)} (unreachable)")
     return ParameterResult(
@@ -442,13 +412,14 @@ def brute_force_dimension(
     )
 
 
-def k_dimensional_value(g: Graph, distances: Callable[[], DistanceMatrix] | None = None) -> int:
-    """Largest k admitting a k-locating set: the minimum pair resolver count.
+def k_dimensional_value(g: Graph) -> int:
+    """Largest k admitting a k-locating set: the minimum pair resolver count,
+    0 on a single vertex, which has no pair.
 
     Every pair is resolved by its own two ends, and by no other vertex iff
     the two are twins (equal open or equal closed neighbourhoods), so a
     graph with twins has value 2, read off the adjacency.  Only a twin-free
-    graph reads distances, from `distances()` (default: distance_matrix(g)).
+    graph reads distances, the matrix kept on the graph.
     Its value is at least 3, so the pairs within distance 2 go first and one
     with 3 resolvers ends the search.  A pair x, y at distance 3 or more is
     resolved by x, y and every neighbour of either, at least
@@ -460,11 +431,11 @@ def k_dimensional_value(g: Graph, distances: Callable[[], DistanceMatrix] | None
     """
     n = g.n
     if n < 2:
-        raise ValueError("k-dimensional value needs at least 2 vertices")
+        return 0  # no vertex pair, so no k
     adjacency = g.adjacency
     if len(set(adjacency)) < n or len(set(closed_neighbourhoods(g))) < n:
         return 2
-    dm = distance_matrix(g) if distances is None else distances()
+    dm = kept(g, distance_matrix)
     packed, ones = dm.packed, dm.ones
     low = ones * 0x7F  # all but the top bit of each byte
     top = ones * 0x80

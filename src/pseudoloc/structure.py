@@ -7,9 +7,10 @@ strong resolving graph and exact independence and domination solvers: a
 bitset maximum-clique search for alpha, and a linear-time dynamic programme
 for gamma.
 The profile reads no distances: each leaf's terminal vertex is the end of its
-leg.  Only the strong resolving graph builds a distance matrix.  The cycle,
-the branching trees and the threads are read off graph.hanging_trees, the
-one leaf stripping, and gamma's dynamic programme runs on its hanging trees.
+leg.  Only the strong resolving graph reads a distance matrix, the one kept
+on the graph.  The cycle, the branching trees and the threads are read off
+graph.hanging_trees, the one leaf stripping, and gamma's dynamic programme
+runs on its hanging trees.
 """
 
 from __future__ import annotations
@@ -20,10 +21,10 @@ from dataclasses import dataclass, field
 from .errors import NotPseudotree, SizeCapExceeded
 from .graph import (
     GRAPH_CAP,
-    DistanceMatrix,
     Graph,
     distance_matrix,
     hanging_trees,
+    kept,
     nonzero_bytes_mask,
 )
 
@@ -335,7 +336,7 @@ class StrongResolvingGraph:
         return self.boundary_mask.bit_count()
 
 
-def boundary_and_sr_graph(g: Graph, dm: DistanceMatrix | None = None) -> StrongResolvingGraph:
+def boundary_and_sr_graph(g: Graph) -> StrongResolvingGraph:
     """Mutually-maximally-distant pairs and the boundary they span.
 
     Adjacent rows differ by at most 1 in every field, so each field of
@@ -352,10 +353,10 @@ def boundary_and_sr_graph(g: Graph, dm: DistanceMatrix | None = None) -> StrongR
     A cut vertex v is maximally distant from no vertex: for any u != v, a
     neighbour of v in a component of G - v without u is farther from u.
     So near[v] is zero for the parents of degree >= 2 in hanging_trees,
-    which are cut vertices, and their neighbours are not read.
+    which are cut vertices, and their neighbours are not read.  The rows
+    are those of the distance matrix kept on the graph.
     """
-    if dm is None:
-        dm = distance_matrix(g)
+    dm = kept(g, distance_matrix)
     packed, ones, n = dm.packed, dm.ones, g.n
     _, order, parent, _, _ = hanging_trees(g)
     cut = {parent[u] for u in order}

@@ -26,7 +26,6 @@ import pytest
 from pseudoloc import (
     Disconnected,
     FamilyKind,
-    GraphAnalysis,
     antipodal_pairs,
     boundary_and_sr_graph,
     classify,
@@ -38,6 +37,7 @@ from pseudoloc import (
     from_edge_list,
     independence_number,
     k_dimensional_value,
+    kept,
     oracle_result,
     profile,
     sdim_even_fast,
@@ -126,8 +126,7 @@ class TestCriterion2:
         bad = []
         for n in range(2, 10):
             for g in tree_classes_by_n[n]:
-                a = GraphAnalysis(g)
-                prof, dm = a.profile, a.dm
+                prof, dm = kept(g, profile), kept(g, distance_matrix)
                 is_path = prof.kind is FamilyKind.PATH
                 gamma = domination_number(g)
                 expected = {
@@ -144,7 +143,7 @@ class TestCriterion2:
                     got = oracle_value(g, param)
                     if got != want:
                         bad.append((encode_graph6(g), param, want, got))
-                    closed = closed_result(g, param, analysis=a)
+                    closed = closed_result(g, param)
                     if not closed.is_exact or closed.value != got:
                         bad.append((encode_graph6(g), param + "-closed", closed, got))
                 # k-metric: zeta value and the I_r sum for every admissible r
@@ -153,7 +152,7 @@ class TestCriterion2:
                     if tree_zeta(prof, dm) != hi:
                         bad.append((encode_graph6(g), "zeta", tree_zeta(prof, dm), hi))
                 for r in range(2, hi + 1):
-                    closed = closed_result(g, "dimk", k=r, analysis=a)
+                    closed = closed_result(g, "dimk", k=r)
                     got = oracle_value(g, "dimk", k=r)
                     if not closed.is_exact or closed.value != got:
                         bad.append((encode_graph6(g), f"dimk[{r}]", closed, got))
@@ -173,10 +172,9 @@ class TestCriterion3:
         for n in range(3, 10):
             for g in unicyclic_classes_by_n[n]:
                 count += 1
-                a = GraphAnalysis(g)
-                prof = a.profile
+                prof = kept(g, profile)
                 for param in ("dmd", "mdim", "ldim"):
-                    closed = closed_result(g, param, analysis=a)
+                    closed = closed_result(g, param)
                     got = oracle_value(g, param)
                     if not closed.is_exact or closed.value != got:
                         bad.append((encode_graph6(g), param, closed, got))
@@ -188,10 +186,10 @@ class TestCriterion3:
                     if prof.girth % 2 == 0 and sdim_even_fast(prof).value != sdim_oracle:
                         bad.append((encode_graph6(g), "sdim-fast", None, sdim_oracle))
                 else:
-                    if closed_result(g, "sdim", analysis=a).value != sdim_oracle:
+                    if closed_result(g, "sdim").value != sdim_oracle:
                         bad.append((encode_graph6(g), "sdim-cycle", None, sdim_oracle))
                 if prof.girth not in (3, 4, 6):
-                    closed = closed_result(g, "ddim", analysis=a)
+                    closed = closed_result(g, "ddim")
                     got = oracle_value(g, "ddim")
                     if not closed.is_exact or closed.value != got:
                         bad.append((encode_graph6(g), "ddim", closed, got))

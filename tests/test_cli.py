@@ -239,6 +239,15 @@ class TestVerify:
         code, _, err = run_cli(capsys, argv)
         assert code == 4 and f"labelled {family} enumeration supports" in err and not report.exists()
 
+    @pytest.mark.parametrize("family", ["path", "cycle", "tree", "unicyclic"])
+    def test_class_caps_stop_at_the_graph_cap(self, capsys, monkeypatch, tmp_path, family):
+        # the variable raises a class cap no higher than the graph cap of 64
+        monkeypatch.setenv("PSEUDOLOC_MAX_N", "100")
+        report = tmp_path / "r.jsonl"
+        argv = ["verify", "--family", family, "--max-n", "65", "--report", str(report)]
+        code, out, err = run_cli(capsys, argv)
+        assert code == 4 and not out and "<= n <= 64, got 65" in err and not report.exists()
+
     def test_cap_checked_before_enumerating(self, capsys, monkeypatch):
         built = count_calls(monkeypatch, "from_edge_list", ("corpus",))
         code, _, _ = run_cli(capsys, ["verify", "--family", "tree", "--max-n", "13"])

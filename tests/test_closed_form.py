@@ -8,18 +8,19 @@ import pytest
 
 from pseudoloc import (
     FamilyKind,
-    GraphAnalysis,
     KOutOfRange,
-    OracleConstraints,
     SizeCapExceeded,
     brute_force_dimension,
+    boundary_and_sr_graph,
     closed_result,
     compute_parameter,
+    cover_problem,
     distance_matrix,
     from_edge_list,
     girth_and_cycle,
     is_locating_set,
     k_dimensional_value,
+    kept,
     oracle_result,
     parse_graph6,
     profile,
@@ -128,10 +129,10 @@ class TestSdim:
         checked = 0
         for seed in range(602):
             spec = CorpusSpec(family="unicyclic", max_n=16 + seed % 49, seed=seed)
-            a = GraphAnalysis(random_pseudotree(spec))
-            prof = a.profile
+            g = random_pseudotree(spec)
+            prof = kept(g, profile)
             if prof.kind is FamilyKind.PROPER_UNICYCLIC and prof.girth % 2 == 0:
-                assert sdim_sr_formula(a.sr).value == sdim_even_fast(prof).value, seed
+                assert sdim_sr_formula(kept(g, boundary_and_sr_graph)).value == sdim_even_fast(prof).value, seed
                 checked += 1
         assert checked == 300
 
@@ -315,7 +316,7 @@ class TestParameterNames:
             lambda p, k: oracle_result(g, p, k=k),
             lambda p, k: brute_force_dimension(g, p, k),
             lambda p, k: is_locating_set(g, [0], p, k),
-            lambda p, k: OracleConstraints(g).problem(p, k),
+            lambda p, k: cover_problem(g, p, k),
         ]
         return calls + [
             lambda p, k, m=method: compute_parameter(g, p, k=k, method=m)
@@ -343,8 +344,7 @@ class TestParameterNames:
 
     def test_dim2_is_the_dimk_problem_at_2(self, tree_classes_by_n, unicyclic_classes_by_n):
         for g in tree_classes_by_n[7] + unicyclic_classes_by_n[7]:
-            constraints = OracleConstraints(g)
-            assert constraints.problem("dim2") == constraints.problem("dimk", 2)
+            assert cover_problem(g, "dim2") == cover_problem(g, "dimk", 2)
 
 
 class TestCorpusAgreement:

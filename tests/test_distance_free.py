@@ -17,7 +17,6 @@ import pytest
 
 from pseudoloc import (
     PARAMETER_NAMES,
-    GraphAnalysis,
     closed_result,
     compute_parameter,
     enumerate_trees,
@@ -40,8 +39,9 @@ from conftest import (
 )
 
 DISTANCE_FREE = ("dmd", "dim", "dim2", "edim", "mdim", "ldim")
-# every module that binds distance_matrix; closed_form builds it through
-# GraphAnalysis, an OracleConstraints, so through resolvers
+# every module that binds distance_matrix; closed_form and corpus bind the
+# k-dimensional value kernel and the SR graph, which read the matrix through
+# resolvers and structure
 MODULES_THAT_BUILD_DISTANCES = ("structure", "resolvers", "graph")
 
 
@@ -117,15 +117,17 @@ class TestDimkDistances:
             assert compute_parameter(g, "dimk", k=2, method="closed").theorem_tag
 
     def test_dimk_on_a_twin_free_graph_builds_one(self, monkeypatch, spider122):
-        dms = count_calls(monkeypatch, "distance_matrix", MODULES_THAT_BUILD_DISTANCES)
         trees = [path_graph(9), spider122, random_pseudotree(CorpusSpec(family="tree", max_n=64, seed=143))]
         unicyclic = [cycle_graph(9), random_pseudotree(CorpusSpec(family="unicyclic", max_n=64, seed=143))]
-        for g in trees + unicyclic:
-            assert not profile(g).twin_pairs
-            for k in range(2, k_dimensional_value(g) + 1):
-                dms.clear()
+        # the k-ranges first: the matrix they read is kept under the real builder
+        ranges = [(g, range(2, k_dimensional_value(g) + 1)) for g in trees + unicyclic]
+        dms = count_calls(monkeypatch, "distance_matrix", MODULES_THAT_BUILD_DISTANCES)
+        for g, ks in ranges:
+            assert not profile(g).twin_pairs and len(ks) >= 2
+            dms.clear()
+            for k in ks:
                 assert compute_parameter(g, "dimk", k=k, method="closed").theorem_tag
-                assert dms == [g]
+            assert dms == [g]  # one matrix for the whole k-range
 
 
 class TestSharedWork:
@@ -133,7 +135,7 @@ class TestSharedWork:
         def refuse(g):
             raise AssertionError("profile called")
 
-        # corpus reaches the profile only through closed_form's GraphAnalysis
+        # corpus reaches the profile only through closed_form's closed forms
         for name in ("closed_form", "structure"):
             monkeypatch.setattr(importlib.import_module(f"pseudoloc.{name}"), "profile", refuse)
         # connected unicyclic graphs on 3..8 vertices (OEIS A001429)
@@ -145,8 +147,8 @@ class TestSharedWork:
         # the packed-row kernel is the one computation of the value: the
         # k-range, every dimk closed form and the oracle's k check share one call
         expected = {g: k_dimensional_value(g) for g in unicyclic_classes_by_n[6]}
-        # resolvers is the one module that binds the kernel
-        calls = count_calls(monkeypatch, "k_dimensional_value", ("resolvers",))
+        # every module that binds the kernel
+        calls = count_calls(monkeypatch, "k_dimensional_value", ("resolvers", "closed_form", "corpus"))
         for g, kmax in expected.items():
             calls.clear()
             records = verify_graph(g, PARAMETER_NAMES)
@@ -157,4 +159,4 @@ class TestSharedWork:
     def test_ldim_reads_girth_parity(self, unicyclic_classes_by_n):
         for graphs in unicyclic_classes_by_n.values():
             for g in graphs:
-                assert ldim_closed(GraphAnalysis(g)).value == (1 if is_bipartite(g) else 2)
+                assert ldim_closed(g).value == (1 if is_bipartite(g) else 2)

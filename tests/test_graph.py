@@ -1,4 +1,5 @@
-"""Graph construction, text formats, distances, girth, bipartiteness."""
+"""Graph construction, text formats, distances, girth, the per-graph memo,
+bipartiteness."""
 
 from __future__ import annotations
 
@@ -7,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pseudoloc import (
+    PARAMETER_NAMES,
     Disconnected,
     DuplicateEdge,
     Graph,
@@ -22,11 +24,13 @@ from pseudoloc import (
     from_edge_list,
     girth_and_cycle,
     hanging_trees,
+    kept,
     parse_edgelist,
     parse_graph6,
     profile,
     tree_canonical_key,
     unicyclic_canonical_key,
+    verify_graph,
 )
 from pseudoloc.corpus import CorpusSpec, random_pseudotree
 
@@ -242,6 +246,20 @@ class TestHangingTrees:
             for name, read in readers[::-1] if reverse else readers:
                 assert read() == expected[name], name
             assert hanging_trees(shared) == hanging_trees(parse_graph6(line))
+
+
+class TestKept:
+    def test_entries_leave_eq_and_hash(self):
+        # verify_graph keeps the matrix, the profile, the SR graph, the
+        # k-dimensional value and the shared masks on the graph
+        for g in random_pseudotrees(10, 8) + [path_graph(2), cycle_graph(5)]:
+            fields = set(vars(parse_graph6(encode_graph6(g))))
+            verify_graph(g, PARAMETER_NAMES)
+            assert len(vars(g)) > len(fields) + 5
+            assert kept(g, profile) is kept(g, profile)
+            fresh = parse_graph6(encode_graph6(g))
+            assert g == fresh and fresh == g and hash(g) == hash(fresh)
+            assert set(vars(fresh)) == fields
 
 
 class TestBipartite:

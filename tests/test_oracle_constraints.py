@@ -1,19 +1,22 @@
 """The oracle's per-graph constraints against the definitional builder in
 conftest; one oracle search for dim2 and dimk[2]; one distance matrix, one
 profile and one k-dimensional value per `auto` request that falls through
-to the oracle, and one distance matrix and one profile per verified graph;
-one canonical key and one canonical form per class of a corpus."""
+to the oracle, per graph across the closed form, the oracle and the set
+predicate, and per verified graph; one canonical key and one canonical form
+per class of a corpus."""
 
 from __future__ import annotations
 
 from pseudoloc import (
     PARAMETER_NAMES,
     CorpusSpec,
-    OracleConstraints,
+    closed_result,
     compute_parameter,
+    cover_problem,
     enumerate_trees,
     enumerate_unicyclic,
     from_edge_list,
+    is_locating_set,
     oracle_result,
     verify_graph,
 )
@@ -39,9 +42,8 @@ C4_WITH_LEGS = [(0, 1), (1, 2), (2, 3), (3, 0), (0, 4), (4, 5), (1, 6), (2, 7)]
 
 
 def assert_constraints_match(g, params=PARAMS):
-    constraints = OracleConstraints(g)
     for param, k in params:
-        masks, need, floor = constraints.problem(param, k)
+        masks, need, floor = cover_problem(g, param, k)
         assert (sorted(masks), need, floor) == constraint_masks_by_definition(g, param, k), (
             param,
             k,
@@ -100,6 +102,10 @@ class TestSharedOracle:
 # every module that binds each function
 DISTANCE_MODULES = ("resolvers", "structure", "graph")
 PROFILE_MODULES = ("structure", "closed_form", "cli")
+KERNEL_MODULES = ("resolvers", "closed_form", "corpus")
+
+# C5 with a leg: odd girth, so its sdim closed form reads the SR graph
+C5_WITH_A_LEG = [(0, 1), (1, 2), (2, 3), (3, 4), (4, 0), (0, 5)]
 
 
 class TestOneDistanceMatrix:
@@ -107,10 +113,33 @@ class TestOneDistanceMatrix:
         g = from_edge_list(8, C4_WITH_LEGS)
         matrices = count_calls(monkeypatch, "distance_matrix", DISTANCE_MODULES)
         profiles = count_calls(monkeypatch, "profile", PROFILE_MODULES)
-        kernel = count_calls(monkeypatch, "k_dimensional_value", ("resolvers",))
+        kernel = count_calls(monkeypatch, "k_dimensional_value", KERNEL_MODULES)
         result = compute_parameter(g, "dimk", k=2)
         assert result.method == "brute_force"  # the closed form gave an interval
         assert matrices == profiles == kernel == [g]
+
+    def test_sdim_closed_oracle_and_predicate_share_one(self, monkeypatch):
+        # nothing is passed between the three calls: the matrix is kept on g
+        g = from_edge_list(6, C5_WITH_A_LEG)
+        matrices = count_calls(monkeypatch, "distance_matrix", DISTANCE_MODULES)
+        closed = closed_result(g, "sdim")
+        assert closed.theorem_tag == "SDIM_PARTALPHA" and matrices == [g]
+        witness = oracle_result(g, "sdim").witness
+        assert is_locating_set(g, witness, "sdim") and len(witness) == closed.value
+        assert matrices == [g]
+
+    def test_brute_then_closed(self, monkeypatch):
+        # the closed form reads the matrix the oracle built; brute builds no profile
+        matrices = count_calls(monkeypatch, "distance_matrix", DISTANCE_MODULES)
+        profiles = count_calls(monkeypatch, "profile", PROFILE_MODULES)
+        for param, k in (("sdim", None), ("dimk", 2), ("dimk", 3)):
+            g = from_edge_list(6, C5_WITH_A_LEG)  # a new graph keeps nothing yet
+            matrices.clear()
+            profiles.clear()
+            brute = compute_parameter(g, param, k=k, method="brute")
+            assert matrices == [g] and profiles == []
+            assert closed_result(g, param, k=k).contains(brute.value)
+            assert matrices == profiles == [g], (param, k)
 
 
 class TestOnePerVerifiedGraph:

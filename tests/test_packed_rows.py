@@ -5,6 +5,7 @@ resolver count, the pairwise MMD test and the pairwise twin test."""
 from __future__ import annotations
 
 import hashlib
+import importlib
 import itertools
 import operator
 import random
@@ -19,6 +20,7 @@ from pseudoloc import (
     girth_and_cycle,
     hanging_trees,
     k_dimensional_value,
+    kept,
     profile,
     random_pseudotree,
 )
@@ -48,13 +50,13 @@ ROWS_DIGEST = "27800e43b1aec4f160feb5d999497be73bab1c80dc5c4b7ec960e74b6257cdd9"
 
 def assert_rows_match(g):
     """Distance rows against BFS from every vertex, SR rows and boundary
-    against the pairwise MMD test."""
-    dm = distance_matrix(g)
+    against the pairwise MMD test.  The SR graph reads the matrix kept on g."""
+    dm = kept(g, distance_matrix)
     rows = distance_rows_by_bfs(g)
     assert dm.rows == rows
     assert all(unpack_row(p, g.n) == row for p, row in zip(dm.packed, rows))
     pairs = mmd_pairs_by_definition(g, rows)
-    sr = boundary_and_sr_graph(g, dm)
+    sr = boundary_and_sr_graph(g)
     assert sr.rows == neighbour_rows(g.n, pairs)
     assert sr.boundary_mask == sum(1 << x for x in {x for e in pairs for x in e})
     return dm, rows
@@ -63,7 +65,7 @@ def assert_rows_match(g):
 def assert_kernels_match(g):
     dm, rows = assert_rows_match(g)
     if g.n >= 2:
-        assert k_dimensional_value(g, lambda: dm) == k_dimensional_by_pairs(rows)
+        assert k_dimensional_value(g) == k_dimensional_by_pairs(rows)
     assert _twin_pairs(g) == tuple(twin_pairs_by_definition(g))
 
 
@@ -81,7 +83,7 @@ def rows_pin_text(graphs) -> str:
         " ".join([encode_graph6(g), *map("{:x}".format, dm.packed + sr.rows), f"{sr.boundary_mask:x}"])
         for g in graphs
         for dm in [distance_matrix(g)]
-        for sr in [boundary_and_sr_graph(g, dm)]
+        for sr in [boundary_and_sr_graph(g)]
     )
 
 
@@ -231,13 +233,19 @@ class TestKDimensionalValue:
             assert min(sum(map(operator.ne, rows[x], rows[y])) for x, y in near) == 6
         self.assert_matches(graphs)
 
-    def test_twins_need_no_distances(self, tree_classes_by_n, unicyclic_classes_by_n):
-        def refuse():
+    def test_twins_need_no_distances(self, monkeypatch, tree_classes_by_n, unicyclic_classes_by_n):
+        def refuse(g):
             raise AssertionError("distances read")
 
         by_order = list(tree_classes_by_n.values()) + list(unicyclic_classes_by_n.values())
         graphs = [g for gs in by_order for g in gs]
         with_twins = [g for g in graphs if not twin_free(g)]
         assert with_twins and len(with_twins) < len(graphs)
-        assert all(k_dimensional_value(g, refuse) == 2 for g in with_twins)
         assert all(k_dimensional_value(g) >= 3 for g in graphs if twin_free(g))
+        # every module that binds distance_matrix; a matrix kept under the
+        # real builder is keyed by it, so refuse still sees every read
+        for name in ("graph", "resolvers", "structure"):
+            monkeypatch.setattr(importlib.import_module(f"pseudoloc.{name}"), "distance_matrix", refuse)
+        assert all(k_dimensional_value(g) == 2 for g in with_twins)
+        with pytest.raises(AssertionError, match="distances read"):
+            k_dimensional_value(next(g for g in graphs if twin_free(g)))

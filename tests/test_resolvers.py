@@ -134,6 +134,7 @@ class TestBruteForce:
             assert brute_force_dimension(k1, param).witness == (0,)
         with pytest.raises(KOutOfRange):
             brute_force_dimension(k1, "dimk", 2)
+        assert k_dimensional_value(k1) == 0  # no vertex pair
 
     def test_cap(self):
         # one oracle cap of 16 for every parameter, the k-metric ones included
@@ -164,7 +165,7 @@ class TestBruteForce:
                         sum(1 for s in combo if dm[x][s] != dm[y][s]) >= 2
                         for x, y in itertools.combinations(range(g.n), 2)
                     )
-                    assert is_locating_set(g, combo, "dimk", 2, dm) == expected
+                    assert is_locating_set(g, combo, "dimk", 2) == expected
 
 
 class TestExactSearch:
@@ -273,17 +274,16 @@ class TestStructuralProperties:
     def test_implication_chain(self):
         for seed in range(15):
             g = random_pseudotree(CorpusSpec(family="unicyclic", max_n=8, seed=seed + 100))
-            dm = distance_matrix(g)
             for s in _sample_sets(g, seed):
-                if is_locating_set(g, s, "dmd", dm=dm):
-                    assert is_locating_set(g, s, "dim", dm=dm)
-                if is_locating_set(g, s, "sdim", dm=dm):
-                    assert is_locating_set(g, s, "dim", dm=dm)
-                if is_locating_set(g, s, "mdim", dm=dm):
-                    assert is_locating_set(g, s, "dim", dm=dm)
-                    assert is_locating_set(g, s, "edim", dm=dm)
-                if len(s) >= 3 and is_locating_set(g, s, "dimk", 3, dm):
-                    assert is_locating_set(g, s, "dimk", 2, dm)
+                if is_locating_set(g, s, "dmd"):
+                    assert is_locating_set(g, s, "dim")
+                if is_locating_set(g, s, "sdim"):
+                    assert is_locating_set(g, s, "dim")
+                if is_locating_set(g, s, "mdim"):
+                    assert is_locating_set(g, s, "dim")
+                    assert is_locating_set(g, s, "edim")
+                if len(s) >= 3 and is_locating_set(g, s, "dimk", 3):
+                    assert is_locating_set(g, s, "dimk", 2)
 
     def test_mmd_hitting(self):
         for seed in range(15):
@@ -375,9 +375,9 @@ class TestMatrixDetermination:
                 dmh = distance_matrix(h)
                 for size in range(1, g.n + 1):
                     for combo in itertools.combinations(range(g.n), size):
-                        if not is_locating_set(g, combo, "sdim", dm=dm):
+                        if not is_locating_set(g, combo, "sdim"):
                             continue
-                        if not is_locating_set(h, combo, "sdim", dm=dmh):
+                        if not is_locating_set(h, combo, "sdim"):
                             continue
                         assert any(dmh[w] != dm[w] for w in combo)
 
