@@ -51,7 +51,6 @@ from .graph import (
     distance_matrix,
     encode_graph6,
     from_edge_list,
-    girth_and_cycle,
     hanging_trees,
     kept,
     parse_edgelist,

@@ -3,8 +3,8 @@
 Each closed form takes a pseudotree and returns the exact value when a
 characterization covers the instance, and the certified interval otherwise.
 What they read of the graph, the profile, the SR graph and the k-dimensional
-value, is kept on it (graph.kept), where the oracle reads the same distances
-and k-dimensional value.  The engine never guesses: interval results carry
+value, is kept on it (graph.kept), where the oracle reads the same
+k-dimensional value and the distances it was counted on.  The engine never guesses: interval results carry
 the bounded-by-theorem method and can be upgraded to the oracle on request.
 """
 
@@ -365,9 +365,9 @@ def _singleton_result(param: str) -> ParameterResult:
 def closed_result(g: Graph, param: str, k: int | None = None) -> ParameterResult:
     """Closed-form (or certified-interval) result; never calls the oracle.
 
-    The profile reads no distances.  Only sdim on a proper unicyclic graph
-    of odd girth (its SR graph) and dimk on a twin-free graph (its
-    k-dimensional value) read the distance matrix.
+    Only dimk on a twin-free graph (its k-dimensional value) reads the
+    distance matrix.  The profile, and the SR graph of odd-girth sdim, are
+    read off the leaf stripping.
     """
     check_k(param, k)
     if g.n == 1:

@@ -188,6 +188,23 @@ def unicyclic_canonical_form(g: Graph) -> Graph:
 # Class generation
 
 
+def _pick_children(pools: list, chosen: list, pool: list, budget: int, size: int, index: int) -> None:
+    """Append to pool each rooted code whose children are those chosen so
+    far plus children of `budget` more vertices, each child at most the
+    code (size, index) of pools in (size, index) order."""
+    if budget == 0:
+        heights = [h for _, h, _ in chosen]
+        top = max(heights)
+        pool.append((tuple(sorted(c for c, _, _ in chosen)), top + 1, heights.count(top) > 1))
+        return
+    for s in range(min(size, budget), 0, -1):
+        top = index if s == size else len(pools[s]) - 1
+        for i in range(top, -1, -1):
+            chosen.append(pools[s][i])
+            _pick_children(pools, chosen, pool, budget - s, s, i)
+            chosen.pop()
+
+
 def _rooted_codes(max_size: int) -> list[list[tuple[tuple, int, bool]]]:
     """Every rooted tree of 1..max_size vertices once: pools[s] holds each
     (code, height, centred) of size s, where code is the sorted tuple of its
@@ -199,25 +216,9 @@ def _rooted_codes(max_size: int) -> list[list[tuple[tuple, int, bool]]]:
     sizes.
     """
     pools: list[list[tuple[tuple, int, bool]]] = [[], [((), 0, False)]]
-    chosen: list[tuple[tuple, int, bool]] = []
-
-    def pick(pool: list, budget: int, size: int, index: int) -> None:
-        # the next child is at most (size, index)
-        if budget == 0:
-            heights = [h for _, h, _ in chosen]
-            top = max(heights)
-            pool.append((tuple(sorted(c for c, _, _ in chosen)), top + 1, heights.count(top) > 1))
-            return
-        for s in range(min(size, budget), 0, -1):
-            top = index if s == size else len(pools[s]) - 1
-            for i in range(top, -1, -1):
-                chosen.append(pools[s][i])
-                pick(pool, budget - s, s, i)
-                chosen.pop()
-
     for size in range(2, max_size + 1):
         pool: list[tuple[tuple, int, bool]] = []
-        pick(pool, size - 1, size - 1, len(pools[size - 1]) - 1)
+        _pick_children(pools, [], pool, size - 1, size - 1, len(pools[size - 1]) - 1)
         pools.append(pool)
     return pools
 
@@ -239,6 +240,25 @@ def _tree_keys(n: int, pools: list) -> list[tuple]:
     return keys
 
 
+def _necklaces(by_size: list, a: list[int], found: list, t: int, p: int, budget: int) -> None:
+    """Append to found each rank sequence a[1..girth] that extends a[1..t-1],
+    a prenecklace of period p, to a necklace with sizes summing to the
+    budget left and no rotation of its reverse less than it."""
+    girth = len(a) - 1
+    if t > girth:
+        seq, rev = a[1:], a[:0:-1]
+        if girth % p == 0 and all(seq <= rev[i:] + rev[:i] for i in range(girth)):
+            found.append(tuple(seq))
+        return
+    low = a[t - p]
+    sizes = (budget,) if t == girth else range(1, budget - (girth - t) + 1)
+    for size in sizes:
+        ranks = by_size[size]
+        for r in ranks[bisect.bisect_left(ranks, low):]:
+            a[t] = r
+            _necklaces(by_size, a, found, t + 1, p if r == low else t, budget - size)
+
+
 def _unicyclic_keys(n: int, pools: list) -> list[tuple]:
     """The unicyclic_canonical_key of every unicyclic class on n vertices,
     ascending: for each girth, every sequence of rooted codes whose sizes
@@ -254,24 +274,9 @@ def _unicyclic_keys(n: int, pools: list) -> list[tuple]:
         by_size[size].append(r)
     keys: list[tuple] = []
     for girth in range(3, n + 1):
-        a = [0] * (girth + 1)  # a[1..girth], a[0] = 0 below every rank
         found: list[tuple[int, ...]] = []
-
-        def extend(t: int, p: int, budget: int) -> None:
-            if t > girth:
-                seq, rev = a[1:], a[:0:-1]
-                if girth % p == 0 and all(seq <= rev[i:] + rev[:i] for i in range(girth)):
-                    found.append(tuple(seq))
-                return
-            low = a[t - p]
-            sizes = (budget,) if t == girth else range(1, budget - (girth - t) + 1)
-            for size in sizes:
-                ranks = by_size[size]
-                for r in ranks[bisect.bisect_left(ranks, low):]:
-                    a[t] = r
-                    extend(t + 1, p if r == low else t, budget - size)
-
-        extend(1, 1, n)
+        # a[1..girth], a[0] = 0 below every rank
+        _necklaces(by_size, [0] * (girth + 1), found, 1, 1, n)
         found.sort()
         keys.extend((girth, tuple(ranked[r][0] for r in seq)) for seq in found)
     return keys

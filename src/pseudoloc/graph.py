@@ -14,8 +14,7 @@ finds.
 A distance row is kept packed: one Python integer with a one-byte field per
 vertex, field v holding d(u, v), which fits since no graph exceeds GRAPH_CAP
 vertices.  Whole-row comparisons and updates are then a few integer
-operations instead of a loop over vertices; the rows of plain integers are
-unpacked only when something reads them.
+operations instead of a loop over vertices.
 """
 
 from __future__ import annotations
@@ -24,13 +23,11 @@ import os
 import re
 from collections import deque
 from dataclasses import dataclass
-from functools import cached_property
 
 from .errors import (
     Disconnected,
     DuplicateEdge,
     MalformedGraph6,
-    NotPseudotree,
     SelfLoop,
     SizeCapExceeded,
     VertexOutOfRange,
@@ -106,35 +103,16 @@ def pack_row(values) -> int:
     return int.from_bytes(bytes(values), "little")
 
 
-def unpack_row(row: int, n: int) -> tuple[int, ...]:
-    return tuple(row.to_bytes(n, "little"))
-
-
 @dataclass(frozen=True)
 class DistanceMatrix:
     """All-pairs hop distances of a connected graph.
 
-    `packed[u]` is row u packed, with a one-byte field per vertex;
-    `rows[u][v]` is d(u, v), unpacked from the packed rows on first read.
+    `packed[u]` is row u packed, with a one-byte field per vertex holding
+    d(u, v) in field v; `ones` is the packed row with 1 in each field.
     """
 
     packed: tuple[int, ...]
-
-    @cached_property
-    def rows(self) -> tuple[tuple[int, ...], ...]:
-        return tuple(unpack_row(row, self.n) for row in self.packed)
-
-    @property
-    def n(self) -> int:
-        return len(self.packed)
-
-    @cached_property
-    def ones(self) -> int:
-        """The packed row with 1 in each field."""
-        return pack_row(b"\x01" * len(self.packed))
-
-    def __getitem__(self, u: int) -> tuple[int, ...]:
-        return self.rows[u]
+    ones: int
 
 
 def nonzero_bytes_mask(data: bytes) -> int:
@@ -415,18 +393,5 @@ def distance_matrix(g: Graph) -> DistanceMatrix:
             twice_arc += entering - twice_hang[i]
     for u in reversed(order):
         packed[u] = packed[parent[u]] + ones - twice_below[u]
-    return DistanceMatrix(tuple(packed))
+    return DistanceMatrix(tuple(packed), ones)
 
-
-def girth_and_cycle(g: Graph) -> tuple[int, list[int]] | None:
-    """Girth and the unique cycle of a unicyclic graph, None for trees.
-
-    The cycle is listed in traversal order starting at its smallest vertex,
-    stepping first to the smaller of that vertex's two cycle neighbours.
-    """
-    if g.m > g.n:
-        raise NotPseudotree(f"m={g.m} > n={g.n}: more than one cycle")
-    if g.m == g.n - 1:
-        return None
-    core = hanging_trees(g)[0]
-    return len(core), list(core)

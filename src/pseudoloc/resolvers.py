@@ -297,6 +297,53 @@ def _lattice_cover(n: int, masks, need: int, floor: int) -> tuple[int, ...] | No
     return None
 
 
+def _cover_search(
+    n: int, need: int, clashes: dict[int, int], start: int, chosen: int, open_: list[int], budget: int
+) -> int | None:
+    """The first set, as a bitmask, that adds `budget` vertices from `start`
+    on to `chosen` and meets every open mask `need` times, or None: one
+    branch of lex_first_cover's depth-first search."""
+    if not open_:
+        return chosen | (((1 << budget) - 1) << start) if start + budget <= n else None
+    allowed = -1 << start
+    top = n - budget  # the last first pick that leaves room for the others
+    rows = []
+    for c in open_:
+        cand = c & allowed
+        deficit = need - (c & chosen).bit_count()
+        slack = cand.bit_count() - deficit
+        if deficit > budget or slack < 0:
+            return None
+        top = min(top, cand.bit_length() - 1)  # picks only grow: c needs one by here
+        rows.append((slack, clashes[c], cand, deficit))
+    rows.sort()
+    used = packed = 0
+    for _, _, cand, deficit in rows:
+        if not cand & used:  # pairwise disjoint masks need separate picks
+            used |= cand
+            packed += deficit
+    if packed > budget:
+        return None
+    picks = allowed & ((2 << top) - 1)
+    while picks:
+        b = picks & -picks
+        picks ^= b
+        # a skipped smaller vertex that lies in every open mask holding b
+        # could replace b: a lexicographically smaller set of the same size
+        inside = -1
+        for c in open_:
+            if c & b:
+                inside &= c
+        if inside & (b - 1) & ~chosen:
+            continue
+        hit = chosen | b
+        still_open = [c for c in open_ if (c & hit).bit_count() < need]
+        found = _cover_search(n, need, clashes, b.bit_length(), hit, still_open, budget - 1)
+        if found is not None:
+            return found
+    return None
+
+
 def lex_first_cover(n: int, masks, need: int = 1, floor: int = 1) -> tuple[int, ...] | None:
     """The lexicographically first of the smallest sets S of vertices 0..n-1
     with |S & m| >= need for every mask m and |S| >= floor; None if none exists.
@@ -308,7 +355,9 @@ def lex_first_cover(n: int, masks, need: int = 1, floor: int = 1) -> tuple[int, 
     adds vertices in increasing order and cuts only branches that hold no
     solution or only solutions that a lexicographically smaller set of the
     same size beats, so the first set it meets is the one
-    itertools.combinations would meet first.
+    itertools.combinations would meet first.  It recurses through a module
+    function, not a closure that refers to itself, so a call leaves no
+    reference cycle to collect.
     """
     if n <= LATTICE_MAX_N:
         return _lattice_cover(n, masks, need, floor)
@@ -317,50 +366,8 @@ def lex_first_cover(n: int, masks, need: int = 1, floor: int = 1) -> tuple[int, 
         return None
     # the packing takes tight masks first, and of those the ones that meet fewest others
     clashes = {c: sum(1 for d in cons if c & d) for c in cons}
-
-    def search(start: int, chosen: int, open_: list[int], budget: int) -> int | None:
-        if not open_:
-            return chosen | (((1 << budget) - 1) << start) if start + budget <= n else None
-        allowed = -1 << start
-        top = n - budget  # the last first pick that leaves room for the others
-        rows = []
-        for c in open_:
-            cand = c & allowed
-            deficit = need - (c & chosen).bit_count()
-            slack = cand.bit_count() - deficit
-            if deficit > budget or slack < 0:
-                return None
-            top = min(top, cand.bit_length() - 1)  # picks only grow: c needs one by here
-            rows.append((slack, clashes[c], cand, deficit))
-        rows.sort()
-        used = packed = 0
-        for _, _, cand, deficit in rows:
-            if not cand & used:  # pairwise disjoint masks need separate picks
-                used |= cand
-                packed += deficit
-        if packed > budget:
-            return None
-        picks = allowed & ((2 << top) - 1)
-        while picks:
-            b = picks & -picks
-            picks ^= b
-            # a skipped smaller vertex that lies in every open mask holding b
-            # could replace b: a lexicographically smaller set of the same size
-            inside = -1
-            for c in open_:
-                if c & b:
-                    inside &= c
-            if inside & (b - 1) & ~chosen:
-                continue
-            hit = chosen | b
-            still_open = [c for c in open_ if (c & hit).bit_count() < need]
-            found = search(b.bit_length(), hit, still_open, budget - 1)
-            if found is not None:
-                return found
-        return None
-
     for size in range(floor, n + 1):
-        found = search(0, 0, cons, size)
+        found = _cover_search(n, need, clashes, 0, 0, cons, size)
         if found is not None:
             return tuple(v for v in range(n) if found >> v & 1)
     return None

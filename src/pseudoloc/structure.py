@@ -6,11 +6,11 @@ branch-active vertices, antipodal pair counts, twins, leg lengths), plus the
 strong resolving graph and exact independence and domination solvers: a
 bitset maximum-clique search for alpha, and a linear-time dynamic programme
 for gamma.
-The profile reads no distances: each leaf's terminal vertex is the end of its
-leg.  Only the strong resolving graph reads a distance matrix, the one kept
-on the graph.  The cycle, the branching trees and the threads are read off
-graph.hanging_trees, the one leaf stripping, and gamma's dynamic programme
-runs on its hanging trees.
+Nothing here reads distances.  The profile's terminal vertex of a leaf is
+the end of its leg, and the strong resolving graph joins leaves and trivial
+cycle vertices by the cycle distances of their roots.  The cycle, the
+branching trees and the threads are read off graph.hanging_trees, the one
+leaf stripping, and gamma's dynamic programme runs on its hanging trees.
 """
 
 from __future__ import annotations
@@ -19,14 +19,7 @@ import enum
 from dataclasses import dataclass, field
 
 from .errors import NotPseudotree, SizeCapExceeded
-from .graph import (
-    GRAPH_CAP,
-    Graph,
-    distance_matrix,
-    hanging_trees,
-    kept,
-    nonzero_bytes_mask,
-)
+from .graph import GRAPH_CAP, Graph, hanging_trees, kept
 
 
 class FamilyKind(enum.Enum):
@@ -337,49 +330,78 @@ class StrongResolvingGraph:
 
 
 def boundary_and_sr_graph(g: Graph) -> StrongResolvingGraph:
-    """Mutually-maximally-distant pairs and the boundary they span.
-
-    Adjacent rows differ by at most 1 in every field, so each field of
-    row[w] - row[v] + ONES is 0, 1 or 2, and field u is 2 exactly when w is
-    farther than v from u.  OR-ing that over the neighbours w of v and
-    keeping bit 1 of each field marks the u that v is not maximally distant
-    from.  One byte per field of what is left, in a matrix with a row per v,
-    gives near[v][u] nonzero iff v is maximally distant from u, and u and v
-    are mutually maximally distant iff near[v][u] and near[u][v]: row v of
-    the SR graph is row v of near AND column v, the byte slice near[v::n].
-    The rows of near end to end, and its columns end to end, make two
-    integers of n * n bits; their AND holds every row of the SR graph.
+    """Mutually-maximally-distant pairs of a pseudotree and the boundary they
+    span, read off the profile and the roots of hanging_trees; no distances.
 
     A cut vertex v is maximally distant from no vertex: for any u != v, a
-    neighbour of v in a component of G - v without u is farther from u.
-    So near[v] is zero for the parents of degree >= 2 in hanging_trees,
-    which are cut vertices, and their neighbours are not read.  The rows
-    are those of the distance matrix kept on the graph.
+    neighbour of v in a component of G - v without u is farther from u.  So
+    only the leaves L and the trivial cycle vertices T, those with no hanging
+    tree, have partners.  A leaf's one neighbour is nearer every other
+    vertex, so any two leaves are mutually maximally distant.  Both
+    neighbours of a vertex t of T lie on the cycle, and one of them is
+    farther than t from a cycle vertex c, and so from every vertex hanging
+    off c, iff the cycle distance of t and c is below floor(g/2).  So two
+    vertices of T are mutually maximally distant iff their cycle distance is
+    floor(g/2), and a leaf and a vertex t of T are iff t is at that cycle
+    distance from the leaf's root.  No other pair is.
+
+    Raises NotPseudotree on any other graph.
     """
-    dm = kept(g, distance_matrix)
-    packed, ones, n = dm.packed, dm.ones, g.n
-    _, order, parent, _, _ = hanging_trees(g)
-    cut = {parent[u] for u in order}
-    zero = bytes(n)
-    near = bytearray()
-    for v, row_v in enumerate(packed):
-        if v in cut and len(g.adjacency[v]) > 1:
-            near += zero
+    prof = kept(g, profile)
+    root = hanging_trees(g)[3]
+    rows = [0] * g.n
+    everyleaf = 0
+    hanging: dict[int, list[int]] = {}  # the leaves off each root
+    for u in prof.leaves:
+        everyleaf |= 1 << u
+        hanging.setdefault(root[u], []).append(u)
+    for u in prof.leaves:
+        rows[u] = everyleaf ^ 1 << u
+    cycle, girth = prof.cycle, prof.girth
+    half = girth // 2
+    for i, t in enumerate(cycle):
+        if len(g.adjacency[t]) > 2:  # a root: a cut vertex
             continue
-        far = 0
-        for w in g.adjacency[v]:
-            far |= packed[w] + ones - row_v
-        near += (~(far >> 1) & ones).to_bytes(n, "little")
-    # bit v * n + u of both: near[v][u] and near[u][v], the column read by the
-    # slices; all n rows in one integer, read row by row
-    both = nonzero_bytes_mask(near) & nonzero_bytes_mask(b"".join([near[v::n] for v in range(n)]))
-    full = (1 << n) - 1
-    # a lone vertex has no neighbour to be farther than itself
-    rows = tuple([both >> (v * n) & full & ~(1 << v) for v in range(n)])
+        # the cycle vertices at cycle distance half, one when g is even
+        for c in (cycle[i - half], cycle[i + half - girth]):
+            if len(g.adjacency[c]) == 2:
+                rows[t] |= 1 << c
+            else:
+                for u in hanging[c]:
+                    rows[t] |= 1 << u
+                    rows[u] |= 1 << t
     boundary = 0
     for row in rows:
         boundary |= row
-    return StrongResolvingGraph(rows=rows, boundary_mask=boundary)
+    return StrongResolvingGraph(rows=tuple(rows), boundary_mask=boundary)
+
+
+def _alpha_branch(rows, cand: int, size: int, best: int) -> int:
+    """The larger of best and size plus the independence number on the
+    bitmask cand: one branch of independence_number's search."""
+    # colour classes are cliques of this graph: the picks of one class
+    # exclude each other, so a branch adds at most one vertex per class
+    picks: list[tuple[int, int]] = []
+    uncoloured, colour = cand, 0
+    while uncoloured:
+        colour += 1
+        free = uncoloured
+        while free:
+            b = free & -free
+            v = b.bit_length() - 1
+            free &= rows[v]
+            uncoloured ^= b
+            picks.append((b, colour))
+    for b, colour in reversed(picks):
+        if size + colour <= best:
+            return best
+        rest = cand & ~rows[b.bit_length() - 1] & ~b
+        if rest:
+            best = _alpha_branch(rows, rest, size + 1, best)
+        elif size + 1 > best:
+            best = size + 1
+        cand ^= b
+    return best
 
 
 def independence_number(rows, vertices: int) -> int:
@@ -391,38 +413,12 @@ def independence_number(rows, vertices: int) -> int:
     the bitset branch and bound of Tomita & Seki (2003): a greedy colouring
     of the complement's candidates, into cliques of this graph, bounds what a
     branch can still add, and the vertices branch in reverse colour order.
+    The branches recurse through a module function, not a closure that
+    refers to itself, so a call leaves no reference cycle to collect.
     """
     if len(rows) > GRAPH_CAP:
         raise SizeCapExceeded(f"{len(rows)} vertices exceeds graph cap {GRAPH_CAP}")
-    best = 0
-
-    def expand(cand: int, size: int) -> None:
-        nonlocal best
-        # colour classes are cliques of this graph: the picks of one class
-        # exclude each other, so a branch adds at most one vertex per class
-        picks: list[tuple[int, int]] = []
-        uncoloured, colour = cand, 0
-        while uncoloured:
-            colour += 1
-            free = uncoloured
-            while free:
-                b = free & -free
-                v = b.bit_length() - 1
-                free &= rows[v]
-                uncoloured ^= b
-                picks.append((b, colour))
-        for b, colour in reversed(picks):
-            if size + colour <= best:
-                return
-            rest = cand & ~rows[b.bit_length() - 1] & ~b
-            if rest:
-                expand(rest, size + 1)
-            elif size + 1 > best:
-                best = size + 1
-            cand ^= b
-
-    expand(vertices, 0)
-    return best
+    return _alpha_branch(rows, vertices, 0, 0)
 
 
 # what a run of _tree_domination fixes at a vertex

@@ -26,6 +26,9 @@ from pseudoloc import (
 )
 from pseudoloc.graph import pack_row
 
+# rows of plain distances: row u holds d(u, v) at v
+Rows = tuple[tuple[int, ...], ...]
+
 
 def count_calls(monkeypatch, name: str, modules) -> list[Graph]:
     """The graphs passed to pseudoloc function `name` at each of its bindings
@@ -152,20 +155,23 @@ def thread_gap_c14() -> Graph:
 # definitional predicates: the oracle's reference, sharing no code with it
 
 
-def resolves(dm: DistanceMatrix, v: int, x: int, y: int) -> bool:
+# each takes rows of plain distances, dm[x][v] = d(x, v): unpacked or BFS rows
+
+
+def resolves(dm: Rows, v: int, x: int, y: int) -> bool:
     return dm[x][v] != dm[y][v]
 
 
-def doubly_resolves(dm: DistanceMatrix, u: int, v: int, x: int, y: int) -> bool:
+def doubly_resolves(dm: Rows, u: int, v: int, x: int, y: int) -> bool:
     return dm[x][u] - dm[x][v] != dm[y][u] - dm[y][v]
 
 
-def strong_resolves(dm: DistanceMatrix, w: int, x: int, y: int) -> bool:
+def strong_resolves(dm: Rows, w: int, x: int, y: int) -> bool:
     dxy = dm[x][y]
     return dm[w][x] == dm[w][y] + dxy or dm[w][y] == dm[w][x] + dxy
 
 
-def edge_distance(dm: DistanceMatrix, v: int, e: tuple[int, int]) -> int:
+def edge_distance(dm: Rows, v: int, e: tuple[int, int]) -> int:
     return min(dm[v][e[0]], dm[v][e[1]])
 
 
@@ -188,7 +194,7 @@ def is_bipartite(g: Graph) -> bool:
     return True
 
 
-def tree_zeta(prof: PseudotreeProfile, dm: DistanceMatrix) -> int:
+def tree_zeta(prof: PseudotreeProfile, dm: Rows) -> int:
     """The paper's zeta: the largest k for which a non-path tree admits a
     k-locating set, the least sum of the two nearest terminal distances of a
     strong exterior major vertex."""
@@ -347,7 +353,7 @@ def _locates(g: Graph, dm, s: tuple[int, ...], param: str, k) -> bool:
 def dimension_by_enumeration(g: Graph, param: str, k=None) -> tuple[int, tuple[int, ...]]:
     """(size, witness): the first locating set in size-ascending
     itertools.combinations order, tested with the definitional predicates."""
-    dm = distance_matrix(g)
+    dm = unpacked(distance_matrix(g))
     for size in range(1, g.n + 1):
         for combo in itertools.combinations(range(g.n), size):
             if _locates(g, dm, combo, param, k):
@@ -377,7 +383,13 @@ def distance_rows_by_bfs(g: Graph) -> tuple[tuple[int, ...], ...]:
 
 def packed_matrix(rows) -> DistanceMatrix:
     """The DistanceMatrix holding the given rows of distances."""
-    return DistanceMatrix(tuple(map(pack_row, rows)))
+    return DistanceMatrix(tuple(map(pack_row, rows)), pack_row([1] * len(rows)))
+
+
+def unpacked(dm: DistanceMatrix) -> Rows:
+    """The rows of plain distances of a packed matrix: row u holds d(u, v) at v."""
+    n = len(dm.packed)
+    return tuple(tuple(row.to_bytes(n, "little")) for row in dm.packed)
 
 
 def k_dimensional_by_pairs(rows) -> int:
@@ -431,7 +443,7 @@ def _pairs_resolved_by_definition(g: Graph, items: str) -> dict[tuple, int]:
     leaves unresolved exactly the pairs inside one class of items at equal
     distance from v.  The last result is kept, since dim, dimk, ddim and
     ldim read the same vertex pairs."""
-    dm = packed_matrix(distance_rows_by_bfs(g))
+    dm = distance_rows_by_bfs(g)
     listed: list = list(range(g.n)) if items != "edges" else []
     if items != "vertices":
         listed += list(g.edges)
@@ -465,7 +477,7 @@ def constraint_masks_by_definition(g: Graph, param: str, k=None) -> tuple[list[i
         return sum(1 << v for v in members)
 
     if param in ("sdim", "dmd"):
-        dm = packed_matrix(distance_rows_by_bfs(g))
+        dm = distance_rows_by_bfs(g)
         pairs = list(itertools.combinations(range(n), 2))
     if param == "sdim":
         masks = [mask(w for w in range(n) if strong_resolves(dm, w, x, y)) for x, y in pairs]

@@ -47,7 +47,7 @@ from pseudoloc import (
 from pseudoloc.corpus import CorpusSpec
 from pseudoloc.resolvers import brute_force_dimension
 
-from conftest import cycle_graph, path_graph, strong_resolves, thread_gap_c14_graph, tree_zeta
+from conftest import cycle_graph, path_graph, strong_resolves, thread_gap_c14_graph, tree_zeta, unpacked
 
 
 def report(criterion: str, ok: bool, detail: str = "") -> None:
@@ -126,7 +126,7 @@ class TestCriterion2:
         bad = []
         for n in range(2, 10):
             for g in tree_classes_by_n[n]:
-                prof, dm = kept(g, profile), kept(g, distance_matrix)
+                prof, dm = kept(g, profile), unpacked(kept(g, distance_matrix))
                 is_path = prof.kind is FamilyKind.PATH
                 gamma = domination_number(g)
                 expected = {
@@ -302,7 +302,7 @@ class TestCriterion6:
         first = None
         removals = additions = shortcuts = 0
         for g in graphs:
-            dm = distance_matrix(g)
+            dm = unpacked(distance_matrix(g))
             edge_set = set(g.edges)
             pairs = list(itertools.combinations(range(g.n), 2))
             resolver_masks = {}
@@ -318,7 +318,7 @@ class TestCriterion6:
                 except Disconnected:
                     changed_masks[(x, y)] = None
                     continue
-                dmt = distance_matrix(toggled)
+                dmt = unpacked(distance_matrix(toggled))
                 changed = 0
                 for w in range(g.n):
                     if dmt[w] != dm[w]:

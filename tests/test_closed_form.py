@@ -17,7 +17,7 @@ from pseudoloc import (
     cover_problem,
     distance_matrix,
     from_edge_list,
-    girth_and_cycle,
+    hanging_trees,
     is_locating_set,
     k_dimensional_value,
     kept,
@@ -31,7 +31,7 @@ from pseudoloc import (
 from pseudoloc.corpus import CorpusSpec
 from pseudoloc.resolvers import METHOD_BOUNDED, METHOD_BRUTE_FORCE
 
-from conftest import cycle_graph, dimension_by_enumeration, path_graph, thread_gap_c14_graph, tree_zeta
+from conftest import cycle_graph, dimension_by_enumeration, path_graph, thread_gap_c14_graph, tree_zeta, unpacked
 
 UNICYCLIC_14 = "M?C_??bt?A_GO?_??"
 
@@ -193,7 +193,7 @@ class TestDimk:
         assert oracle_result(spider122, "dimk", k=3).value == 5
 
     def test_zeta(self, spider122):
-        assert tree_zeta(profile(spider122), distance_matrix(spider122)) == 3
+        assert tree_zeta(profile(spider122), unpacked(distance_matrix(spider122))) == 3
         assert k_dimensional_value(spider122) == 3
 
     def test_k_out_of_range(self, c5):
@@ -374,7 +374,7 @@ class TestCorpusLemmas:
         for n in range(3, 9):
             for g in unicyclic_classes_by_n[n]:
                 edim_g = oracle_result(g, "edim").value
-                _, cycle = girth_and_cycle(g)
+                cycle = hanging_trees(g)[0]
                 for i, u in enumerate(cycle):
                     v = cycle[(i + 1) % len(cycle)]
                     e = (u, v) if u < v else (v, u)
@@ -403,7 +403,7 @@ class TestDoublyCycleResolvesThreads:
             if classify(g) is not FamilyKind.PROPER_UNICYCLIC:
                 continue
             prof = profile(g)
-            dm = distance_matrix(g)
+            dm = unpacked(distance_matrix(g))
             cycle = prof.cycle
             targets = list(cycle) + [v for path in prof.threads.values() for v in path]
             for size in (2, 3):

@@ -3,11 +3,10 @@ major vertex by BFS, closed forms with distance_matrix made to raise,
 canonical forms without the profile, and one k-dimensional value per
 verified graph.
 
-Of the closed forms, only sdim on a proper unicyclic graph of odd girth (its
-strong resolving graph) and dimk on a twin-free graph (its k-dimensional
-value) build a distance matrix, at most one per graph.  dimk reads the
-k-dimensional value off the twins when there are any, and tree leg lengths
-off the profile."""
+Of the closed forms, only dimk on a twin-free graph (its k-dimensional
+value) builds a distance matrix, at most one per graph: sdim reads its
+strong resolving graph off the profile.  dimk reads the k-dimensional value
+off the twins when there are any, and tree leg lengths off the profile."""
 
 from __future__ import annotations
 
@@ -17,6 +16,7 @@ import pytest
 
 from pseudoloc import (
     PARAMETER_NAMES,
+    FamilyKind,
     closed_result,
     compute_parameter,
     enumerate_trees,
@@ -40,9 +40,8 @@ from conftest import (
 
 DISTANCE_FREE = ("dmd", "dim", "dim2", "edim", "mdim", "ldim")
 # every module that binds distance_matrix; closed_form and corpus bind the
-# k-dimensional value kernel and the SR graph, which read the matrix through
-# resolvers and structure
-MODULES_THAT_BUILD_DISTANCES = ("structure", "resolvers", "graph")
+# k-dimensional value kernel, which reads the matrix through resolvers
+MODULES_THAT_BUILD_DISTANCES = ("resolvers", "graph")
 
 
 @pytest.fixture
@@ -92,9 +91,17 @@ class TestClosedFormsWithoutDistances:
         for g in graphs:
             assert closed_result(g, "sdim").is_exact
 
-    def test_sdim_on_proper_unicyclic_builds_distances(self, no_distances, paw):
-        with pytest.raises(AssertionError, match="distance_matrix called"):
-            closed_result(paw, "sdim")
+    def test_sdim_on_proper_unicyclic_builds_distances(self, no_distances, unicyclic_classes_by_n):
+        # odd girth reads its SR graph and alpha off the profile: no matrix
+        graphs = [
+            g
+            for graphs in unicyclic_classes_by_n.values()
+            for g in graphs
+            if profile(g).kind is FamilyKind.PROPER_UNICYCLIC and profile(g).girth % 2
+        ]
+        assert len(graphs) > 100
+        for g in graphs:
+            assert closed_result(g, "sdim").theorem_tag == "SDIM_PARTALPHA"
 
     def test_even_girth_sdim_builds_no_sr_graph(self, monkeypatch, c4p):
         # even girth is the paper's formula alone: no distances and no SR graph

@@ -22,7 +22,6 @@ from pseudoloc import (
     domination_number,
     encode_graph6,
     from_edge_list,
-    girth_and_cycle,
     hanging_trees,
     kept,
     parse_edgelist,
@@ -34,7 +33,7 @@ from pseudoloc import (
 )
 from pseudoloc.corpus import CorpusSpec, random_pseudotree
 
-from conftest import cycle_graph, is_bipartite, path_graph, random_pseudotrees
+from conftest import cycle_graph, is_bipartite, path_graph, random_pseudotrees, unpacked
 
 
 class TestFromEdgeList:
@@ -81,22 +80,22 @@ class TestFromEdgeList:
 
 class TestDistances:
     def test_path_row(self, p4):
-        assert distance_matrix(p4)[0] == (0, 1, 2, 3)
+        assert unpacked(distance_matrix(p4))[0] == (0, 1, 2, 3)
 
     def test_cycle_symmetry(self, c5):
-        dm = distance_matrix(c5)
+        dm = unpacked(distance_matrix(c5))
         assert dm[0][2] == 2 and dm[0][3] == 2
 
     def test_paw_hand_bfs(self, paw):
-        dm = distance_matrix(paw)
+        dm = unpacked(distance_matrix(paw))
         assert dm[3][1] == 2 and dm[3][2] == 2
-        assert max(map(max, dm.rows)) == 2
+        assert max(map(max, dm)) == 2
 
     def test_matrix_invariants_on_random_pseudotrees(self):
         for seed in range(40):
             family = "tree" if seed % 2 else "unicyclic"
             g = random_pseudotree(CorpusSpec(family=family, max_n=3 + seed % 8, seed=seed))
-            dm = distance_matrix(g)
+            dm = unpacked(distance_matrix(g))
             for u in range(g.n):
                 assert dm[u][u] == 0
                 for v in range(g.n):
@@ -188,23 +187,30 @@ class TestEdgelistFormat:
 
 
 class TestGirthAndCycle:
+    """The cycle is the core of hanging_trees, and the girth its length."""
+
     def test_paw(self, paw):
-        assert girth_and_cycle(paw) == (3, [0, 1, 2])
+        assert hanging_trees(paw)[0] == (0, 1, 2)
 
     def test_tree(self, p4):
-        assert girth_and_cycle(p4) is None
+        # a tree's core is its last stripped vertex, a centre: no cycle
+        assert len(hanging_trees(p4)[0]) == 1 and profile(p4).girth == 0
 
     def test_whole_cycle(self, c6):
-        assert girth_and_cycle(c6) == (6, [0, 1, 2, 3, 4, 5])
+        assert hanging_trees(c6)[0] == (0, 1, 2, 3, 4, 5)
 
     def test_not_pseudotree(self):
+        # K4's core is its 2-core, all of it; what reads a cycle refuses it
+        k4 = parse_graph6("C~")
+        assert hanging_trees(k4)[0] == (0, 1, 2, 3)
         with pytest.raises(NotPseudotree):
-            girth_and_cycle(parse_graph6("C~"))
+            profile(k4)
 
     def test_cycle_is_closed_walk(self, unicyclic_classes_by_n):
         for g in unicyclic_classes_by_n[8]:
-            length, cyc = girth_and_cycle(g)
-            assert length == len(cyc)
+            cyc = hanging_trees(g)[0]
+            length = len(cyc)
+            assert length == profile(g).girth
             for i, v in enumerate(cyc):
                 assert cyc[(i + 1) % length] in g.adjacency[v]
             assert cyc[0] == min(cyc)

@@ -50,8 +50,6 @@ def test_no_unused_imports_in_the_package():
 
 # public names no module of the package reads, and why each stays public
 UNREAD_ALLOWED = {
-    "girth_and_cycle": "the public cycle accessor, None for a tree: the package itself reads"
-    " the cycle off hanging_trees, whose core it returns",
     "is_locating_set": "the witness check: verification is to check every witness with it,"
     " and structural witness candidates are to pass it before any search",
 }

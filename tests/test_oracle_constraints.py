@@ -100,11 +100,12 @@ class TestSharedOracle:
 
 
 # every module that binds each function
-DISTANCE_MODULES = ("resolvers", "structure", "graph")
+DISTANCE_MODULES = ("resolvers", "graph")
 PROFILE_MODULES = ("structure", "closed_form", "cli")
 KERNEL_MODULES = ("resolvers", "closed_form", "corpus")
 
-# C5 with a leg: odd girth, so its sdim closed form reads the SR graph
+# C5 with a leg: odd girth, so its sdim closed form reads the SR graph, and
+# the SR graph reads the profile, no distances
 C5_WITH_A_LEG = [(0, 1), (1, 2), (2, 3), (3, 4), (4, 0), (0, 5)]
 
 
@@ -119,12 +120,14 @@ class TestOneDistanceMatrix:
         assert matrices == profiles == kernel == [g]
 
     def test_sdim_closed_oracle_and_predicate_share_one(self, monkeypatch):
-        # nothing is passed between the three calls: the matrix is kept on g
+        # nothing is passed between the three calls: the closed form builds no
+        # matrix, the oracle builds one and keeps it on g for the predicate
         g = from_edge_list(6, C5_WITH_A_LEG)
         matrices = count_calls(monkeypatch, "distance_matrix", DISTANCE_MODULES)
         closed = closed_result(g, "sdim")
-        assert closed.theorem_tag == "SDIM_PARTALPHA" and matrices == [g]
+        assert closed.theorem_tag == "SDIM_PARTALPHA" and matrices == []
         witness = oracle_result(g, "sdim").witness
+        assert matrices == [g]
         assert is_locating_set(g, witness, "sdim") and len(witness) == closed.value
         assert matrices == [g]
 

@@ -13,11 +13,11 @@ import random
 import pytest
 
 from pseudoloc import (
+    NotPseudotree,
     boundary_and_sr_graph,
     distance_matrix,
     encode_graph6,
     from_edge_list,
-    girth_and_cycle,
     hanging_trees,
     k_dimensional_value,
     kept,
@@ -25,7 +25,6 @@ from pseudoloc import (
     random_pseudotree,
 )
 from pseudoloc.corpus import CorpusSpec
-from pseudoloc.graph import unpack_row
 from pseudoloc.structure import _twin_pairs
 
 from conftest import (
@@ -39,6 +38,7 @@ from conftest import (
     path_graph,
     random_pseudotrees,
     twin_pairs_by_definition,
+    unpacked,
 )
 
 K4 = ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3))
@@ -48,25 +48,41 @@ K4 = ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3))
 ROWS_DIGEST = "27800e43b1aec4f160feb5d999497be73bab1c80dc5c4b7ec960e74b6257cdd9"
 
 
+def assert_distance_rows_match(g):
+    """Distance rows against BFS from every vertex."""
+    rows = distance_rows_by_bfs(g)
+    assert unpacked(kept(g, distance_matrix)) == rows
+    return rows
+
+
 def assert_rows_match(g):
     """Distance rows against BFS from every vertex, SR rows and boundary
-    against the pairwise MMD test.  The SR graph reads the matrix kept on g."""
-    dm = kept(g, distance_matrix)
-    rows = distance_rows_by_bfs(g)
-    assert dm.rows == rows
-    assert all(unpack_row(p, g.n) == row for p, row in zip(dm.packed, rows))
+    against the pairwise MMD test on the BFS rows, which shares no code with
+    the SR graph's rule."""
+    rows = assert_distance_rows_match(g)
     pairs = mmd_pairs_by_definition(g, rows)
     sr = boundary_and_sr_graph(g)
     assert sr.rows == neighbour_rows(g.n, pairs)
     assert sr.boundary_mask == sum(1 << x for x in {x for e in pairs for x in e})
-    return dm, rows
+    return rows
 
 
 def assert_kernels_match(g):
-    dm, rows = assert_rows_match(g)
+    rows = assert_rows_match(g)
     if g.n >= 2:
         assert k_dimensional_value(g) == k_dimensional_by_pairs(rows)
     assert _twin_pairs(g) == tuple(twin_pairs_by_definition(g))
+
+
+def assert_kernels_match_off_pseudotrees(g):
+    """assert_kernels_match for a graph with m > n: the SR graph reads the
+    profile, so such a graph gets none."""
+    rows = assert_distance_rows_match(g)
+    assert k_dimensional_value(g) == k_dimensional_by_pairs(rows)
+    assert _twin_pairs(g) == tuple(twin_pairs_by_definition(g))
+    with pytest.raises(NotPseudotree):
+        boundary_and_sr_graph(g)
+    return rows
 
 
 def unicyclic_of_girth(n: int, girth: int):
@@ -95,7 +111,7 @@ class TestFieldWidth:
             dm = distance_matrix(g)
             assert all(p.bit_length() <= 8 * g.n for p in dm.packed)
             assert tuple(tuple(p.to_bytes(g.n, "little")) for p in dm.packed) == distance_rows_by_bfs(g)
-        assert max(distance_matrix(path_graph(64))[0]) == 63
+        assert max(unpacked(distance_matrix(path_graph(64)))[0]) == 63
 
     def test_rows_given_alone_are_packed(self, paw):
         dm = packed_matrix(distance_rows_by_bfs(paw))
@@ -114,6 +130,12 @@ class TestAgainstReferences:
             for g in unicyclic_classes_by_n[n]:
                 assert_kernels_match(g)
 
+    def test_sr_rows_on_the_unicyclic_classes_of_order_9(self, unicyclic_classes_by_n):
+        # the SR graph's rules against the pairwise MMD test, with the trees
+        # up to 9 above: every tree and unicyclic class up to n = 9
+        for g in unicyclic_classes_by_n[9]:
+            assert_rows_match(g)
+
     def test_random_pseudotrees_n64(self):
         for g in random_pseudotrees(64, 40):
             assert_kernels_match(g)
@@ -124,7 +146,7 @@ class TestAgainstReferences:
     def test_k4_and_paw(self, paw):
         # the bridge rule holds in any connected graph, not only pseudotrees;
         # K4 is all core, the paw a triangle with one bridge
-        assert_kernels_match(from_edge_list(4, K4))
+        assert_kernels_match_off_pseudotrees(from_edge_list(4, K4))
         assert_kernels_match(paw)
 
     def test_profile_twin_pairs(self, c4, paw, spider122):
@@ -145,7 +167,7 @@ class TestArcAndCutVertexRules:
     def test_every_girth_at_the_cap(self):
         for girth in range(3, 64):
             g = unicyclic_of_girth(64, girth)
-            assert g.m == g.n and len(girth_and_cycle(g)[1]) == girth
+            assert g.m == g.n and len(hanging_trees(g)[0]) == girth
             assert_rows_match(g)
 
     def test_cut_vertices_are_maximally_distant_from_none(self, tree_classes_by_n, unicyclic_classes_by_n):
@@ -170,8 +192,11 @@ class TestArcAndCutVertexRules:
     def test_core_bfs_and_cut_vertices_off_pseudotrees(self, monkeypatch, n, edges):
         g = from_edge_list(n, edges)
         calls = count_calls(monkeypatch, "_core_row", ["graph"])
-        assert_kernels_match(g)
+        rows = assert_kernels_match_off_pseudotrees(g)
         assert len(calls) == len(hanging_trees(g)[0]) and g.m > g.n
+        # a parent of degree >= 2 is a cut vertex here too: maximally distant from none
+        for v in {p for p in hanging_trees(g)[2] if p >= 0 and len(g.adjacency[p]) > 1}:
+            assert all(any(rows[u][w] > rows[u][v] for w in g.adjacency[v]) for u in range(g.n) if u != v)
 
     def test_core_bfs_only_off_pseudotrees(self, monkeypatch):
         calls = count_calls(monkeypatch, "_core_row", ["graph"])
@@ -244,7 +269,7 @@ class TestKDimensionalValue:
         assert all(k_dimensional_value(g) >= 3 for g in graphs if twin_free(g))
         # every module that binds distance_matrix; a matrix kept under the
         # real builder is keyed by it, so refuse still sees every read
-        for name in ("graph", "resolvers", "structure"):
+        for name in ("graph", "resolvers"):
             monkeypatch.setattr(importlib.import_module(f"pseudoloc.{name}"), "distance_matrix", refuse)
         assert all(k_dimensional_value(g) == 2 for g in with_twins)
         with pytest.raises(AssertionError, match="distances read"):

@@ -33,6 +33,7 @@ from conftest import (
     random_pseudotrees,
     resolves,
     strong_resolves,
+    unpacked,
 )
 
 # (parameter, k) of each cover problem, dim2 as dimk at k = 2
@@ -54,31 +55,31 @@ def cap_cases(n: int) -> list:
 
 class TestPredicates:
     def test_resolves(self, p4, c4, paw):
-        assert resolves(distance_matrix(p4), 0, 1, 2)
-        assert not resolves(distance_matrix(c4), 0, 1, 3)
-        assert not resolves(distance_matrix(paw), 3, 1, 2)
+        assert resolves(unpacked(distance_matrix(p4)), 0, 1, 2)
+        assert not resolves(unpacked(distance_matrix(c4)), 0, 1, 3)
+        assert not resolves(unpacked(distance_matrix(paw)), 3, 1, 2)
 
     def test_doubly_resolves(self, c5, c6):
-        assert doubly_resolves(distance_matrix(c5), 0, 2, 1, 3)
-        dm6 = distance_matrix(c6)
+        assert doubly_resolves(unpacked(distance_matrix(c5)), 0, 2, 1, 3)
+        dm6 = unpacked(distance_matrix(c6))
         # (2,3) sit at lockstep distances from the pair (0,1); (3,4) do not
         assert not doubly_resolves(dm6, 0, 1, 2, 3)
         assert doubly_resolves(dm6, 0, 1, 3, 4)
 
     def test_doubly_resolves_own_pair(self, c6):
-        dm = distance_matrix(c6)
+        dm = unpacked(distance_matrix(c6))
         for u, v in itertools.combinations(range(6), 2):
             assert doubly_resolves(dm, u, v, u, v)
 
     def test_strong_resolves(self, paw, c4, p4):
-        assert strong_resolves(distance_matrix(paw), 3, 0, 1)
-        assert not strong_resolves(distance_matrix(c4), 0, 1, 3)
-        assert strong_resolves(distance_matrix(p4), 1, 1, 3)  # w == x
+        assert strong_resolves(unpacked(distance_matrix(paw)), 3, 0, 1)
+        assert not strong_resolves(unpacked(distance_matrix(c4)), 0, 1, 3)
+        assert strong_resolves(unpacked(distance_matrix(p4)), 1, 1, 3)  # w == x
 
     def test_edge_distance(self, p4, paw):
-        assert edge_distance(distance_matrix(p4), 0, (2, 3)) == 2
-        assert edge_distance(distance_matrix(paw), 3, (1, 2)) == 2
-        assert edge_distance(distance_matrix(paw), 0, (0, 1)) == 0
+        assert edge_distance(unpacked(distance_matrix(p4)), 0, (2, 3)) == 2
+        assert edge_distance(unpacked(distance_matrix(paw)), 3, (1, 2)) == 2
+        assert edge_distance(unpacked(distance_matrix(paw)), 0, (0, 1)) == 0
 
 
 class TestIsLocatingSet:
@@ -158,7 +159,7 @@ class TestBruteForce:
     def test_kmetric_2_equals_fault_tolerant_definition(self, tree_classes_by_n, unicyclic_classes_by_n):
         # the two definitions are the same predicate; spot-check set agreement
         for g in tree_classes_by_n[6] + unicyclic_classes_by_n[6]:
-            dm = distance_matrix(g)
+            dm = unpacked(distance_matrix(g))
             for size in range(1, g.n + 1):
                 for combo in itertools.combinations(range(g.n), size):
                     expected = all(
@@ -320,7 +321,7 @@ def toggled_distance_rows(g, u, v):
         toggled = from_edge_list(g.n, sorted(edges))
     except Disconnected:
         return None
-    return distance_matrix(toggled)
+    return unpacked(distance_matrix(toggled))
 
 
 class TestMatrixDetermination:
@@ -336,7 +337,7 @@ class TestMatrixDetermination:
     """
 
     def _masks(self, g):
-        dm = distance_matrix(g)
+        dm = unpacked(distance_matrix(g))
         strong_masks = {}
         for x, y in itertools.combinations(range(g.n), 2):
             mask = 0
@@ -364,7 +365,7 @@ class TestMatrixDetermination:
         graphs = [t for n in range(2, 6) for t in tree_classes_by_n[n]]
         graphs += [u for n in range(3, 6) for u in unicyclic_classes_by_n[n]]
         for g in graphs:
-            dm = distance_matrix(g)
+            dm = unpacked(distance_matrix(g))
             for x, y in itertools.combinations(range(g.n), 2):
                 edges = set(g.edges)
                 edges ^= {(x, y)}
@@ -372,7 +373,7 @@ class TestMatrixDetermination:
                     h = from_edge_list(g.n, sorted(edges))
                 except Disconnected:
                     continue
-                dmh = distance_matrix(h)
+                dmh = unpacked(distance_matrix(h))
                 for size in range(1, g.n + 1):
                     for combo in itertools.combinations(range(g.n), size):
                         if not is_locating_set(g, combo, "sdim"):
@@ -385,7 +386,7 @@ class TestMatrixDetermination:
         # the path 2-1-0-3-4 with S={1}: pair (2,4) is unresolved, yet
         # adding the edge 2-4 shortcuts 1-2-4 and changes row 1
         g = from_edge_list(5, [(0, 1), (0, 3), (1, 2), (3, 4)])
-        dm = distance_matrix(g)
+        dm = unpacked(distance_matrix(g))
         assert not strong_resolves(dm, 1, 2, 4)
         rows = toggled_distance_rows(g, 2, 4)
         assert rows[1] != dm[1]
