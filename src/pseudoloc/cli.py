@@ -7,7 +7,9 @@ compute and profile answer graph6 input line by line: a bad line is reported
 with its number, the other lines are still answered, and the exit code is
 the largest of the lines.  With --json a bad line also prints a record
 {"error", "exit_code", "line"} on stdout, so every nonblank input line has
-one output line, in input order.
+one output line, in input order.  A closed stdout (a reader such as
+`head` that has read enough) ends the command quietly: no further line is
+computed, and the exit code is the largest of the lines answered before.
 """
 
 from __future__ import annotations
@@ -15,6 +17,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import json
+import os
 import sys
 
 from .closed_form import compute_parameter
@@ -105,15 +108,17 @@ def _exit_code(exc: Exception) -> int:
 
 def _answer_inputs(args, answer) -> int:
     """Call answer on each input graph as it is read and return the largest
-    exit code seen.  A graph6 line that fails to parse or to answer is
-    reported as `error: line N: ...` on stderr, and with --json also as a
-    JSON error record on stdout; the lines after it are still answered."""
+    exit code seen, kept in args.exit_code as it grows.  A graph6 line that
+    fails to parse or to answer is reported as `error: line N: ...` on
+    stderr, and with --json also as a JSON error record on stdout; the lines
+    after it are still answered.  A closed stdout is no line's fault: it
+    ends the command (main)."""
     size_cap(ORACLE_CAP)  # a bad PSEUDOLOC_MAX_N fails the whole input once, not each line
     with _open_input(args.input) as fh:
         if args.format == "edgelist":
             answer(parse_edgelist(fh.read()))
             return EXIT_OK
-        worst, seen = EXIT_OK, False
+        seen = False
         for number, line in enumerate(fh, 1):
             line = line.strip()
             if not line:
@@ -121,15 +126,17 @@ def _answer_inputs(args, answer) -> int:
             seen = True
             try:
                 answer(parse_graph6(line))
+            except BrokenPipeError:
+                raise
             except _REPORTED as exc:
                 code = _exit_code(exc)
+                args.exit_code = max(args.exit_code, code)
                 print(f"error: line {number}: {exc}", file=sys.stderr)
                 if args.json:  # one record per line keeps the output in step with the input
                     print(json.dumps({"error": str(exc), "exit_code": code, "line": number}, sort_keys=True))
-                worst = max(worst, code)
     if not seen:
         raise GraphConstructionError("no graph6 input lines")
-    return worst
+    return args.exit_code
 
 
 def _result_json(param: str, result) -> dict:
@@ -203,9 +210,8 @@ def _cmd_gen(args) -> int:
     import random
 
     rng = random.Random(args.seed)
-    spec = CorpusSpec(family=args.kind, max_n=args.n, seed=args.seed)
     for _ in range(args.count):
-        print(encode_graph6(random_pseudotree(spec, rng=rng)))
+        print(encode_graph6(random_pseudotree(args.kind, args.n, rng)))
     return EXIT_OK
 
 
@@ -217,8 +223,14 @@ def main(argv=None) -> int:
         "verify": _cmd_verify,
         "gen": _cmd_gen,
     }
+    args.exit_code = EXIT_OK
     try:
         return handlers[args.command](args)
+    except BrokenPipeError:
+        # the reader is gone: answer nothing more, and send what stdout still
+        # buffers to devnull, so that the flush at exit reports nothing
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return args.exit_code
     except _REPORTED as exc:
         print(f"error: {exc}", file=sys.stderr)
         return _exit_code(exc)

@@ -27,7 +27,6 @@ from .structure import (
     StrongResolvingGraph,
     antipodal_pairs,
     boundary_and_sr_graph,
-    classify,
     domination_number,
     find_geodesic_triple,
     independence_number,
@@ -375,32 +374,24 @@ def closed_result(g: Graph, param: str, k: int | None = None) -> ParameterResult
     return dimk_closed(g, k) if param == "dimk" else _CLOSED_FORMS[param](g)
 
 
-def oracle_result(
-    g: Graph, param: str, k: int | None = None, max_n: int | None = None
-) -> ParameterResult:
+def oracle_result(g: Graph, param: str, k: int | None = None) -> ParameterResult:
     """Exact-search ground truth for the same parameter."""
-    return brute_force_dimension(g, param, k=k, max_n=max_n)
+    return brute_force_dimension(g, param, k=k)
 
 
-def compute_parameter(
-    g: Graph,
-    param: str,
-    k: int | None = None,
-    method: str = "auto",
-    max_n: int | None = None,
-) -> ParameterResult:
+def compute_parameter(g: Graph, param: str, k: int | None = None, method: str = "auto") -> ParameterResult:
     """CLI-facing dispatch: closed forms, oracle, or closed-with-oracle-upgrade.
-    Under every method a graph that is no pseudotree raises NotPseudotree."""
+    Under every method a graph that is no pseudotree raises NotPseudotree,
+    by the rule of graph.check_pseudotree that both routes apply."""
     if method not in ("auto", "closed", "brute"):
         raise ValueError(f"unknown method {method!r}")
     if method == "brute":
-        classify(g)  # the closed forms' rule; the oracle alone answers any connected graph
-        return oracle_result(g, param, k=k, max_n=max_n)
+        return oracle_result(g, param, k=k)
     # the oracle reuses what the closed form kept on the graph
     result = closed_result(g, param, k=k)
     if method == "closed" or result.is_exact:
         return result
     try:
-        return oracle_result(g, param, k=k, max_n=max_n)
+        return oracle_result(g, param, k=k)
     except SizeCapExceeded:
         return result

@@ -375,28 +375,23 @@ def _class_corpus(family: str, lo: int, max_n: int) -> Iterator[Graph]:
 
 @dataclass(frozen=True)
 class CorpusSpec:
-    """What to generate/verify: family, size bound, dedup, seed."""
+    """What to verify: family, size bound, dedup."""
 
-    family: str  # Tree | Unicyclic | Cycle | Path
+    family: str  # tree | unicyclic | cycle | path
     max_n: int
     dedup: bool = True
-    seed: int | None = None
 
     def __post_init__(self):
-        if self.family.lower() not in ("tree", "unicyclic", "cycle", "path"):
+        if self.family not in _ORDERS:
             raise ValueError(f"unknown family {self.family!r}")
 
 
-def random_pseudotree(spec: CorpusSpec, rng=None) -> Graph:
-    """Seed-deterministic random tree or unicyclic graph on spec.max_n vertices."""
-    import random as _random
-
-    if rng is None:
-        if spec.seed is None:
-            raise ValueError("random generation requires a seed")
-        rng = _random.Random(spec.seed)
-    n = spec.max_n
-    family = spec.family.lower()
+def random_pseudotree(family: str, n: int, rng) -> Graph:
+    """A random graph of the family on n vertices, drawn from rng, a
+    random.Random: a tree from a uniform Prüfer sequence, plus a uniform
+    chord for a unicyclic graph; a path or a cycle draws nothing."""
+    if family not in _ORDERS:
+        raise ValueError(f"unknown family {family!r}")
     lo = _ORDERS[family][0]
     if n < lo:
         raise SizeCapExceeded(f"cannot sample a {family} graph on {n} vertices: it needs n >= {lo}")
@@ -489,7 +484,7 @@ def corpus_graphs(spec: CorpusSpec) -> Iterator[Graph]:
     spec.max_n is checked on the call, before anything is enumerated: from
     the family's smallest order up to its cap, the enumeration cap for trees
     and unicyclic graphs, or the labelled cap for their labelled corpora."""
-    family = spec.family.lower()
+    family = spec.family
     _check_order(family, spec.max_n, labelled=not spec.dedup)
     orders = range(_ORDERS[family][0], spec.max_n + 1)
     if family in ("tree", "unicyclic") and spec.dedup:

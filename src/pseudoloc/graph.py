@@ -2,7 +2,11 @@
 distances.
 
 Vertices are dense 0-based integers.  Every constructor validates that the
-graph is simple and connected; everything downstream relies on both.
+graph is simple and connected; everything downstream relies on both.  The
+package answers pseudotrees only, connected graphs with m <= n: paths,
+cycles, trees and unicyclic graphs.  `check_pseudotree` holds that one rule,
+and every public function that computes on a graph applies it, directly or
+through the leaf stripping.
 `kept` is the one per-graph memo: what the package derives from a graph and
 reads more than once (the leaf stripping, the distances, the profile, the
 strong resolving graph, the k-dimensional value and the oracle's shared
@@ -28,6 +32,7 @@ from .errors import (
     Disconnected,
     DuplicateEdge,
     MalformedGraph6,
+    NotPseudotree,
     SelfLoop,
     SizeCapExceeded,
     VertexOutOfRange,
@@ -83,6 +88,12 @@ class Graph:
         return f"Graph(n={self.n}, edges={list(self.edges)})"
 
 
+def check_pseudotree(g: Graph) -> None:
+    """The one input rule: raise NotPseudotree unless m <= n."""
+    if g.m > g.n:
+        raise NotPseudotree(f"m={g.m} > n={g.n}: not a pseudotree")
+
+
 def kept(g: Graph, build):
     """build(g), built on the first call for g and kept on g: every later
     call with the same build returns the same object.
@@ -105,7 +116,7 @@ def pack_row(values) -> int:
 
 @dataclass(frozen=True)
 class DistanceMatrix:
-    """All-pairs hop distances of a connected graph.
+    """All-pairs hop distances of a pseudotree.
 
     `packed[u]` is row u packed, with a one-byte field per vertex holding
     d(u, v) in field v; `ones` is the packed row with 1 in each field.
@@ -276,17 +287,18 @@ def parse_graph6(text: str) -> Graph:
 
 
 def hanging_trees(g: Graph) -> tuple[tuple[int, ...], ...]:
-    """The core of g and the trees hanging off it, by the one leaf stripping.
+    """The core of a pseudotree g and the trees hanging off it, by the one
+    leaf stripping.
 
     Degree-1 vertices are removed until none is left.  Returns (core, order,
     parent, root, depth), each a tuple.  core is the cycle of a unicyclic
     graph, walked from its smallest vertex and stepping first to the smaller
-    of that vertex's two cycle neighbours; the last stripped vertex of a
-    tree; and the 2-core, ascending, of any other connected graph.  order
-    lists every other vertex as it was stripped, children before parents;
-    parent[u] is the neighbour u still had when it went (-1 on the core),
-    root[x] the core vertex whose hanging tree holds x, and depth[x] the
-    distance from x to root[x], 0 exactly on the core.
+    of that vertex's two cycle neighbours, or the last stripped vertex of a
+    tree (0 for a single vertex).  order lists every other vertex as it was
+    stripped, children before parents; parent[u] is the neighbour u still
+    had when it went (-1 on the core), root[x] the core vertex whose hanging
+    tree holds x, and depth[x] the distance from x to root[x], 0 exactly on
+    the core.  Raises NotPseudotree when m > n.
 
     The stripping runs once per Graph (kept): every later call on the same
     graph returns the same tuples.
@@ -295,6 +307,7 @@ def hanging_trees(g: Graph) -> tuple[tuple[int, ...], ...]:
 
 
 def _strip_leaves(g: Graph) -> tuple[tuple[int, ...], ...]:
+    check_pseudotree(g)
     n, adjacency = g.n, g.adjacency
     degree = list(map(len, adjacency))
     alive = [True] * n
@@ -318,7 +331,7 @@ def _strip_leaves(g: Graph) -> tuple[tuple[int, ...], ...]:
                     break
             prev, cur = cur, w
     else:
-        core = [v for v in range(n) if alive[v]] or [order.pop()]
+        core = [order.pop() if order else 0]
     root = list(range(n))
     depth = [0] * n
     for u in reversed(order):
@@ -328,26 +341,8 @@ def _strip_leaves(g: Graph) -> tuple[tuple[int, ...], ...]:
     return tuple(core), tuple(order), tuple(parent), tuple(root), tuple(depth)
 
 
-def _core_row(g: Graph, src: int, depth: tuple[int, ...]) -> list[int]:
-    """BFS distances from src to the core vertices, those of depth 0, -1 elsewhere."""
-    dist = [-1] * g.n
-    dist[src] = 0
-    frontier = [src]
-    d = 0
-    while frontier:
-        d += 1
-        reached = []
-        for u in frontier:
-            for w in g.adjacency[u]:
-                if dist[w] < 0 and not depth[w]:
-                    dist[w] = d
-                    reached.append(w)
-        frontier = reached
-    return dist
-
-
 def distance_matrix(g: Graph) -> DistanceMatrix:
-    """Exact hop distances between all vertex pairs, for any connected graph.
+    """Exact hop distances between all vertex pairs of a pseudotree.
 
     Each vertex x hangs off its core vertex r = root[x] by bridges
     (hanging_trees), so a core vertex c is at d_core(c, r) + depth(x) from x.
@@ -356,14 +351,13 @@ def distance_matrix(g: Graph) -> DistanceMatrix:
     from all others, so in packed form row[w] = row[p] + ONES - 2 * BELOW[w].
     No field borrows, since each vertex below w is at least 1 from p.
 
-    The core of a pseudotree is a cycle c_0 .. c_{g-1}, or a tree's centre
-    (g = 1).  Row c_0 is min(i, g - i) + depth in the field of each vertex
-    hanging off c_i.  From c_i to c_{i+1}, the vertices hanging off
-    c_{i+1} .. c_{i+g//2}, the arc, get one closer; for odd g those off
-    c_{i+g//2+1} stay as far; all others get one farther:
+    The core is a cycle c_0 .. c_{g-1}, or a tree's centre (g = 1).  Row c_0
+    is min(i, g - i) + depth in the field of each vertex hanging off c_i.
+    From c_i to c_{i+1}, the vertices hanging off c_{i+1} .. c_{i+g//2}, the
+    arc, get one closer; for odd g those off c_{i+g//2+1} stay as far; all
+    others get one farther:
     row[c_{i+1}] = row[c_i] + ONES - 2 * ARC - [g odd] * HANG[c_{i+g//2+1}],
-    with HANG[c] the ones in the fields of the tree hanging off c.  Any other
-    graph runs one BFS inside the core per core vertex.
+    with HANG[c] the ones in the fields of the tree hanging off c.
     """
     n = g.n
     core, order, parent, root, depth = hanging_trees(g)
@@ -372,25 +366,20 @@ def distance_matrix(g: Graph) -> DistanceMatrix:
         twice_below[parent[u]] += twice_below[u]
     packed = [0] * n
     ones = pack_row(b"\x01" * n)
-    if g.m > n:
-        for c in core:
-            within = _core_row(g, c, depth)
-            packed[c] = pack_row([within[r] + h for r, h in zip(root, depth)])
-    else:
-        cyc, half = len(core), len(core) // 2
-        step = [0] * n
-        for i, c in enumerate(core):
-            step[c] = min(i, cyc - i)
-        row = packed[core[0]] = pack_row([step[r] + h for r, h in zip(root, depth)])
-        twice_hang = [twice_below[c] for c in core]  # twice_below of a core vertex is 2 * HANG
-        twice_arc = sum(twice_hang[1 : half + 1])
-        for i in range(1, cyc):
-            entering = twice_hang[(i + half) % cyc]  # the arc's next vertex
-            row += ones - twice_arc
-            if cyc & 1:
-                row -= entering >> 1
-            packed[core[i]] = row
-            twice_arc += entering - twice_hang[i]
+    cyc, half = len(core), len(core) // 2
+    step = [0] * n
+    for i, c in enumerate(core):
+        step[c] = min(i, cyc - i)
+    row = packed[core[0]] = pack_row([step[r] + h for r, h in zip(root, depth)])
+    twice_hang = [twice_below[c] for c in core]  # twice_below of a core vertex is 2 * HANG
+    twice_arc = sum(twice_hang[1 : half + 1])
+    for i in range(1, cyc):
+        entering = twice_hang[(i + half) % cyc]  # the arc's next vertex
+        row += ones - twice_arc
+        if cyc & 1:
+            row -= entering >> 1
+        packed[core[i]] = row
+        twice_arc += entering - twice_hang[i]
     for u in reversed(order):
         packed[u] = packed[parent[u]] + ones - twice_below[u]
     return DistanceMatrix(tuple(packed), ones)

@@ -33,7 +33,7 @@ from dataclasses import dataclass
 from functools import cache
 
 from .errors import KOutOfRange, SizeCapExceeded
-from .graph import Graph, distance_matrix, kept, nonzero_bytes_mask, size_cap
+from .graph import Graph, check_pseudotree, distance_matrix, kept, nonzero_bytes_mask, size_cap
 
 ORACLE_CAP = 16
 
@@ -389,17 +389,19 @@ def is_locating_set(g: Graph, s, param: str, k: int | None = None) -> bool:
     return all((c & mask).bit_count() >= need for c in constraints)
 
 
-def brute_force_dimension(
-    g: Graph, param: str, k: int | None = None, max_n: int | None = None
-) -> ParameterResult:
+def brute_force_dimension(g: Graph, param: str, k: int | None = None) -> ParameterResult:
     """Minimum locating-set size by exact search, with a reproducible witness:
     the lexicographically first locating set of that size (lex_first_cover).
 
+    The rules go in order: a pseudotree (NotPseudotree), the name and k
+    (check_k), k within the k-dimensional value, then the oracle cap,
+    ORACLE_CAP or its PSEUDOLOC_MAX_N override (SizeCapExceeded).
     The distances, the shared masks and the k-dimensional value are kept on
     the graph, for every parameter and for the closed forms.
     """
+    check_pseudotree(g)
     check_k(param, k)
-    cap = size_cap(ORACLE_CAP) if max_n is None else max_n
+    cap = size_cap(ORACLE_CAP)
     need = 2 if param == "dim2" else k
     if need is not None:
         # k is range-checked before the cap, as the closed form checks it
@@ -420,8 +422,8 @@ def brute_force_dimension(
 
 
 def k_dimensional_value(g: Graph) -> int:
-    """Largest k admitting a k-locating set: the minimum pair resolver count,
-    0 on a single vertex, which has no pair.
+    """Largest k admitting a k-locating set of a pseudotree: the minimum
+    pair resolver count, 0 on a single vertex, which has no pair.
 
     Every pair is resolved by its own two ends, and by no other vertex iff
     the two are twins (equal open or equal closed neighbourhoods), so a
@@ -434,8 +436,10 @@ def k_dimensional_value(g: Graph) -> int:
     below the best count so far are counted.
 
     The resolvers of x and y are the nonzero fields of packed row x XOR
-    packed row y, counted with one mask, add, or and bit count.
+    packed row y, counted with one mask, add, or and bit count.  Raises
+    NotPseudotree when m > n, before the twin test.
     """
+    check_pseudotree(g)
     n = g.n
     if n < 2:
         return 0  # no vertex pair, so no k

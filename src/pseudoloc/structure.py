@@ -18,8 +18,8 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass, field
 
-from .errors import NotPseudotree, SizeCapExceeded
-from .graph import GRAPH_CAP, Graph, hanging_trees, kept
+from .errors import SizeCapExceeded
+from .graph import GRAPH_CAP, Graph, check_pseudotree, hanging_trees, kept
 
 
 class FamilyKind(enum.Enum):
@@ -39,11 +39,10 @@ class FamilyKind(enum.Enum):
 
 def classify(g: Graph) -> FamilyKind:
     """Most specific family label: Path < Tree, Cycle < ProperUnicyclic."""
-    if g.m == g.n - 1:
+    check_pseudotree(g)
+    if g.m < g.n:
         return FamilyKind.PATH if g.max_degree() <= 2 else FamilyKind.TREE
-    if g.m == g.n:
-        return FamilyKind.CYCLE if g.max_degree() == 2 else FamilyKind.PROPER_UNICYCLIC
-    raise NotPseudotree(f"m={g.m} > n={g.n}: not a pseudotree")
+    return FamilyKind.CYCLE if g.max_degree() == 2 else FamilyKind.PROPER_UNICYCLIC
 
 
 @dataclass(frozen=True)
@@ -467,8 +466,6 @@ def domination_number(g: Graph) -> int:
     unicyclic graph that path leaves out the closing cycle edge uv, and the
     answer is the least of three runs: u in the set with v dominated, v in
     with u dominated, and both out."""
-    if g.m > g.n:
-        raise NotPseudotree(f"m={g.m} > n={g.n}: more than one cycle")
     core, order, parent, _, _ = hanging_trees(g)
     parent = list(parent)  # the graph's own tuple stays as it is
     for a, b in zip(core, core[1:]):

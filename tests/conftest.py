@@ -7,12 +7,12 @@ import functools
 import importlib
 import itertools
 import operator
+import random
 from collections import deque
 
 import pytest
 
 from pseudoloc import (
-    CorpusSpec,
     DistanceMatrix,
     FamilyKind,
     Graph,
@@ -57,8 +57,22 @@ def random_pseudotrees(n: int, count: int) -> list[Graph]:
     """Seeds 0..count-1, trees at even seeds and unicyclic graphs at odd ones."""
     families = ("tree", "unicyclic")
     return [
-        random_pseudotree(CorpusSpec(family=families[seed % 2], max_n=n, seed=seed))
+        random_pseudotree(families[seed % 2], n, random.Random(seed))
         for seed in range(count)
+    ]
+
+
+def twin_free_bicyclic_graphs() -> list[Graph]:
+    """Two twin-free graphs with m = n + 1, outside the pseudotrees the
+    package takes.  The fewest resolvers of a pair in each, 5, are those of
+    a pair at distance 3 with 2 + deg x + deg y = 5, while every pair within
+    distance 2 has 6: the k-dimensional value's degree-bound pass would
+    decide them."""
+    return [
+        from_edge_list(9, [(0, 7), (1, 4), (1, 5), (1, 7), (2, 3), (2, 6), (2, 7), (4, 6), (4, 8), (6, 8)]),
+        from_edge_list(
+            10, [(0, 1), (0, 3), (0, 8), (1, 3), (2, 5), (2, 7), (2, 8), (3, 5), (4, 8), (4, 9), (5, 6)]
+        ),
     ]
 
 

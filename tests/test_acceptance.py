@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import hashlib
 import itertools
+import random
 import time
 
 import pytest
@@ -47,7 +48,15 @@ from pseudoloc import (
 from pseudoloc.corpus import CorpusSpec
 from pseudoloc.resolvers import brute_force_dimension
 
-from conftest import cycle_graph, path_graph, strong_resolves, thread_gap_c14_graph, tree_zeta, unpacked
+from conftest import (
+    cycle_graph,
+    distance_rows_by_bfs,
+    path_graph,
+    strong_resolves,
+    thread_gap_c14_graph,
+    tree_zeta,
+    unpacked,
+)
 
 
 def report(criterion: str, ok: bool, detail: str = "") -> None:
@@ -56,8 +65,8 @@ def report(criterion: str, ok: bool, detail: str = "") -> None:
     print(f"[{criterion}] {state}{suffix}")
 
 
-def oracle_value(g, param, k=None, max_n=None):
-    return oracle_result(g, param, k=k, max_n=max_n).value
+def oracle_value(g, param, k=None):
+    return oracle_result(g, param, k=k).value
 
 
 class TestCriterion1:
@@ -255,10 +264,11 @@ class TestCriterion4:
 class TestCriterion5:
     """The 14-cycle with threads everywhere except one antipodal pair."""
 
-    def test_criterion_5(self):
+    def test_criterion_5(self, monkeypatch):
         start = time.time()
         g = thread_gap_c14_graph()
-        value = oracle_value(g, "dim", max_n=g.n)
+        monkeypatch.setenv("PSEUDOLOC_MAX_N", str(g.n))
+        value = oracle_value(g, "dim")
         elapsed = time.time() - start
         report("criterion 5", value == 2 and elapsed < 10, f"oracle dim={value} in {elapsed:.2f}s")
         assert elapsed < 10
@@ -318,7 +328,8 @@ class TestCriterion6:
                 except Disconnected:
                     changed_masks[(x, y)] = None
                     continue
-                dmt = unpacked(distance_matrix(toggled))
+                # an added edge can close a second cycle: BFS rows, not the package's
+                dmt = distance_rows_by_bfs(toggled)
                 changed = 0
                 for w in range(g.n):
                     if dmt[w] != dm[w]:
@@ -446,5 +457,5 @@ class TestCriterion8:
 def _random_unicyclic_edges(seed):
     from pseudoloc.corpus import random_pseudotree
 
-    g = random_pseudotree(CorpusSpec(family="unicyclic", max_n=9, seed=seed))
+    g = random_pseudotree("unicyclic", 9, random.Random(seed))
     return g.n, list(g.edges)

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import random
 
 from pseudoloc import (
     PARAMETER_NAMES,
@@ -25,7 +26,6 @@ from pseudoloc import (
     profile,
     random_pseudotree,
 )
-from pseudoloc.corpus import CorpusSpec
 
 from conftest import random_pseudotrees
 
@@ -40,7 +40,7 @@ PROFILE_DIGEST = "a03c12f87f5803ac1d479fc4a1040d0652fa347631cf5fe0d329129d45cc9f
 def cap_sample():
     graphs = random_pseudotrees(64, 40)
     graphs += [
-        random_pseudotree(CorpusSpec(family=family, max_n=64, seed=seed))
+        random_pseudotree(family, 64, random.Random(seed))
         for seed in TWIN_FREE_SEEDS
         for family in ("tree", "unicyclic")
     ]

@@ -5,15 +5,16 @@ from __future__ import annotations
 import hashlib
 import io
 import json
+import random
 import subprocess
 import sys
 
 import pytest
 
-from pseudoloc import CorpusSpec, encode_graph6, from_edge_list, random_pseudotree
+from pseudoloc import PARAMETER_NAMES, encode_graph6, from_edge_list, parse_graph6, random_pseudotree
 from pseudoloc.cli import main
 
-from conftest import count_calls, cycle_graph, path_graph
+from conftest import count_calls, cycle_graph, path_graph, twin_free_bicyclic_graphs
 
 # sha256 of `verify --params all --report` over all trees and all unicyclic
 # graphs up to 8 vertices (449 and 1,370 records); a change that alters
@@ -157,10 +158,17 @@ class TestCompute:
 
     @pytest.mark.parametrize("method", ["auto", "closed", "brute"])
     def test_not_pseudotree_exit_3(self, capsys, method):
-        argv = ["compute", "--param", "dim", "--method", method]
-        code, _, err = run_cli(capsys, argv, stdin_text="C~\n")
-        assert code == 3
-        assert err == "error: line 1: m=6 > n=4: not a pseudotree\n"
+        # K4 and a twin-free bicyclic graph under every parameter, dimk at
+        # k = 2 and at k = 3, above K4's k-dimensional value: the m > n rule
+        # comes first under every method
+        graphs = [parse_graph6("C~"), twin_free_bicyclic_graphs()[0]]
+        params = [[p] for p in PARAMETER_NAMES if p != "dimk"] + [["dimk", "--k", "2"], ["dimk", "--k", "3"]]
+        for g in graphs:
+            for param in params:
+                argv = ["compute", "--param", *param, "--method", method]
+                code, out, err = run_cli(capsys, argv, stdin_text=encode_graph6(g) + "\n")
+                assert (code, out) == (3, ""), (g.edges, param)
+                assert err == f"error: line 1: m={g.m} > n={g.n}: not a pseudotree\n"
 
 
     @pytest.mark.parametrize("raw", ["abc", "0", "-1"])
@@ -172,7 +180,7 @@ class TestCompute:
 
     def test_cap_variable_leaves_the_graph_cap(self, capsys, monkeypatch):
         # a 30-vertex tree is above the oracle cap of 20, not the graph cap
-        line = encode_graph6(random_pseudotree(CorpusSpec(family="tree", max_n=30, seed=3))) + "\n"
+        line = encode_graph6(random_pseudotree("tree", 30, random.Random(3))) + "\n"
         monkeypatch.setenv("PSEUDOLOC_MAX_N", "20")
         code, out, _ = run_cli(capsys, ["compute", "--param", "dim", "--method", "closed"], stdin_text=line)
         assert code == 0 and out.startswith("dim = ")
@@ -362,6 +370,42 @@ class TestGen:
         )
         assert code == 0
         assert len(out.strip().splitlines()) == 1000
+
+
+def read_first_line_and_close(argv):
+    """Run the CLI with a pipe on stdout, read one line and close the pipe,
+    as `| head -1` does; returns (first line, exit code, stderr)."""
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "pseudoloc.cli", *argv],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        text=True,
+    )
+    first = proc.stdout.readline()
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    return first, proc.wait(timeout=60), err
+
+
+class TestClosedStdout:
+    """A reader that closes stdout early ends the command: nothing more is
+    computed or printed, and the exit code is that of the lines answered
+    before.  Each output is far larger than a pipe holds, so the pipe is
+    closed while the command still writes."""
+
+    def test_compute(self, tmp_path):
+        lines = tmp_path / "lines.g6"
+        lines.write_text("C~\n" + (encode_graph6(path_graph(2)) + "\n") * 5000)
+        argv = ["compute", "--param", "dim", "--method", "closed", "--input", str(lines)]
+        first, code, err = read_first_line_and_close(argv)
+        assert first.startswith("dim = 1 ")
+        assert (code, err) == (3, "error: line 1: m=6 > n=4: not a pseudotree\n")
+
+    def test_gen(self):
+        first, code, err = read_first_line_and_close(["gen", "--kind", "tree", "--n", "64", "--count", "5000"])
+        assert parse_graph6(first).n == 64
+        assert (code, err) == (0, "")
 
 
 class TestConsoleEntry:

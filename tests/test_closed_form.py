@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import random
 import re
 
 import pytest
@@ -28,7 +29,6 @@ from pseudoloc import (
     sdim_even_fast,
     sdim_sr_formula,
 )
-from pseudoloc.corpus import CorpusSpec
 from pseudoloc.resolvers import METHOD_BOUNDED, METHOD_BRUTE_FORCE
 
 from conftest import cycle_graph, dimension_by_enumeration, path_graph, thread_gap_c14_graph, tree_zeta, unpacked
@@ -89,11 +89,12 @@ class TestDim:
         assert res.value == 3 and res.theorem_tag == "DIM_EVEN_FEW_TRIVIAL"
         assert oracle_result(g, "dim").value == 3
 
-    def test_thread_gap_interval_with_oracle_pin(self, thread_gap_c14):
+    def test_thread_gap_interval_with_oracle_pin(self, monkeypatch, thread_gap_c14):
         res = closed_result(thread_gap_c14, "dim")
         assert not res.is_exact and res.bounds == (2, 3)
         assert res.method == METHOD_BOUNDED
-        assert oracle_result(thread_gap_c14, "dim", max_n=thread_gap_c14.n).value == 2
+        monkeypatch.setenv("PSEUDOLOC_MAX_N", str(thread_gap_c14.n))
+        assert oracle_result(thread_gap_c14, "dim").value == 2
 
     def test_tree_witness(self, spider122):
         res = closed_result(spider122, "dim")
@@ -128,8 +129,7 @@ class TestSdim:
         # (Oellermann & Peters-Fransen) checks it where no oracle runs
         checked = 0
         for seed in range(602):
-            spec = CorpusSpec(family="unicyclic", max_n=16 + seed % 49, seed=seed)
-            g = random_pseudotree(spec)
+            g = random_pseudotree("unicyclic", 16 + seed % 49, random.Random(seed))
             prof = kept(g, profile)
             if prof.kind is FamilyKind.PROPER_UNICYCLIC and prof.girth % 2 == 0:
                 assert sdim_sr_formula(kept(g, boundary_and_sr_graph)).value == sdim_even_fast(prof).value, seed
@@ -278,10 +278,11 @@ class TestComputeParameter:
         res = compute_parameter(paw, "ddim", method="closed")
         assert not res.is_exact
 
-    def test_auto_respects_cap(self, thread_gap_c14):
+    def test_auto_respects_cap(self, monkeypatch, thread_gap_c14):
         res = compute_parameter(thread_gap_c14, "dim", method="auto")
         assert not res.is_exact  # n=26 exceeds the default oracle cap
-        res = compute_parameter(thread_gap_c14, "dim", method="auto", max_n=26)
+        monkeypatch.setenv("PSEUDOLOC_MAX_N", "26")
+        res = compute_parameter(thread_gap_c14, "dim", method="auto")
         assert res.value == 2
 
     def test_auto_exact_dim2_at_14(self):

@@ -224,19 +224,27 @@ class TestClassGeneration:
 
 class TestRandomGeneration:
     def test_deterministic(self):
-        spec = CorpusSpec(family="tree", max_n=8, seed=1)
-        assert random_pseudotree(spec).edges == random_pseudotree(spec).edges
+        draw = lambda: random_pseudotree("tree", 8, random.Random(1))  # noqa: E731
+        assert draw().edges == draw().edges
 
     def test_unicyclic_has_n_edges(self):
-        g = random_pseudotree(CorpusSpec(family="unicyclic", max_n=8, seed=1))
+        g = random_pseudotree("unicyclic", 8, random.Random(1))
         assert g.m == g.n
 
     def test_two_vertex_tree(self):
-        assert random_pseudotree(CorpusSpec(family="tree", max_n=2, seed=9)).edges == ((0, 1),)
+        assert random_pseudotree("tree", 2, random.Random(9)).edges == ((0, 1),)
+
+    def test_family_names_are_lowercase(self):
+        # as the CLI spells them; nothing folds case
+        with pytest.raises(ValueError, match="unknown family 'Tree'"):
+            random_pseudotree("Tree", 5, random.Random(1))
+        with pytest.raises(ValueError, match="unknown family 'Tree'"):
+            CorpusSpec(family="Tree", max_n=5)
 
     def test_requires_seed(self):
-        with pytest.raises(ValueError):
-            random_pseudotree(CorpusSpec(family="tree", max_n=5))
+        # the one way to seed a draw is the rng the caller passes
+        with pytest.raises(TypeError):
+            random_pseudotree("tree", 5)
 
 
 class TestVerifyCorpus:

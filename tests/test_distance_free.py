@@ -11,6 +11,7 @@ off the twins when there are any, and tree leg lengths off the profile."""
 from __future__ import annotations
 
 import importlib
+import random
 
 import pytest
 
@@ -27,7 +28,6 @@ from pseudoloc import (
     random_pseudotree,
     verify_graph,
 )
-from pseudoloc.corpus import CorpusSpec
 
 from conftest import (
     count_calls,
@@ -124,8 +124,8 @@ class TestDimkDistances:
             assert compute_parameter(g, "dimk", k=2, method="closed").theorem_tag
 
     def test_dimk_on_a_twin_free_graph_builds_one(self, monkeypatch, spider122):
-        trees = [path_graph(9), spider122, random_pseudotree(CorpusSpec(family="tree", max_n=64, seed=143))]
-        unicyclic = [cycle_graph(9), random_pseudotree(CorpusSpec(family="unicyclic", max_n=64, seed=143))]
+        trees = [path_graph(9), spider122, random_pseudotree("tree", 64, random.Random(143))]
+        unicyclic = [cycle_graph(9), random_pseudotree("unicyclic", 64, random.Random(143))]
         # the k-ranges first: the matrix they read is kept under the real builder
         ranges = [(g, range(2, k_dimensional_value(g) + 1)) for g in trees + unicyclic]
         dms = count_calls(monkeypatch, "distance_matrix", MODULES_THAT_BUILD_DISTANCES)

@@ -3,6 +3,9 @@ bipartiteness."""
 
 from __future__ import annotations
 
+import functools
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -18,11 +21,17 @@ from pseudoloc import (
     SizeCapExceeded,
     VertexOutOfRange,
     boundary_and_sr_graph,
+    brute_force_dimension,
+    closed_result,
+    compute_parameter,
+    cover_problem,
     distance_matrix,
     domination_number,
     encode_graph6,
     from_edge_list,
     hanging_trees,
+    is_locating_set,
+    k_dimensional_value,
     kept,
     parse_edgelist,
     parse_graph6,
@@ -31,9 +40,9 @@ from pseudoloc import (
     unicyclic_canonical_key,
     verify_graph,
 )
-from pseudoloc.corpus import CorpusSpec, random_pseudotree
+from pseudoloc.corpus import random_pseudotree
 
-from conftest import cycle_graph, is_bipartite, path_graph, random_pseudotrees, unpacked
+from conftest import cycle_graph, is_bipartite, path_graph, random_pseudotrees, twin_free_bicyclic_graphs, unpacked
 
 
 class TestFromEdgeList:
@@ -94,7 +103,7 @@ class TestDistances:
     def test_matrix_invariants_on_random_pseudotrees(self):
         for seed in range(40):
             family = "tree" if seed % 2 else "unicyclic"
-            g = random_pseudotree(CorpusSpec(family=family, max_n=3 + seed % 8, seed=seed))
+            g = random_pseudotree(family, 3 + seed % 8, random.Random(seed))
             dm = unpacked(distance_matrix(g))
             for u in range(g.n):
                 assert dm[u][u] == 0
@@ -145,7 +154,7 @@ class TestGraph6:
     @given(st.integers(0, 10**6), st.integers(2, 12))
     def test_roundtrip_random_connected(self, seed, n):
         family = "tree" if seed % 2 else ("unicyclic" if n >= 3 else "tree")
-        g = random_pseudotree(CorpusSpec(family=family, max_n=n, seed=seed))
+        g = random_pseudotree(family, n, random.Random(seed))
         again = parse_graph6(encode_graph6(g))
         assert again.edges == g.edges and again.n == g.n
 
@@ -157,7 +166,7 @@ class TestGraph6:
         else:
             families = ("tree", "unicyclic") if n >= 3 else ("tree",)
             graphs = [
-                random_pseudotree(CorpusSpec(family=family, max_n=n, seed=seed))
+                random_pseudotree(family, n, random.Random(seed))
                 for family in families
                 for seed in range(5)
             ]
@@ -200,11 +209,11 @@ class TestGirthAndCycle:
         assert hanging_trees(c6)[0] == (0, 1, 2, 3, 4, 5)
 
     def test_not_pseudotree(self):
-        # K4's core is its 2-core, all of it; what reads a cycle refuses it
+        # K4 has m > n: the leaf stripping refuses it, and so does what reads it
         k4 = parse_graph6("C~")
-        assert hanging_trees(k4)[0] == (0, 1, 2, 3)
-        with pytest.raises(NotPseudotree):
-            profile(k4)
+        for read in (hanging_trees, distance_matrix, profile):
+            with pytest.raises(NotPseudotree, match=r"^m=6 > n=4: not a pseudotree$"):
+                read(k4)
 
     def test_cycle_is_closed_walk(self, unicyclic_classes_by_n):
         for g in unicyclic_classes_by_n[8]:
@@ -227,6 +236,31 @@ def decomposition_readers(g):
         "sr_graph": lambda: boundary_and_sr_graph(g),
         "key": lambda: key(g),
     }
+
+
+class TestPseudotreeGate:
+    """One rule refuses m > n, with one message, at every entry point."""
+
+    @pytest.mark.parametrize(
+        "g", [parse_graph6("C~")] + twin_free_bicyclic_graphs(), ids=["K4", "bicyclic9", "bicyclic10"]
+    )
+    def test_every_entry_point_refuses_m_above_n(self, g):
+        readers = (
+            hanging_trees, distance_matrix, profile, domination_number, boundary_and_sr_graph, k_dimensional_value
+        )
+        calls = [functools.partial(read, g) for read in readers]
+        # every parameter, and dimk at k = 3, above K4's k-dimensional value of 2
+        for param, k in [(p, None) for p in PARAMETER_NAMES if p != "dimk"] + [("dimk", 2), ("dimk", 3)]:
+            calls += [
+                functools.partial(cover_problem, g, param, k),
+                functools.partial(is_locating_set, g, (0,), param, k),
+                functools.partial(brute_force_dimension, g, param, k),
+                functools.partial(closed_result, g, param, k),
+            ]
+            calls += [functools.partial(compute_parameter, g, param, k, m) for m in ("auto", "closed", "brute")]
+        for call in calls:
+            with pytest.raises(NotPseudotree, match=rf"^m={g.m} > n={g.n}: not a pseudotree$"):
+                call()
 
 
 class TestHangingTrees:

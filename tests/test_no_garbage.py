@@ -6,6 +6,7 @@ never runs inside a later one."""
 from __future__ import annotations
 
 import gc
+import random
 
 from pseudoloc import (
     PARAMETER_NAMES,
@@ -23,7 +24,7 @@ from pseudoloc.resolvers import LATTICE_MAX_N
 def unicyclic_by_girth_parity(n: int, count: int) -> list:
     """The first `count` unicyclic graphs of odd girth and of even girth among
     the seeded random ones on n vertices."""
-    graphs = [random_pseudotree(CorpusSpec(family="unicyclic", max_n=n, seed=seed)) for seed in range(60)]
+    graphs = [random_pseudotree("unicyclic", n, random.Random(seed)) for seed in range(60)]
     odd = [g for g in graphs if profile(g).girth % 2]
     even = [g for g in graphs if not profile(g).girth % 2]
     assert len(odd) >= count and len(even) >= count
@@ -32,8 +33,8 @@ def unicyclic_by_girth_parity(n: int, count: int) -> list:
 
 def test_no_cyclic_garbage():
     graphs = unicyclic_by_girth_parity(64, 3)
-    graphs.append(random_pseudotree(CorpusSpec(family="tree", max_n=64, seed=1)))
-    small = [random_pseudotree(CorpusSpec(family="unicyclic", max_n=16, seed=seed)) for seed in range(2)]
+    graphs.append(random_pseudotree("tree", 64, random.Random(1)))
+    small = [random_pseudotree("unicyclic", 16, random.Random(seed)) for seed in range(2)]
     assert 16 > LATTICE_MAX_N  # so lex_first_cover runs its depth-first search
     gc.collect()
     gc.disable()

@@ -24,11 +24,9 @@ from pseudoloc import (
     profile,
     random_pseudotree,
 )
-from pseudoloc.corpus import CorpusSpec
 from pseudoloc.structure import _twin_pairs
 
 from conftest import (
-    count_calls,
     cycle_graph,
     distance_rows_by_bfs,
     k_dimensional_by_pairs,
@@ -37,6 +35,7 @@ from conftest import (
     packed_matrix,
     path_graph,
     random_pseudotrees,
+    twin_free_bicyclic_graphs,
     twin_pairs_by_definition,
     unpacked,
 )
@@ -74,15 +73,32 @@ def assert_kernels_match(g):
     assert _twin_pairs(g) == tuple(twin_pairs_by_definition(g))
 
 
-def assert_kernels_match_off_pseudotrees(g):
-    """assert_kernels_match for a graph with m > n: the SR graph reads the
-    profile, so such a graph gets none."""
-    rows = assert_distance_rows_match(g)
-    assert k_dimensional_value(g) == k_dimensional_by_pairs(rows)
+def assert_refused_off_pseudotrees(g):
+    """For a graph with m > n: every kernel refuses it, and its twins still
+    match the pairwise test.  Returns its BFS rows for the references."""
+    assert g.m > g.n
+    for kernel in (hanging_trees, distance_matrix, k_dimensional_value, boundary_and_sr_graph):
+        with pytest.raises(NotPseudotree):
+            kernel(g)
     assert _twin_pairs(g) == tuple(twin_pairs_by_definition(g))
-    with pytest.raises(NotPseudotree):
-        boundary_and_sr_graph(g)
-    return rows
+    return distance_rows_by_bfs(g)
+
+
+def cut_vertices(g) -> list[int]:
+    """The vertices v of g (n >= 2) whose removal disconnects it, each by a
+    search of g - v."""
+    found = []
+    for v in range(g.n):
+        start = 1 if v == 0 else 0
+        seen, stack = {v, start}, [start]
+        while stack:
+            for w in g.adjacency[stack.pop()]:
+                if w not in seen:
+                    seen.add(w)
+                    stack.append(w)
+        if len(seen) < g.n:
+            found.append(v)
+    return found
 
 
 def unicyclic_of_girth(n: int, girth: int):
@@ -144,9 +160,8 @@ class TestAgainstReferences:
         assert_kernels_match(from_edge_list(1, []))
 
     def test_k4_and_paw(self, paw):
-        # the bridge rule holds in any connected graph, not only pseudotrees;
-        # K4 is all core, the paw a triangle with one bridge
-        assert_kernels_match_off_pseudotrees(from_edge_list(4, K4))
+        # K4 has m > n and is refused; the paw is a triangle with one bridge
+        assert_refused_off_pseudotrees(from_edge_list(4, K4))
         assert_kernels_match(paw)
 
     def test_profile_twin_pairs(self, c4, paw, spider122):
@@ -157,8 +172,7 @@ class TestAgainstReferences:
 
 class TestArcAndCutVertexRules:
     """Cycle rows from the row before by the arc of vertices that get closer,
-    BFS inside the core only off pseudotrees, and no maximally distant
-    partner for a cut vertex."""
+    no BFS at all, and no maximally distant partner for a cut vertex."""
 
     def test_cycles_3_to_64(self):
         for n in range(3, 65):
@@ -189,20 +203,24 @@ class TestArcAndCutVertexRules:
             (8, ((0, 1), (0, 2), (1, 2), (0, 3), (0, 4), (3, 4), (1, 5), (3, 6), (0, 7))),
         ],
     )
-    def test_core_bfs_and_cut_vertices_off_pseudotrees(self, monkeypatch, n, edges):
+    def test_core_bfs_and_cut_vertices_off_pseudotrees(self, n, edges):
         g = from_edge_list(n, edges)
-        calls = count_calls(monkeypatch, "_core_row", ["graph"])
-        rows = assert_kernels_match_off_pseudotrees(g)
-        assert len(calls) == len(hanging_trees(g)[0]) and g.m > g.n
-        # a parent of degree >= 2 is a cut vertex here too: maximally distant from none
-        for v in {p for p in hanging_trees(g)[2] if p >= 0 and len(g.adjacency[p]) > 1}:
+        rows = assert_refused_off_pseudotrees(g)
+        # the lemma the SR graph rests on holds in any connected graph: on
+        # BFS rows, a cut vertex is maximally distant from none
+        cuts = cut_vertices(g)
+        assert cuts
+        for v in cuts:
             assert all(any(rows[u][w] > rows[u][v] for w in g.adjacency[v]) for u in range(g.n) if u != v)
 
-    def test_core_bfs_only_off_pseudotrees(self, monkeypatch):
-        calls = count_calls(monkeypatch, "_core_row", ["graph"])
+    def test_core_bfs_only_off_pseudotrees(self):
+        # every pseudotree takes the arc-sum walk, a tree's centre being a
+        # core of length 1, and a graph with m > n is refused
         for g in random_pseudotrees(64, 40) + [path_graph(2), from_edge_list(1, [])]:
-            distance_matrix(g)
-        assert not calls
+            assert_distance_rows_match(g)
+        for g in [from_edge_list(4, K4)] + twin_free_bicyclic_graphs():
+            with pytest.raises(NotPseudotree):
+                distance_matrix(g)
 
     def test_rows_pinned_at_the_cap(self):
         text = rows_pin_text(random_pseudotrees(64, 300))
@@ -235,7 +253,7 @@ class TestKDimensionalValue:
             g
             for seed in range(3000)
             for family in ("tree", "unicyclic")
-            if not _twin_pairs(g := random_pseudotree(CorpusSpec(family=family, max_n=64, seed=seed)))
+            if not _twin_pairs(g := random_pseudotree(family, 64, random.Random(seed)))
         ]
         assert len(graphs) >= 100
         self.assert_matches(graphs)
@@ -243,20 +261,16 @@ class TestKDimensionalValue:
     def test_degree_bound_decides_off_pseudotrees(self):
         # two twin-free bicyclic graphs whose fewest resolvers, 5, are those of
         # a pair at distance 3 with 2 + deg x + deg y = 5: every pair within
-        # distance 2 has 6, so the value comes from the degree-bound pass
-        graphs = [
-            from_edge_list(9, [(0, 7), (1, 4), (1, 5), (1, 7), (2, 3), (2, 6), (2, 7), (4, 6), (4, 8), (6, 8)]),
-            from_edge_list(
-                10, [(0, 1), (0, 3), (0, 8), (1, 3), (2, 5), (2, 7), (2, 8), (3, 5), (4, 8), (4, 9), (5, 6)]
-            ),
-        ]
-        for g in graphs:
+        # distance 2 has 6, so only the degree-bound pass would find the
+        # value; with m > n the package refuses them
+        for g in twin_free_bicyclic_graphs():
             rows = distance_rows_by_bfs(g)
             assert twin_free(g) and g.m == g.n + 1
             near = [(x, y) for x, y in itertools.combinations(range(g.n), 2) if rows[x][y] <= 2]
             assert k_dimensional_by_pairs(rows) == 5
             assert min(sum(map(operator.ne, rows[x], rows[y])) for x, y in near) == 6
-        self.assert_matches(graphs)
+            with pytest.raises(NotPseudotree):
+                k_dimensional_value(g)
 
     def test_twins_need_no_distances(self, monkeypatch, tree_classes_by_n, unicyclic_classes_by_n):
         def refuse(g):

@@ -12,6 +12,7 @@ from pseudoloc import (
     SizeCapExceeded,
     boundary_and_sr_graph,
     brute_force_dimension,
+    cover_problem,
     distance_matrix,
     encode_graph6,
     from_edge_list,
@@ -20,12 +21,13 @@ from pseudoloc import (
     k_dimensional_value,
     lex_first_cover,
 )
-from pseudoloc.corpus import CorpusSpec, random_pseudotree
+from pseudoloc.corpus import random_pseudotree
 from pseudoloc.resolvers import LATTICE_MAX_N
 
 from conftest import (
     cycle_graph,
     dimension_by_enumeration,
+    distance_rows_by_bfs,
     doubly_resolves,
     edge_distance,
     pairs_of_rows,
@@ -137,7 +139,7 @@ class TestBruteForce:
             brute_force_dimension(k1, "dimk", 2)
         assert k_dimensional_value(k1) == 0  # no vertex pair
 
-    def test_cap(self):
+    def test_cap(self, monkeypatch):
         # one oracle cap of 16 for every parameter, the k-metric ones included
         for g, param, k in cap_cases(16):
             res = brute_force_dimension(g, param, k)
@@ -148,13 +150,16 @@ class TestBruteForce:
                 brute_force_dimension(g, param, k)
         with pytest.raises(SizeCapExceeded):
             brute_force_dimension(path_graph(17), "dim")
-        assert brute_force_dimension(path_graph(17), "dim", max_n=17).value == 1
+        monkeypatch.setenv("PSEUDOLOC_MAX_N", "17")
+        assert brute_force_dimension(path_graph(17), "dim").value == 1
 
     def test_cap_env_override(self, monkeypatch):
         monkeypatch.setenv("PSEUDOLOC_MAX_N", "17")
         assert brute_force_dimension(path_graph(17), "dim").value == 1
+        # the raised cap runs the same search the cap would otherwise refuse
         for g, param, k in cap_cases(17):
-            assert brute_force_dimension(g, param, k) == brute_force_dimension(g, param, k, max_n=17)
+            res = brute_force_dimension(g, param, k)
+            assert res.witness == lex_first_cover(g.n, *cover_problem(g, param, k))
 
     def test_kmetric_2_equals_fault_tolerant_definition(self, tree_classes_by_n, unicyclic_classes_by_n):
         # the two definitions are the same predicate; spot-check set agreement
@@ -202,14 +207,15 @@ class TestExactSearch:
             last = 1 << (n - 1)
             assert lex_first_cover(n, [last, full, last]) == (n - 1,)
 
-    def test_oracle_equals_enumeration_at_lattice_max_n(self):
+    def test_oracle_equals_enumeration_at_lattice_max_n(self, monkeypatch):
         # the largest order the lattice serves; k-metric at k = 2 and 3 counts
-        # meetings, and its default cap is below this order
+        # meetings; the cap is pinned to this order
+        monkeypatch.setenv("PSEUDOLOC_MAX_N", str(LATTICE_MAX_N))
         for g in random_pseudotrees(LATTICE_MAX_N, 2):
             params = list(NO_K_PARAMS)
             params += [("dimk", k) for k in range(2, min(k_dimensional_value(g), 3) + 1)]
             for param, k in params:
-                res = brute_force_dimension(g, param, k, max_n=LATTICE_MAX_N)
+                res = brute_force_dimension(g, param, k)
                 expected = dimension_by_enumeration(g, param, k)
                 assert (res.value, res.witness) == expected, (encode_graph6(g), param, k)
 
@@ -264,7 +270,7 @@ def _sample_sets(g, rng_seed=7):
 class TestStructuralProperties:
     def test_monotonicity(self):
         for seed in range(15):
-            g = random_pseudotree(CorpusSpec(family="unicyclic", max_n=8, seed=seed))
+            g = random_pseudotree("unicyclic", 8, random.Random(seed))
             for param, k in ALL_PARAMS:
                 res = brute_force_dimension(g, param, k)
                 grown = set(res.witness)
@@ -274,7 +280,7 @@ class TestStructuralProperties:
 
     def test_implication_chain(self):
         for seed in range(15):
-            g = random_pseudotree(CorpusSpec(family="unicyclic", max_n=8, seed=seed + 100))
+            g = random_pseudotree("unicyclic", 8, random.Random(seed + 100))
             for s in _sample_sets(g, seed):
                 if is_locating_set(g, s, "dmd"):
                     assert is_locating_set(g, s, "dim")
@@ -288,7 +294,7 @@ class TestStructuralProperties:
 
     def test_mmd_hitting(self):
         for seed in range(15):
-            g = random_pseudotree(CorpusSpec(family="unicyclic", max_n=8, seed=seed + 200))
+            g = random_pseudotree("unicyclic", 8, random.Random(seed + 200))
             sr = boundary_and_sr_graph(g)
             witness = set(brute_force_dimension(g, "sdim").witness)
             for u, v in pairs_of_rows(sr.rows):
@@ -308,7 +314,8 @@ class TestStructuralProperties:
 
 
 def toggled_distance_rows(g, u, v):
-    """Distance matrix of g with edge uv toggled, or None if disconnected."""
+    """Distance rows of g with edge uv toggled, by BFS, or None if
+    disconnected: an added edge can close a second cycle."""
     from pseudoloc import Disconnected
 
     edges = set(g.edges)
@@ -321,7 +328,7 @@ def toggled_distance_rows(g, u, v):
         toggled = from_edge_list(g.n, sorted(edges))
     except Disconnected:
         return None
-    return unpacked(distance_matrix(toggled))
+    return distance_rows_by_bfs(toggled)
 
 
 class TestMatrixDetermination:
@@ -360,25 +367,23 @@ class TestMatrixDetermination:
                     assert strong_masks[(x, y)] >> w & 1
 
     def test_locating_set_of_both_versions_sees_the_toggle(self, tree_classes_by_n, unicyclic_classes_by_n):
-        from pseudoloc import Disconnected
-
         graphs = [t for n in range(2, 6) for t in tree_classes_by_n[n]]
         graphs += [u for n in range(3, 6) for u in unicyclic_classes_by_n[n]]
         for g in graphs:
             dm = unpacked(distance_matrix(g))
             for x, y in itertools.combinations(range(g.n), 2):
-                edges = set(g.edges)
-                edges ^= {(x, y)}
-                try:
-                    h = from_edge_list(g.n, sorted(edges))
-                except Disconnected:
+                dmh = toggled_distance_rows(g, x, y)
+                if dmh is None:
                     continue
-                dmh = unpacked(distance_matrix(h))
                 for size in range(1, g.n + 1):
                     for combo in itertools.combinations(range(g.n), size):
                         if not is_locating_set(g, combo, "sdim"):
                             continue
-                        if not is_locating_set(h, combo, "sdim"):
+                        # the toggled graph may have two cycles: strong location by definition
+                        if not all(
+                            any(strong_resolves(dmh, w, p, q) for w in combo)
+                            for p, q in itertools.combinations(range(g.n), 2)
+                        ):
                             continue
                         assert any(dmh[w] != dm[w] for w in combo)
 

@@ -22,7 +22,7 @@ from pseudoloc import (
     parse_graph6,
     profile,
 )
-from pseudoloc.corpus import CorpusSpec, random_pseudotree, unicyclic_canonical_key
+from pseudoloc.corpus import random_pseudotree, unicyclic_canonical_key
 from pseudoloc.resolvers import closed_neighbourhoods
 
 from conftest import (
@@ -236,7 +236,7 @@ class TestExactSolvers:
     def test_agree_with_enumeration(self, tree_classes_by_n, unicyclic_classes_by_n):
         graphs = tree_classes_by_n[7] + unicyclic_classes_by_n[7]
         graphs += [
-            random_pseudotree(CorpusSpec(family="unicyclic", max_n=9 + seed % 4, seed=seed))
+            random_pseudotree("unicyclic", 9 + seed % 4, random.Random(seed))
             for seed in range(12)
         ]
         for g in graphs:
