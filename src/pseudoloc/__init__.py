@@ -69,11 +69,9 @@ from .structure import (
     FamilyKind,
     PseudotreeProfile,
     StrongResolvingGraph,
-    antipodal_pairs,
     boundary_and_sr_graph,
     classify,
     domination_number,
-    find_geodesic_triple,
     independence_number,
     profile,
 )

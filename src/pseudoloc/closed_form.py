@@ -4,11 +4,17 @@ Each closed form takes a pseudotree and returns the exact value when a
 characterization covers the instance, and the certified interval otherwise.
 What they read of the graph, the profile, the SR graph and the k-dimensional
 value, is kept on it (graph.kept), where the oracle reads the same
-k-dimensional value and the distances it was counted on.  The engine never guesses: interval results carry
-the bounded-by-theorem method and can be upgraded to the oracle on request.
+k-dimensional value and the distances it was counted on.  The engine never
+guesses: interval results carry the bounded-by-theorem method and can be
+upgraded to the oracle on request.
+
+The unicyclic theorems of dmd, dim and mdim ask the profile's two tests of
+a set of cycle vertices: has_antipodal_pair and has_geodesic_triple.
 """
 
 from __future__ import annotations
+
+from itertools import combinations
 
 from .errors import KOutOfRange, SizeCapExceeded
 from .graph import Graph, kept
@@ -25,10 +31,8 @@ from .structure import (
     FamilyKind,
     PseudotreeProfile,
     StrongResolvingGraph,
-    antipodal_pairs,
     boundary_and_sr_graph,
     domination_number,
-    find_geodesic_triple,
     independence_number,
     profile,
 )
@@ -50,74 +54,41 @@ def _rho_hat(prof: PseudotreeProfile) -> int:
 # Doubly metric dimension
 
 
-def _first_antipodal_pair(prof: PseudotreeProfile, subset) -> tuple[int, int] | None:
-    pairs = antipodal_pairs(prof, subset)
-    return pairs[0] if pairs else None
+# dmd's tag by girth parity and the number e of trivial vertices it adds;
+# e reaches the size of a spread set only on a cycle, which has no roots
+_DMD_TAGS = {
+    1: ("DMD_UNIC_ODD_ANTIPODAL", "DMD_UNIC_ODD_AUGMENT", "DMD_CYCLE_ODD"),
+    0: ("DMD_UNIC_EVEN_GEODESIC", "DMD_UNIC_EVEN_AUGMENT", "DMD_UNIC_EVEN_SINGLE_ROOT", "DMD_CYCLE_EVEN"),
+}
 
 
 def dmd_closed(g: Graph) -> ParameterResult:
-    """Doubly metric dimension; always exact, with a constructive witness."""
+    """Doubly metric dimension; always exact, with a constructive witness.
+
+    A tree needs its leaves.  A cycle or unicyclic graph needs its leaves
+    and a spread set of cycle vertices, each a root (the leaves behind it
+    stand for it) or an added trivial vertex.  A spread set is a pair at
+    cycle distance floor(g/2) when the girth g is odd, and a geodesic triple
+    when g is even.  The value is l + e for the least e such that some
+    e-subset X of the trivial vertices makes one with size - e roots, and
+    the witness is the leaves and the first such X in combinations order.
+    """
     prof = kept(g, profile)
     kind = prof.kind
     if kind is FamilyKind.PATH:
         return _exact(2, "DMD_PATH", witness=prof.leaves)
     if kind is FamilyKind.TREE:
         return _exact(prof.num_leaves, "DMD_TREE", witness=prof.leaves)
-    if kind is FamilyKind.CYCLE:
-        if prof.girth % 2 == 1:
-            pair = _first_antipodal_pair(prof, prof.cycle)
-            return _exact(2, "DMD_CYCLE_ODD", witness=pair)
-        triple = find_geodesic_triple(prof, prof.cycle)
-        return _exact(3, "DMD_CYCLE_EVEN", witness=triple)
-    # proper unicyclic
-    leaves = prof.leaves
-    ell = prof.num_leaves
+    odd = prof.girth % 2
+    holds_spread_set, size = (prof.has_antipodal_pair, 2) if odd else (prof.has_geodesic_triple, 3)
     roots = prof.root_vertices
-    if prof.girth % 2 == 1:
-        if prof.antipodal_root_pairs >= 1:
-            return _exact(ell, "DMD_UNIC_ODD_ANTIPODAL", witness=leaves)
-        extra = _smallest_trivial_antipodal_to_root(prof)
-        return _exact(ell + 1, "DMD_UNIC_ODD_AUGMENT", witness=tuple(sorted(leaves + (extra,))))
-    if find_geodesic_triple(prof, roots) is not None:
-        return _exact(ell, "DMD_UNIC_EVEN_GEODESIC", witness=leaves)
-    if prof.c3 == 1:
-        pair = _trivial_pair_completing_geodesic(prof, roots[0])
-        return _exact(ell + 2, "DMD_UNIC_EVEN_SINGLE_ROOT", witness=tuple(sorted(leaves + pair)))
-    extra = _smallest_trivial_completing_geodesic(prof)
-    return _exact(ell + 1, "DMD_UNIC_EVEN_AUGMENT", witness=tuple(sorted(leaves + (extra,))))
-
-
-def _smallest_trivial_antipodal_to_root(prof: PseudotreeProfile) -> int:
-    for h in prof.trivial_vertices:
-        if any(prof.is_antipodal(h, r) for r in prof.root_vertices):
-            return h
-    raise RuntimeError("no trivial vertex antipodal to a root (unreachable for odd girth)")
-
-
-def _is_geodesic_triple(prof: PseudotreeProfile, u: int, v: int, w: int) -> bool:
-    return (
-        prof.cycle_distance(u, v) + prof.cycle_distance(v, w) + prof.cycle_distance(w, u)
-        == prof.girth
-    )
-
-
-def _trivial_pair_completing_geodesic(prof: PseudotreeProfile, root: int) -> tuple[int, int]:
-    triv = prof.trivial_vertices
-    for i, h2 in enumerate(triv):
-        for h3 in triv[i + 1 :]:
-            if _is_geodesic_triple(prof, root, h2, h3):
-                return (h2, h3)
-    raise RuntimeError("no trivial pair completes a geodesic triple (unreachable)")
-
-
-def _smallest_trivial_completing_geodesic(prof: PseudotreeProfile) -> int:
-    roots = prof.root_vertices
-    for h3 in prof.trivial_vertices:
-        for i, h1 in enumerate(roots):
-            for h2 in roots[i + 1 :]:
-                if _is_geodesic_triple(prof, h1, h2, h3):
-                    return h3
-    raise RuntimeError("no trivial vertex completes a geodesic triple (unreachable)")
+    for e in range(max(size - len(roots), 0), size + 1):
+        for extra in combinations(prof.trivial_vertices, e):
+            # at the least e, a spread set of X and the roots holds all of X
+            if holds_spread_set(roots + extra):
+                witness = tuple(sorted(prof.leaves + extra)) if extra else prof.leaves
+                return _exact(prof.num_leaves + e, _DMD_TAGS[odd][e], witness=witness)
+    raise AssertionError("unreachable: the whole cycle holds a spread set")
 
 
 # ---------------------------------------------------------------------------
@@ -151,7 +122,7 @@ def dim_closed(g: Graph) -> ParameterResult:
             return _exact(2, "DIM_ODD_RHO0")
         if rho == 1:
             return _exact(base + 1, "DIM_ODD_RHO1")
-        if antipodal_pairs(prof, prof.branch_active):
+        if prof.has_antipodal_pair(prof.branch_active):
             return _exact(base, "DIM_ODD_ANTIPODAL")
     else:
         if rho == 0:
@@ -161,7 +132,7 @@ def dim_closed(g: Graph) -> ParameterResult:
                 return _exact(2 if prof.c2 != 0 else 3, "DIM_EVEN_G6")
             if prof.c2 <= 1:
                 return _exact(3, "DIM_EVEN_FEW_TRIVIAL")
-        elif rho >= 3 and find_geodesic_triple(prof, prof.branch_active) is not None:
+        elif prof.has_geodesic_triple(prof.branch_active):
             return _exact(base, "DIM_EVEN_GEODESIC_TRIPLE")
     rho_hat = _rho_hat(prof)
     return _interval(base + rho_hat, base + rho_hat + 1, "DIM_UNIC_INTERVAL")
@@ -320,7 +291,8 @@ def mdim_closed(g: Graph) -> ParameterResult:
     if kind is FamilyKind.CYCLE:
         return _exact(3, "MDIM_CYCLE")
     t = prof.c3
-    eps = 1 if t >= 3 and find_geodesic_triple(prof, prof.root_vertices) is None else 0
+    # a geodesic triple of roots at either parity
+    eps = 1 if t >= 3 and not prof.has_geodesic_triple(prof.root_vertices) else 0
     return _exact(prof.num_leaves + max(3 - t, 0) + eps, "MDIM_UNIC")
 
 

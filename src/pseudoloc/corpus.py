@@ -424,7 +424,6 @@ class VerificationRecord:
     closed: ParameterResult
     oracle: ParameterResult
     status: str
-    theorem_tag: str | None
 
     def to_json(self) -> dict:
         return {
@@ -433,7 +432,7 @@ class VerificationRecord:
             "closed": self.closed.to_json(),
             "oracle": self.oracle.to_json(),
             "status": self.status,
-            "theorem_tag": self.theorem_tag,
+            "theorem_tag": self.closed.theorem_tag,
         }
 
 
@@ -473,7 +472,6 @@ def verify_graph(g: Graph, parameters) -> list[VerificationRecord]:
                 closed=closed,
                 oracle=oracle,
                 status=compare_results(closed, oracle),
-                theorem_tag=closed.theorem_tag,
             )
         )
     return records

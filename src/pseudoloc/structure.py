@@ -2,15 +2,17 @@
 
 Everything the closed forms condition on lives here: family classification,
 the full profile (leaves, exterior major vertices, branching trees, threads,
-branch-active vertices, antipodal pair counts, twins, leg lengths), plus the
-strong resolving graph and exact independence and domination solvers: a
-bitset maximum-clique search for alpha, and a linear-time dynamic programme
-for gamma.
+branch-active vertices, antipodal pair counts, twins, leg lengths) with its
+two tests of a set of cycle vertices, for an antipodal pair and for a
+geodesic triple, plus the strong resolving graph and exact independence and
+domination solvers: a bitset maximum-clique search for alpha, and a
+linear-time dynamic programme for gamma.
 Nothing here reads distances.  The profile's terminal vertex of a leaf is
-the end of its leg, and the strong resolving graph joins leaves and trivial
-cycle vertices by the cycle distances of their roots.  The cycle, the
-branching trees and the threads are read off graph.hanging_trees, the one
-leaf stripping, and gamma's dynamic programme runs on its hanging trees.
+the end of its leg, the two tests read positions on the cycle walk, and the
+strong resolving graph joins leaves and trivial cycle vertices by the cycle
+distances of their roots.  The cycle, the branching trees and the threads
+are read off graph.hanging_trees, the one leaf stripping, and gamma's
+dynamic programme runs on its hanging trees.
 """
 
 from __future__ import annotations
@@ -109,12 +111,33 @@ class PseudotreeProfile:
     def c3(self) -> int:
         return len(self.root_vertices)
 
-    def cycle_distance(self, u: int, v: int) -> int:
-        delta = abs(self._positions[u] - self._positions[v])
-        return min(delta, self.girth - delta)
+    def has_antipodal_pair(self, vertices) -> bool:
+        """Whether two of the cycle vertices are at cycle distance floor(g/2):
+        one is floor(g/2) places after the other on the cycle walk, so the
+        bitmask of their positions meets itself rotated by floor(g/2)."""
+        g, at = self.girth, 0
+        for v in vertices:
+            at |= 1 << self._positions[v]
+        return at & (at << g // 2 | at >> (g - g // 2)) != 0
 
-    def is_antipodal(self, u: int, v: int) -> bool:
-        return u != v and self.cycle_distance(u, v) == self.girth // 2
+    def has_geodesic_triple(self, vertices) -> bool:
+        """Whether three of the cycle vertices have cycle distances summing to
+        g: exactly when there are three and no gap between cyclically
+        consecutive ones is longer than g/2.  Three vertices cut the cycle
+        into three arcs; if one is longer than g/2 its ends are nearer the
+        other way round, and the sum is below g.  A longer gap lies within an
+        arc of any three; with none, a vertex a, the last b at most g/2 after
+        it and the one after b (or one between a and b, if that is a) do."""
+        g = self.girth
+        at = sorted(map(self._positions.__getitem__, vertices))
+        if len(at) < 3:
+            return False
+        prev = at[-1] - g
+        for p in at:
+            if p - prev > g // 2:
+                return False
+            prev = p
+        return True
 
     def to_json(self) -> dict:
         return {
@@ -276,41 +299,6 @@ def profile(g: Graph) -> PseudotreeProfile:
         leg_lengths=leg_lengths,
         _positions=positions,
     )
-
-
-def _require_cycle_subset(prof: PseudotreeProfile, subset) -> list[int]:
-    vertices = sorted(set(subset))
-    cyc = set(prof.cycle)
-    for v in vertices:
-        if v not in cyc:
-            raise ValueError(f"vertex {v} is not on the cycle")
-    return vertices
-
-
-def antipodal_pairs(prof: PseudotreeProfile, subset) -> list[tuple[int, int]]:
-    """All pairs of the subset at cycle distance floor(g/2)."""
-    vertices = _require_cycle_subset(prof, subset)
-    half = prof.girth // 2
-    out = []
-    for i, u in enumerate(vertices):
-        for v in vertices[i + 1 :]:
-            if prof.cycle_distance(u, v) == half:
-                out.append((u, v))
-    return out
-
-
-def find_geodesic_triple(prof: PseudotreeProfile, subset) -> tuple[int, int, int] | None:
-    """First triple (lexicographic) with pairwise cycle distances summing to g."""
-    vertices = _require_cycle_subset(prof, subset)
-    g = prof.girth
-    for i, u in enumerate(vertices):
-        for j in range(i + 1, len(vertices)):
-            v = vertices[j]
-            duv = prof.cycle_distance(u, v)
-            for w in vertices[j + 1 :]:
-                if duv + prof.cycle_distance(v, w) + prof.cycle_distance(w, u) == g:
-                    return (u, v, w)
-    return None
 
 
 @dataclass(frozen=True)

@@ -53,6 +53,23 @@ def cycle_graph(n: int) -> Graph:
     return from_edge_list(n, [(i, (i + 1) % n) for i in range(n)])
 
 
+def relabelled_cycles() -> list[Graph]:
+    """Cycles of odd and even order whose labels do not follow the walk
+    round them: C_n with its labels shuffled by random.Random(n)."""
+    graphs = []
+    for n in (5, 8, 11, 14, 33, 64):
+        label = list(range(n))
+        random.Random(n).shuffle(label)
+        graphs.append(from_edge_list(n, [(label[i], label[(i + 1) % n]) for i in range(n)]))
+    return graphs
+
+
+def paths_and_cycles() -> list[Graph]:
+    """P2-P64, C3-C64 and the relabelled cycles."""
+    graphs = [path_graph(n) for n in range(2, 65)]
+    return graphs + [cycle_graph(n) for n in range(3, 65)] + relabelled_cycles()
+
+
 def random_pseudotrees(n: int, count: int) -> list[Graph]:
     """Seeds 0..count-1, trees at even seeds and unicyclic graphs at odd ones."""
     families = ("tree", "unicyclic")
@@ -393,6 +410,27 @@ def distance_rows_by_bfs(g: Graph) -> tuple[tuple[int, ...], ...]:
                     queue.append(w)
         rows.append(tuple(dist))
     return tuple(rows)
+
+
+def antipodal_pairs_by_bfs(g: Graph, subset) -> list[tuple[int, int]]:
+    """The pairs of `subset`, cycle vertices of a unicyclic graph, at
+    distance floor(g/2) for girth g, in combinations order of the sorted
+    subset; a shortest path between two cycle vertices runs on the cycle."""
+    half = len(_trimmed_adjacency(g)[0]) // 2
+    rows = distance_rows_by_bfs(g)
+    return [(u, v) for u, v in itertools.combinations(sorted(subset), 2) if rows[u][v] == half]
+
+
+def geodesic_triples_by_bfs(g: Graph, subset) -> list[tuple[int, int, int]]:
+    """The triples of `subset`, cycle vertices of a unicyclic graph, whose
+    distances sum to the girth, in combinations order of the sorted subset."""
+    girth = len(_trimmed_adjacency(g)[0])
+    rows = distance_rows_by_bfs(g)
+    return [
+        (u, v, w)
+        for u, v, w in itertools.combinations(sorted(subset), 3)
+        if rows[u][v] + rows[v][w] + rows[w][u] == girth
+    ]
 
 
 def packed_matrix(rows) -> DistanceMatrix:

@@ -27,14 +27,12 @@ import pytest
 from pseudoloc import (
     Disconnected,
     FamilyKind,
-    antipodal_pairs,
     boundary_and_sr_graph,
     classify,
     distance_matrix,
     domination_number,
     closed_result,
     encode_graph6,
-    find_geodesic_triple,
     from_edge_list,
     independence_number,
     k_dimensional_value,
@@ -49,8 +47,10 @@ from pseudoloc.corpus import CorpusSpec
 from pseudoloc.resolvers import brute_force_dimension
 
 from conftest import (
+    antipodal_pairs_by_bfs,
     cycle_graph,
     distance_rows_by_bfs,
+    geodesic_triples_by_bfs,
     path_graph,
     strong_resolves,
     thread_gap_c14_graph,
@@ -243,16 +243,13 @@ class TestCriterion4:
                         bad.append((encode_graph6(g), "sdim-sandwich", sdim_o))
                 # characterized cases pin dim to the lower end of the interval
                 if prof.girth % 2:
-                    applies = prof.rho <= 1 or bool(antipodal_pairs(prof, prof.branch_active))
+                    applies = prof.rho <= 1 or bool(antipodal_pairs_by_bfs(g, prof.branch_active))
                 else:
                     applies = (
                         (prof.rho == 0 and prof.girth >= 8 and prof.c2 >= 2)
                         or (prof.rho == 0 and prof.girth == 4)
                         or (prof.rho == 0 and prof.girth == 6 and prof.c2 != 0)
-                        or (
-                            prof.rho >= 3
-                            and find_geodesic_triple(prof, prof.branch_active) is not None
-                        )
+                        or (prof.rho >= 3 and bool(geodesic_triples_by_bfs(g, prof.branch_active)))
                     )
                 if prof.kind is FamilyKind.PROPER_UNICYCLIC and applies and dim_o != base + rho_hat:
                     bad.append((encode_graph6(g), "characterized-case-exactness", dim_o))

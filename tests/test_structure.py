@@ -10,12 +10,10 @@ import pytest
 from pseudoloc import (
     FamilyKind,
     NotPseudotree,
-    antipodal_pairs,
     boundary_and_sr_graph,
     classify,
     compute_parameter,
     domination_number,
-    find_geodesic_triple,
     from_edge_list,
     independence_number,
     lex_first_cover,
@@ -29,13 +27,16 @@ from conftest import (
     NotProperUnicyclic,
     alpha_by_branch_and_bound,
     alpha_by_enumeration,
+    antipodal_pairs_by_bfs,
     closed_necklace,
     cycle_graph,
     gamma_by_enumeration,
+    geodesic_triples_by_bfs,
     neighbour_rows,
     pairs_of_rows,
     path_graph,
     random_pseudotrees,
+    relabelled_cycles,
 )
 
 
@@ -135,26 +136,47 @@ class TestProfile:
 
 class TestCycleSubsets:
     def test_geodesic_examples(self, c6, c5):
-        assert find_geodesic_triple(profile(c6), [0, 2, 4]) == (0, 2, 4)
-        assert find_geodesic_triple(profile(c6), [0, 1, 2]) is None
-        assert find_geodesic_triple(profile(c5), [0, 1, 3]) == (0, 1, 3)
+        assert geodesic_triples_by_bfs(c6, [0, 2, 4]) == [(0, 2, 4)]
+        assert geodesic_triples_by_bfs(c6, [0, 1, 2]) == []
+        assert geodesic_triples_by_bfs(c5, [0, 1, 3]) == [(0, 1, 3)]
+        assert profile(c6).has_geodesic_triple([0, 2, 4])
+        assert not profile(c6).has_geodesic_triple([0, 1, 2])
+        assert profile(c5).has_geodesic_triple([3, 0, 1])
 
     def test_antipodal_examples(self, c4, c5):
-        assert antipodal_pairs(profile(c4), [0, 1, 2, 3]) == [(0, 2), (1, 3)]
-        assert antipodal_pairs(profile(c5), [0, 2]) == [(0, 2)]
-        assert antipodal_pairs(profile(c5), [0, 1]) == []
+        assert antipodal_pairs_by_bfs(c4, [0, 1, 2, 3]) == [(0, 2), (1, 3)]
+        assert antipodal_pairs_by_bfs(c5, [0, 2]) == [(0, 2)]
+        assert antipodal_pairs_by_bfs(c5, [0, 1]) == []
+        assert profile(c4).has_antipodal_pair([1, 3])
+        assert profile(c5).has_antipodal_pair([2, 0])
+        assert not profile(c5).has_antipodal_pair([0, 1])
 
     def test_antipodal_counts_equal_the_pairs(self, unicyclic_classes_by_n):
         graphs = [g for n in range(3, 10) for g in unicyclic_classes_by_n[n]]
         graphs += [g for g in random_pseudotrees(64, 300) if g.m == g.n]
         for g in graphs:
             prof = profile(g)
-            assert prof.antipodal_trivial_pairs == len(antipodal_pairs(prof, prof.trivial_vertices))
-            assert prof.antipodal_root_pairs == len(antipodal_pairs(prof, prof.root_vertices))
+            assert prof.antipodal_trivial_pairs == len(antipodal_pairs_by_bfs(g, prof.trivial_vertices))
+            assert prof.antipodal_root_pairs == len(antipodal_pairs_by_bfs(g, prof.root_vertices))
 
-    def test_rejects_off_cycle_vertices(self, paw):
-        with pytest.raises(ValueError):
-            antipodal_pairs(profile(paw), [3])
+    def test_set_tests_on_every_subset_of_small_cycles(self):
+        # both tests read positions on the cycle walk, which need not follow
+        # the labels: the relabelled C5, C8 and C11 are here too
+        for g in [cycle_graph(n) for n in range(3, 11)] + relabelled_cycles()[:3]:
+            prof = profile(g)
+            for size in range(g.n + 1):
+                for subset in itertools.combinations(range(g.n), size):
+                    assert prof.has_antipodal_pair(subset) == bool(antipodal_pairs_by_bfs(g, subset))
+                    assert prof.has_geodesic_triple(subset) == bool(geodesic_triples_by_bfs(g, subset))
+
+    def test_set_tests_on_the_cycle_vertex_classes(self, unicyclic_classes_by_n):
+        graphs = [g for n in range(3, 10) for g in unicyclic_classes_by_n[n]]
+        graphs += [g for g in random_pseudotrees(64, 100) if g.m == g.n]
+        for g in graphs:
+            prof = profile(g)
+            for subset in (prof.cycle, prof.trivial_vertices, prof.root_vertices, prof.branch_active):
+                assert prof.has_antipodal_pair(subset) == bool(antipodal_pairs_by_bfs(g, subset))
+                assert prof.has_geodesic_triple(subset) == bool(geodesic_triples_by_bfs(g, subset))
 
 
 class TestBoundary:
