@@ -74,6 +74,7 @@ from .structure import (
     domination_number,
     independence_number,
     profile,
+    profile_json,
 )
 
 __all__ = [name for name in dir() if not name.startswith("_")]

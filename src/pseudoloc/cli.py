@@ -30,7 +30,7 @@ from .errors import (
 )
 from .graph import Graph, encode_graph6, parse_edgelist, parse_graph6, size_cap
 from .resolvers import ORACLE_CAP, PARAMETER_NAMES
-from .structure import profile
+from .structure import profile_json
 
 EXIT_OK = 0
 EXIT_VIOLATIONS = 1
@@ -173,7 +173,7 @@ def _cmd_compute(args) -> int:
 
 def _cmd_profile(args) -> int:
     def answer(g: Graph) -> None:
-        payload = profile(g).to_json()
+        payload = profile_json(g)
         print(json.dumps(payload, sort_keys=True) if args.json else json.dumps(payload, indent=2))
 
     return _answer_inputs(args, answer)

@@ -9,7 +9,8 @@ guesses: interval results carry the bounded-by-theorem method and can be
 upgraded to the oracle on request.
 
 The unicyclic theorems of dmd, dim and mdim ask the profile's two tests of
-a set of cycle vertices: has_antipodal_pair and has_geodesic_triple.
+a set of cycle vertices, antipodal_pairs and has_geodesic_triple, and
+even-girth sdim counts the antipodal pairs of trivial and of root vertices.
 """
 
 from __future__ import annotations
@@ -80,7 +81,7 @@ def dmd_closed(g: Graph) -> ParameterResult:
     if kind is FamilyKind.TREE:
         return _exact(prof.num_leaves, "DMD_TREE", witness=prof.leaves)
     odd = prof.girth % 2
-    holds_spread_set, size = (prof.has_antipodal_pair, 2) if odd else (prof.has_geodesic_triple, 3)
+    holds_spread_set, size = (prof.antipodal_pairs, 2) if odd else (prof.has_geodesic_triple, 3)
     roots = prof.root_vertices
     for e in range(max(size - len(roots), 0), size + 1):
         for extra in combinations(prof.trivial_vertices, e):
@@ -122,7 +123,7 @@ def dim_closed(g: Graph) -> ParameterResult:
             return _exact(2, "DIM_ODD_RHO0")
         if rho == 1:
             return _exact(base + 1, "DIM_ODD_RHO1")
-        if prof.has_antipodal_pair(prof.branch_active):
+        if prof.antipodal_pairs(prof.branch_active):
             return _exact(base, "DIM_ODD_ANTIPODAL")
     else:
         if rho == 0:
@@ -150,8 +151,8 @@ def sdim_sr_formula(sr: StrongResolvingGraph) -> ParameterResult:
 
 def sdim_even_fast(prof: PseudotreeProfile) -> ParameterResult:
     """Even-girth fast path: l + r - 1 when an antipodal root pair exists, else l + r."""
-    value = prof.num_leaves + prof.antipodal_trivial_pairs
-    if prof.antipodal_root_pairs >= 1:
+    value = prof.num_leaves + prof.antipodal_pairs(prof.trivial_vertices)
+    if prof.antipodal_pairs(prof.root_vertices):
         value -= 1
     return _exact(value, "SDIM_EVEN_EXACT")
 

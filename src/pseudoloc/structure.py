@@ -1,12 +1,11 @@
 """Structural statistics of pseudotrees and the derived constructions.
 
-Everything the closed forms condition on lives here: family classification,
-the full profile (leaves, exterior major vertices, branching trees, threads,
-branch-active vertices, antipodal pair counts, twins, leg lengths) with its
-two tests of a set of cycle vertices, for an antipodal pair and for a
-geodesic triple, plus the strong resolving graph and exact independence and
-domination solvers: a bitset maximum-clique search for alpha, and a
-linear-time dynamic programme for gamma.
+Family classification; the profile, what a theorem conditions on (leaves,
+supports, exterior major vertices, branch-active vertices, trivial and root
+cycle vertices, leg lengths), kept on the graph, with its two tests of a set
+of cycle vertices; profile_json, which adds what only `pseudoloc profile`
+prints; the strong resolving graph; and exact solvers for alpha (a bitset
+maximum-clique search) and gamma (a linear-time dynamic programme).
 Nothing here reads distances.  The profile's terminal vertex of a leaf is
 the end of its leg, the two tests read positions on the cycle walk, and the
 strong resolving graph joins leaves and trivial cycle vertices by the cycle
@@ -22,6 +21,7 @@ from dataclasses import dataclass, field
 
 from .errors import SizeCapExceeded
 from .graph import GRAPH_CAP, Graph, check_pseudotree, hanging_trees, kept
+from .resolvers import closed_neighbourhoods
 
 
 class FamilyKind(enum.Enum):
@@ -49,7 +49,8 @@ def classify(g: Graph) -> FamilyKind:
 
 @dataclass(frozen=True)
 class PseudotreeProfile:
-    """Every structural statistic a pseudotree theorem conditions on.
+    """The structural statistics a pseudotree theorem conditions on, and
+    nothing else: profile_json builds what only the printed profile shows.
 
     Cycle-related fields are empty/zero for trees.  All vertex collections
     are sorted tuples so serialized output is stable.
@@ -61,7 +62,6 @@ class PseudotreeProfile:
     cycle: tuple[int, ...]
     leaves: tuple[int, ...]
     supports: tuple[int, ...]
-    strong_supports: tuple[int, ...]
     exterior_major: tuple[int, ...]
     strong_exterior_major: tuple[int, ...]
     strong_leaves: tuple[int, ...]
@@ -69,11 +69,6 @@ class PseudotreeProfile:
     branch_active: tuple[int, ...]
     trivial_vertices: tuple[int, ...]
     root_vertices: tuple[int, ...]
-    threads: dict[int, tuple[int, ...]]
-    branching_trees: dict[int, tuple[int, ...]]
-    antipodal_trivial_pairs: int
-    antipodal_root_pairs: int
-    twin_pairs: tuple[tuple[int, int], ...]
     # each leaf with a terminal vertex, and its distance to it: its leg's length
     leg_lengths: dict[int, int] = field(repr=False, default_factory=dict)
     _positions: dict[int, int] = field(repr=False, default_factory=dict)
@@ -111,14 +106,16 @@ class PseudotreeProfile:
     def c3(self) -> int:
         return len(self.root_vertices)
 
-    def has_antipodal_pair(self, vertices) -> bool:
-        """Whether two of the cycle vertices are at cycle distance floor(g/2):
-        one is floor(g/2) places after the other on the cycle walk, so the
-        bitmask of their positions meets itself rotated by floor(g/2)."""
+    def antipodal_pairs(self, vertices) -> int:
+        """How many pairs of the cycle vertices are at cycle distance
+        floor(g/2): one is floor(g/2) places after the other on the cycle
+        walk, so the bitmask of their positions meets itself rotated by
+        floor(g/2) once per pair, and twice at even g, from both ends."""
         g, at = self.girth, 0
         for v in vertices:
             at |= 1 << self._positions[v]
-        return at & (at << g // 2 | at >> (g - g // 2)) != 0
+        met = (at & (at << g // 2 | at >> (g - g // 2))).bit_count()
+        return met if g & 1 else met // 2
 
     def has_geodesic_triple(self, vertices) -> bool:
         """Whether three of the cycle vertices have cycle distances summing to
@@ -139,62 +136,22 @@ class PseudotreeProfile:
             prev = p
         return True
 
-    def to_json(self) -> dict:
-        return {
-            "kind": self.kind.value,
-            "n": self.n,
-            "g": self.girth,
-            "l": self.num_leaves,
-            "lambda": self.num_exterior_major,
-            "lambda_s": self.num_strong_exterior_major,
-            "l_s": self.num_strong_leaves,
-            "s": self.num_supports,
-            "rho": self.rho,
-            "c2": self.c2,
-            "c3": self.c3,
-            "antipodal_trivial_pairs": self.antipodal_trivial_pairs,
-            "antipodal_root_pairs": self.antipodal_root_pairs,
-            "cycle": list(self.cycle),
-            "leaves": list(self.leaves),
-            "supports": list(self.supports),
-            "strong_supports": list(self.strong_supports),
-            "exterior_major": list(self.exterior_major),
-            "strong_exterior_major": list(self.strong_exterior_major),
-            "strong_leaves": list(self.strong_leaves),
-            "terminal_map": {str(w): list(t) for w, t in sorted(self.terminal_map.items())},
-            "branch_active": list(self.branch_active),
-            "trivial_vertices": list(self.trivial_vertices),
-            "root_vertices": list(self.root_vertices),
-            "threads": {str(r): list(p) for r, p in sorted(self.threads.items())},
-            "branching_trees": {str(v): list(t) for v, t in sorted(self.branching_trees.items())},
-            "twin_pairs": [list(p) for p in self.twin_pairs],
-        }
-
 
 def _twin_pairs(g: Graph) -> tuple[tuple[int, int], ...]:
-    """Pairs with equal open or equal closed neighbourhoods, sorted."""
-    groups: dict[tuple[int, ...], list[int]] = {}
-    for v, nbrs in enumerate(g.adjacency):
-        groups.setdefault(nbrs, []).append(v)
-    pairs = [
-        (u, v)
-        for members in groups.values()
-        if len(members) > 1
-        for i, u in enumerate(members)
-        for v in members[i + 1 :]
-    ]
-    # closed twins are adjacent, since each lies in the other's N[.]
-    adj = g.adjacency
-    pairs += [
-        (u, v)
-        for u, v in g.edges
-        if len(adj[u]) == len(adj[v]) and set(adj[u]) | {u} == set(adj[v]) | {v}
-    ]
+    """Pairs with equal open or equal closed neighbourhoods, sorted: the two
+    keys of k_dimensional_value's twin test.  Open twins are never adjacent
+    and closed twins always are, so no pair has both."""
+    pairs = []
+    for keys in (g.adjacency, closed_neighbourhoods(g)):
+        groups: dict = {}
+        for v, key in enumerate(keys):
+            groups.setdefault(key, []).append(v)
+        pairs += [(u, v) for members in groups.values() for i, u in enumerate(members) for v in members[i + 1 :]]
     return tuple(sorted(pairs))
 
 
 def profile(g: Graph) -> PseudotreeProfile:
-    """Compute the full structural profile of a pseudotree in one pass; no distances."""
+    """Compute the structural profile of a pseudotree in one pass; no distances."""
     kind = classify(g)
 
     degree = [len(a) for a in g.adjacency]
@@ -202,12 +159,8 @@ def profile(g: Graph) -> PseudotreeProfile:
     # a guessed size and resizes, and CPython frees the result into the free
     # list of its final size, so over many calls those lists fill up (~2 MB)
     leaves = tuple([v for v in range(g.n) if degree[v] == 1])
-    leaf_set = set(leaves)
     supports = tuple(
         sorted({w for v in leaves for w in g.adjacency[v]})
-    )
-    strong_supports = tuple(
-        [v for v in supports if sum(1 for w in g.adjacency[v] if w in leaf_set) >= 2]
     )
 
     # a leaf's terminal vertex ends its leg, the walk along degree-2 vertices:
@@ -235,46 +188,20 @@ def profile(g: Graph) -> PseudotreeProfile:
     branch_active: tuple[int, ...] = ()
     trivial: tuple[int, ...] = ()
     roots: tuple[int, ...] = ()
-    threads: dict[int, tuple[int, ...]] = {}
-    branching_trees: dict[int, tuple[int, ...]] = {}
     positions: dict[int, int] = {}
-    r_trivial = 0
-    t_roots = 0
 
     if kind.is_unicyclic:
         cycle, _, _, root, depth = hanging_trees(g)
         girth = len(cycle)
         positions = {v: i for i, v in enumerate(cycle)}
-        # branching tree of v = component of G - E(C) containing v: the
-        # vertices whose root is v, ascending
-        members: dict[int, list[int]] = {v: [] for v in cycle}
-        for x in range(g.n):
-            members[root[x]].append(x)
-        branching_trees = {v: tuple(members[v]) for v in cycle}
-        roots = tuple(sorted(v for v in cycle if len(members[v]) >= 2))
-        trivial = tuple(sorted(v for v in cycle if len(members[v]) == 1))
+        # a cycle vertex roots a hanging tree iff it has a third edge
+        roots = tuple(sorted(v for v in cycle if degree[v] > 2))
+        trivial = tuple(sorted(v for v in cycle if degree[v] == 2))
         # branch-active: T_v contains a branching vertex; on the cycle, two
         # of v's edges are not in T_v
         branch_active = tuple(
             sorted({root[x] for x in range(g.n) if degree[x] >= (4 if depth[x] == 0 else 3)})
         )
-        # thread: T_v is a path and deg(v) == 3, listed outward from v
-        threads = {
-            v: tuple(sorted(members[v], key=depth.__getitem__)[1:])
-            for v in roots
-            if degree[v] == 3 and v not in branch_active
-        }
-        half = girth // 2
-
-        def count_antipodal(subset: tuple[int, ...]) -> int:
-            # a pair at cycle distance half is p, p + half for one of its
-            # positions p when g is odd, and for both when g is even
-            at = {positions[v] for v in subset}
-            total = sum((p + half) % girth in at for p in at)
-            return total if girth & 1 else total // 2
-
-        r_trivial = count_antipodal(trivial)
-        t_roots = count_antipodal(roots)
 
     return PseudotreeProfile(
         kind=kind,
@@ -283,7 +210,6 @@ def profile(g: Graph) -> PseudotreeProfile:
         cycle=cycle,
         leaves=leaves,
         supports=supports,
-        strong_supports=strong_supports,
         exterior_major=exterior_major,
         strong_exterior_major=strong_exterior_major,
         strong_leaves=strong_leaves,
@@ -291,14 +217,63 @@ def profile(g: Graph) -> PseudotreeProfile:
         branch_active=branch_active,
         trivial_vertices=trivial,
         root_vertices=roots,
-        threads=threads,
-        branching_trees=branching_trees,
-        antipodal_trivial_pairs=r_trivial,
-        antipodal_root_pairs=t_roots,
-        twin_pairs=_twin_pairs(g),
         leg_lengths=leg_lengths,
         _positions=positions,
     )
+
+
+def profile_json(g: Graph) -> dict:
+    """What `pseudoloc profile` prints: the kept profile, and what no theorem
+    reads, built here: the strong supports, the branching trees, the threads,
+    the antipodal pair counts and the twin pairs."""
+    prof = kept(g, profile)
+    adjacency = g.adjacency
+    leaf_set = set(prof.leaves)
+    strong_supports = [v for v in prof.supports if sum(w in leaf_set for w in adjacency[v]) >= 2]
+    branching_trees: dict[int, list[int]] = {}
+    threads: dict[int, list[int]] = {}
+    if prof.kind.is_unicyclic:
+        _, _, _, root, depth = hanging_trees(g)
+        # branching tree of v = component of G - E(C) containing v: the
+        # vertices whose root is v, ascending
+        branching_trees = {v: [] for v in prof.cycle}
+        for x in range(g.n):
+            branching_trees[root[x]].append(x)
+        # thread: T_v is a path and deg(v) == 3, listed outward from v
+        threads = {
+            v: sorted(branching_trees[v], key=depth.__getitem__)[1:]
+            for v in prof.root_vertices
+            if len(adjacency[v]) == 3 and v not in prof.branch_active
+        }
+    return {
+        "kind": prof.kind.value,
+        "n": prof.n,
+        "g": prof.girth,
+        "l": prof.num_leaves,
+        "lambda": prof.num_exterior_major,
+        "lambda_s": prof.num_strong_exterior_major,
+        "l_s": prof.num_strong_leaves,
+        "s": prof.num_supports,
+        "rho": prof.rho,
+        "c2": prof.c2,
+        "c3": prof.c3,
+        "antipodal_trivial_pairs": prof.antipodal_pairs(prof.trivial_vertices),
+        "antipodal_root_pairs": prof.antipodal_pairs(prof.root_vertices),
+        "cycle": list(prof.cycle),
+        "leaves": list(prof.leaves),
+        "supports": list(prof.supports),
+        "strong_supports": strong_supports,
+        "exterior_major": list(prof.exterior_major),
+        "strong_exterior_major": list(prof.strong_exterior_major),
+        "strong_leaves": list(prof.strong_leaves),
+        "terminal_map": {str(w): list(t) for w, t in sorted(prof.terminal_map.items())},
+        "branch_active": list(prof.branch_active),
+        "trivial_vertices": list(prof.trivial_vertices),
+        "root_vertices": list(prof.root_vertices),
+        "threads": {str(r): p for r, p in sorted(threads.items())},
+        "branching_trees": {str(v): t for v, t in sorted(branching_trees.items())},
+        "twin_pairs": [list(p) for p in _twin_pairs(g)],
+    }
 
 
 @dataclass(frozen=True)

@@ -21,6 +21,7 @@ from pseudoloc import (
     enumerate_trees,
     enumerate_unicyclic,
     from_edge_list,
+    hanging_trees,
     profile,
     random_pseudotree,
 )
@@ -257,10 +258,9 @@ def closed_necklace(g: Graph) -> tuple[Graph, dict[int, int]]:
     mapping: dict[int, int] = {v: i for i, v in enumerate(prof.cycle)}
     edges = [(i, (i + 1) % gsize) for i in range(gsize)]
     next_id = gsize
+    root = hanging_trees(g)[3]
     for i, v in enumerate(prof.cycle):
-        members = prof.branching_trees[v]
-        tree_leaves = [w for w in members if w != v and len(g.adjacency[w]) == 1]
-        for leaf in sorted(tree_leaves):
+        for leaf in (u for u in prof.leaves if root[u] == v):
             mapping[leaf] = next_id
             edges.append((i, next_id))
             next_id += 1

@@ -384,7 +384,7 @@ class TestCriterion7:
                 sdim_o = oracle_value(g, "sdim")
                 gg, h, ell = prof.girth, prof.c2, prof.num_leaves
                 half = gg // 2
-                no_trivial_antipodal = prof.antipodal_trivial_pairs == 0
+                no_trivial_antipodal = prof.antipodal_pairs(prof.trivial_vertices) == 0
                 roots = set(prof.root_vertices)
                 positions = {v: i for i, v in enumerate(prof.cycle)}
                 has_root_antipodal_triple = any(
@@ -411,7 +411,7 @@ class TestCriterion7:
                 if cond_high != (sdim_o == ell + h // 2):
                     bad.append((encode_graph6(g), "sdim=l+h/2", cond_high, sdim_o))
                 # observed implication for the even g/2 attainment statement
-                if gg % 2 == 0 and prof.rho == 0 and prof.antipodal_root_pairs <= 1:
+                if gg % 2 == 0 and prof.rho == 0 and prof.antipodal_pairs(prof.root_vertices) <= 1:
                     if sdim_o != gg // 2:
                         bad.append((encode_graph6(g), "sdim=g/2", None, sdim_o))
         elapsed = time.time() - start

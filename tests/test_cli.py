@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 import io
 import json
@@ -11,8 +12,9 @@ import sys
 
 import pytest
 
-from pseudoloc import PARAMETER_NAMES, encode_graph6, from_edge_list, parse_graph6, random_pseudotree
+from pseudoloc import PARAMETER_NAMES, closed_form, encode_graph6, from_edge_list, parse_graph6, random_pseudotree
 from pseudoloc.cli import main
+from pseudoloc.corpus import STATUS_VIOLATION, CorpusSpec, verify_corpus
 
 from conftest import count_calls, cycle_graph, path_graph, twin_free_bicyclic_graphs
 
@@ -28,6 +30,12 @@ REPORT_DIGESTS = {
 CAP_REPORT_DIGESTS = {
     "tree": (12, "83d98b6cdf00ba29876da56d186952629e122fde1ed23fa7820b05e28a69ebe4"),
     "unicyclic": (10, "892d40c1326617c54de54c3c81a19a320d134210a8db2341c7d37e22eead234f"),
+}
+# the reports of the labelled corpora, `verify --no-dedup`, (max_n, sha256):
+# 14,541 and 2,226 records
+LABELLED_REPORT_DIGESTS = {
+    "tree": (6, "17c5f7a8de9979abd7c5d0e9d8bffeafe0f8a40afd5f464dbd009cd50d022b6e"),
+    "unicyclic": (5, "f40e1ae29265e71409ed2d4129e5826e579034a500ef564b270d6cc46f729a4b"),
 }
 
 # each family's smallest order
@@ -153,8 +161,24 @@ class TestCompute:
         assert err.startswith("error: line 2: ") and len(err.splitlines()) == 1
 
     def test_malformed_graph6_exit_2(self, capsys):
-        code, _, _ = run_cli(capsys, ["compute", "--param", "dim"], stdin_text="@@@\n")
-        assert code == 2
+        # a bad graph6 line names its line, after the good lines before it
+        # are answered; a bad edge list is one input with no line number
+        cases = [
+            ("graph6", "@@@\n", "line 1: graph6 body has 2 bytes, expected 0 for n=1"),
+            ("graph6", "A_\nA!\n", "line 2: invalid graph6 character '!'"),
+            ("graph6", "~~??????\n", "line 1: graph6 orders above 258047 are not supported"),
+            ("graph6", "~??\n", "line 1: truncated graph6 order field"),
+            ("graph6", "?\n", "line 1: graph6 order 0 out of range"),
+            ("graph6", "\n \n", "no graph6 input lines"),
+            ("edgelist", "", "empty edge-list input"),
+            ("edgelist", "three\n0 1\n", "expected vertex count, got 'three'"),
+            ("edgelist", "3\n0 1 2\n", "expected 'u v' pair, got '0 1 2'"),
+            ("edgelist", "3\n0 1\n1 b\n", "non-integer endpoint in '1 b'"),
+        ]
+        for fmt, text, error in cases:
+            code, out, err = run_cli(capsys, ["compute", "--param", "dim", "--format", fmt], stdin_text=text)
+            assert (code, err) == (2, f"error: {error}\n"), text
+            assert out == ("dim = 1  method=closed_form  tag=DIM_PATH  witness={0}\n" if text.startswith("A_") else "")
 
     @pytest.mark.parametrize("method", ["auto", "closed", "brute"])
     def test_not_pseudotree_exit_3(self, capsys, method):
@@ -316,12 +340,35 @@ class TestVerify:
     @pytest.mark.parametrize("family", sorted(REPORT_DIGESTS))
     def test_reports_byte_identical(self, capsys, tmp_path, family):
         cap, cap_digest = CAP_REPORT_DIGESTS[family]
-        for max_n, digest in ((8, REPORT_DIGESTS[family]), (cap, cap_digest)):
+        labelled, labelled_digest = LABELLED_REPORT_DIGESTS[family]
+        runs = ((8, [], REPORT_DIGESTS[family]), (cap, [], cap_digest), (labelled, ["--no-dedup"], labelled_digest))
+        for max_n, flags, digest in runs:
             report = tmp_path / f"report{max_n}.jsonl"
-            argv = ["verify", "--family", family, "--max-n", str(max_n), "--params", "all"]
+            argv = ["verify", "--family", family, "--max-n", str(max_n), "--params", "all", *flags]
             code, _, _ = run_cli(capsys, argv + ["--report", str(report)])
             assert code == 0
-            assert hashlib.sha256(report.read_bytes()).hexdigest() == digest, max_n
+            assert hashlib.sha256(report.read_bytes()).hexdigest() == digest, (max_n, flags)
+
+    def test_an_off_closed_form_is_a_violation(self, capsys, monkeypatch, tmp_path):
+        # ldim one too high: each tree's ldim record, and only it, disagrees
+        # with the oracle, and verify counts it and exits 1
+        real = closed_form._CLOSED_FORMS["ldim"]
+
+        def off_by_one(g):
+            result = real(g)
+            return dataclasses.replace(result, value=result.value + 1)
+
+        monkeypatch.setitem(closed_form._CLOSED_FORMS, "ldim", off_by_one)
+        records, violations = verify_corpus(CorpusSpec("tree", 5))
+        bad = [r for r in records if r.status == STATUS_VIOLATION]
+        assert violations == len(bad) == 7  # the trees of 2 to 5 vertices
+        assert {r.parameter for r in bad} == {"ldim"}
+        report = tmp_path / "r.jsonl"
+        code, out, _ = run_cli(capsys, ["verify", "--family", "tree", "--max-n", "5", "--report", str(report)])
+        lines = [json.loads(line) for line in report.read_text().splitlines()]
+        assert [r["parameter"] for r in lines[:-1] if r["status"] == STATUS_VIOLATION] == ["ldim"] * 7
+        assert lines[-1]["summary"]["violations"] == 7
+        assert code == 1 and out.endswith(": 7 violations\n")
 
 
 class TestGen:
@@ -352,6 +399,12 @@ class TestGen:
             for n in (smallest - 1, 0):
                 code, out, err = run_cli(capsys, ["gen", "--kind", kind, "--n", str(n)])
                 assert code == 4 and not out and f"needs n >= {smallest}" in err, (kind, n)
+
+    @pytest.mark.parametrize("kind, build", [("path", path_graph), ("cycle", cycle_graph)])
+    def test_paths_and_cycles(self, capsys, kind, build):
+        for n in (5, 64):
+            code, out, _ = run_cli(capsys, ["gen", "--kind", kind, "--n", str(n)])
+            assert (code, out) == (0, encode_graph6(build(n)) + "\n")
 
     def test_gen_compute_round_trip_1000_samples(self, capsys):
         # every generated line must parse and compute cleanly

@@ -25,6 +25,7 @@ from pseudoloc import (
     oracle_result,
     parse_graph6,
     profile,
+    profile_json,
     random_pseudotree,
     sdim_even_fast,
     sdim_sr_formula,
@@ -330,6 +331,10 @@ class TestParameterNames:
                 with pytest.raises(ValueError, match="unknown parameter"):
                     call(param, k)
 
+    def test_unknown_method_is_a_value_error(self):
+        with pytest.raises(ValueError, match="unknown method 'fast'"):
+            compute_parameter(path_graph(4), "dim", method="fast")
+
     def test_k_rule(self):
         for call in self.entry_points(path_graph(4)):
             for param, k in (("dim", 7), ("dim2", 2), ("dimk", None), ("dimk", 1), ("dimk", 2.0)):
@@ -389,7 +394,7 @@ class TestCorpusLemmas:
 
         for g in tree_classes_by_n[7] + unicyclic_classes_by_n[7]:
             if oracle_result(g, "ddim").value == domination_number(g):
-                assert profile(g).strong_supports == ()
+                assert profile_json(g)["strong_supports"] == []
 
 
 class TestDoublyCycleResolvesThreads:
@@ -406,7 +411,7 @@ class TestDoublyCycleResolvesThreads:
             prof = profile(g)
             dm = unpacked(distance_matrix(g))
             cycle = prof.cycle
-            targets = list(cycle) + [v for path in prof.threads.values() for v in path]
+            targets = list(cycle) + [v for path in profile_json(g)["threads"].values() for v in path]
             for size in (2, 3):
                 for combo in itertools.combinations(sorted(cycle), size):
                     doubly_on_cycle = all(

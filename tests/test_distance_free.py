@@ -36,6 +36,7 @@ from conftest import (
     path_graph,
     random_pseudotrees,
     terminal_map_by_distances,
+    twin_pairs_by_definition,
 )
 
 DISTANCE_FREE = ("dmd", "dim", "dim2", "edim", "mdim", "ldim")
@@ -118,7 +119,7 @@ class TestClosedFormsWithoutDistances:
 class TestDimkDistances:
     def test_dimk_with_twins_builds_none(self, no_distances, tree_classes_by_n, unicyclic_classes_by_n):
         graphs = tree_classes_by_n[8] + unicyclic_classes_by_n[8] + random_pseudotrees(64, 20)
-        graphs = [g for g in graphs if profile(g).twin_pairs]
+        graphs = [g for g in graphs if twin_pairs_by_definition(g)]
         assert len(graphs) > 20
         for g in graphs:
             assert compute_parameter(g, "dimk", k=2, method="closed").theorem_tag
@@ -130,7 +131,7 @@ class TestDimkDistances:
         ranges = [(g, range(2, k_dimensional_value(g) + 1)) for g in trees + unicyclic]
         dms = count_calls(monkeypatch, "distance_matrix", MODULES_THAT_BUILD_DISTANCES)
         for g, ks in ranges:
-            assert not profile(g).twin_pairs and len(ks) >= 2
+            assert not twin_pairs_by_definition(g) and len(ks) >= 2
             dms.clear()
             for k in ks:
                 assert compute_parameter(g, "dimk", k=k, method="closed").theorem_tag

@@ -36,6 +36,7 @@ from pseudoloc import (
     parse_edgelist,
     parse_graph6,
     profile,
+    profile_json,
     tree_canonical_key,
     unicyclic_canonical_key,
     verify_graph,
@@ -71,6 +72,8 @@ class TestFromEdgeList:
     def test_out_of_range(self):
         with pytest.raises(VertexOutOfRange):
             from_edge_list(3, [(0, 3)])
+        with pytest.raises(VertexOutOfRange, match="vertex count must be >= 1, got 0"):
+            from_edge_list(0, [])
 
     def test_cap_env_override(self, monkeypatch):
         # the variable overrides the search caps, never the graph cap of 64
@@ -231,7 +234,7 @@ def decomposition_readers(g):
     key = tree_canonical_key if g.m < g.n else unicyclic_canonical_key
     return {
         "gamma": lambda: domination_number(g),
-        "profile": lambda: profile(g).to_json(),
+        "profile": lambda: profile_json(g),
         "distances": lambda: distance_matrix(g).packed,
         "sr_graph": lambda: boundary_and_sr_graph(g),
         "key": lambda: key(g),

@@ -101,7 +101,7 @@ class TestSharedOracle:
 
 # every module that binds each function
 DISTANCE_MODULES = ("resolvers", "graph")
-PROFILE_MODULES = ("structure", "closed_form", "cli")
+PROFILE_MODULES = ("structure", "closed_form")
 KERNEL_MODULES = ("resolvers", "closed_form", "corpus")
 
 # C5 with a leg: odd girth, so its sdim closed form reads the SR graph, and

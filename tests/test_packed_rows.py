@@ -21,7 +21,7 @@ from pseudoloc import (
     hanging_trees,
     k_dimensional_value,
     kept,
-    profile,
+    profile_json,
     random_pseudotree,
 )
 from pseudoloc.structure import _twin_pairs
@@ -165,9 +165,9 @@ class TestAgainstReferences:
         assert_kernels_match(paw)
 
     def test_profile_twin_pairs(self, c4, paw, spider122):
-        assert profile(c4).twin_pairs == ((0, 2), (1, 3))
-        assert profile(paw).twin_pairs == ((1, 2),)
-        assert profile(spider122).twin_pairs == ()
+        assert profile_json(c4)["twin_pairs"] == [[0, 2], [1, 3]]
+        assert profile_json(paw)["twin_pairs"] == [[1, 2]]
+        assert profile_json(spider122)["twin_pairs"] == []
 
 
 class TestArcAndCutVertexRules:

@@ -35,6 +35,7 @@ from conftest import (
     random_pseudotrees,
     resolves,
     strong_resolves,
+    twin_pairs_by_definition,
     unpacked,
 )
 
@@ -90,6 +91,13 @@ class TestIsLocatingSet:
         assert is_locating_set(paw, [3, 1], "sdim")
         assert is_locating_set(k13, [1, 2], "dim")
         assert not is_locating_set(k13, [1], "dim")
+
+    def test_rejects_empty_and_out_of_range_sets(self, k13):
+        with pytest.raises(ValueError, match="nonempty"):
+            is_locating_set(k13, [], "dim")
+        for s in ([0, 4], [-1]):
+            with pytest.raises(ValueError, match="out-of-range"):
+                is_locating_set(k13, s, "dim")
 
     def test_doubly_needs_two(self, c5):
         assert not is_locating_set(c5, [0], "dmd")
@@ -248,11 +256,9 @@ class TestKDimensionalValue:
             assert k_dimensional_value(cycle_graph(n)) == expected
 
     def test_twin_characterization_on_trees(self, tree_classes_by_n):
-        from pseudoloc import profile
-
         for n in range(3, 9):
             for t in tree_classes_by_n[n]:
-                has_twins = bool(profile(t).twin_pairs)
+                has_twins = bool(twin_pairs_by_definition(t))
                 assert (k_dimensional_value(t) == 2) == has_twins
 
 

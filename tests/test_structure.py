@@ -19,6 +19,7 @@ from pseudoloc import (
     lex_first_cover,
     parse_graph6,
     profile,
+    profile_json,
 )
 from pseudoloc.corpus import random_pseudotree, unicyclic_canonical_key
 from pseudoloc.resolvers import closed_neighbourhoods
@@ -63,8 +64,9 @@ class TestProfile:
         assert prof.rho == 0
         assert prof.trivial_vertices == (1, 2)
         assert prof.root_vertices == (0,)
-        assert prof.threads == {0: (3,)}
-        assert prof.branching_trees[0] == (0, 3)
+        payload = profile_json(paw)
+        assert payload["threads"] == {"0": [3]}
+        assert payload["branching_trees"]["0"] == [0, 3]
 
     def test_spider122(self, spider122):
         prof = profile(spider122)
@@ -73,7 +75,7 @@ class TestProfile:
         assert prof.strong_exterior_major == (0,)
         assert prof.num_strong_leaves == 3
         assert prof.supports == (0, 2, 4)
-        assert prof.strong_supports == ()
+        assert profile_json(spider122)["strong_supports"] == []
 
     def test_c5p13(self, c5p13):
         prof = profile(c5p13)
@@ -81,7 +83,7 @@ class TestProfile:
         assert prof.rho == 0
         assert prof.trivial_vertices == (1, 3, 4)
         assert prof.root_vertices == (0, 2)
-        assert prof.antipodal_root_pairs == 1
+        assert prof.antipodal_pairs(prof.root_vertices) == 1
 
     def test_showcase_statistics(self, branching_showcase):
         prof = profile(branching_showcase)
@@ -106,7 +108,9 @@ class TestProfile:
     def test_tree_profile_has_no_cycle_fields(self, spider122):
         prof = profile(spider122)
         assert prof.girth == 0 and prof.cycle == ()
-        assert prof.branching_trees == {} and prof.threads == {}
+        payload = profile_json(spider122)
+        assert payload["branching_trees"] == {} and payload["threads"] == {}
+        assert payload["antipodal_trivial_pairs"] == payload["antipodal_root_pairs"] == 0
 
     def test_count_identity_and_partition(self, tree_classes_by_n, unicyclic_classes_by_n):
         graphs = tree_classes_by_n[8] + unicyclic_classes_by_n[8]
@@ -120,15 +124,16 @@ class TestProfile:
             if prof.kind.is_unicyclic:
                 assert prof.c2 + prof.c3 == prof.girth
                 assert set(prof.branch_active) <= set(prof.root_vertices)
-                for root in prof.threads:
-                    assert len(g.adjacency[root]) == 3
+                payload = profile_json(g)
+                for root in payload["threads"]:
+                    assert len(g.adjacency[int(root)]) == 3
                 for v in prof.root_vertices:
-                    assert len(prof.branching_trees[v]) >= 2
+                    assert len(payload["branching_trees"][str(v)]) >= 2
                 for v in prof.trivial_vertices:
-                    assert prof.branching_trees[v] == (v,)
+                    assert payload["branching_trees"][str(v)] == [v]
 
     def test_json_shape(self, c5p13):
-        payload = profile(c5p13).to_json()
+        payload = profile_json(c5p13)
         assert payload["kind"] == "ProperUnicyclic"
         assert payload["g"] == 5 and payload["l"] == 2 and payload["lambda"] == 2
         assert payload["rho"] == 0 and payload["c2"] == 3 and payload["c3"] == 2
@@ -147,17 +152,18 @@ class TestCycleSubsets:
         assert antipodal_pairs_by_bfs(c4, [0, 1, 2, 3]) == [(0, 2), (1, 3)]
         assert antipodal_pairs_by_bfs(c5, [0, 2]) == [(0, 2)]
         assert antipodal_pairs_by_bfs(c5, [0, 1]) == []
-        assert profile(c4).has_antipodal_pair([1, 3])
-        assert profile(c5).has_antipodal_pair([2, 0])
-        assert not profile(c5).has_antipodal_pair([0, 1])
+        assert profile(c4).antipodal_pairs([1, 3]) == 1
+        assert profile(c4).antipodal_pairs([0, 1, 2, 3]) == 2
+        assert profile(c5).antipodal_pairs([2, 0]) == 1
+        assert profile(c5).antipodal_pairs([0, 1]) == 0
 
     def test_antipodal_counts_equal_the_pairs(self, unicyclic_classes_by_n):
         graphs = [g for n in range(3, 10) for g in unicyclic_classes_by_n[n]]
         graphs += [g for g in random_pseudotrees(64, 300) if g.m == g.n]
         for g in graphs:
-            prof = profile(g)
-            assert prof.antipodal_trivial_pairs == len(antipodal_pairs_by_bfs(g, prof.trivial_vertices))
-            assert prof.antipodal_root_pairs == len(antipodal_pairs_by_bfs(g, prof.root_vertices))
+            payload = profile_json(g)
+            assert payload["antipodal_trivial_pairs"] == len(antipodal_pairs_by_bfs(g, payload["trivial_vertices"]))
+            assert payload["antipodal_root_pairs"] == len(antipodal_pairs_by_bfs(g, payload["root_vertices"]))
 
     def test_set_tests_on_every_subset_of_small_cycles(self):
         # both tests read positions on the cycle walk, which need not follow
@@ -166,7 +172,7 @@ class TestCycleSubsets:
             prof = profile(g)
             for size in range(g.n + 1):
                 for subset in itertools.combinations(range(g.n), size):
-                    assert prof.has_antipodal_pair(subset) == bool(antipodal_pairs_by_bfs(g, subset))
+                    assert prof.antipodal_pairs(subset) == len(antipodal_pairs_by_bfs(g, subset))
                     assert prof.has_geodesic_triple(subset) == bool(geodesic_triples_by_bfs(g, subset))
 
     def test_set_tests_on_the_cycle_vertex_classes(self, unicyclic_classes_by_n):
@@ -175,7 +181,7 @@ class TestCycleSubsets:
         for g in graphs:
             prof = profile(g)
             for subset in (prof.cycle, prof.trivial_vertices, prof.root_vertices, prof.branch_active):
-                assert prof.has_antipodal_pair(subset) == bool(antipodal_pairs_by_bfs(g, subset))
+                assert prof.antipodal_pairs(subset) == len(antipodal_pairs_by_bfs(g, subset))
                 assert prof.has_geodesic_triple(subset) == bool(geodesic_triples_by_bfs(g, subset))
 
 
