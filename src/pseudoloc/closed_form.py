@@ -2,11 +2,12 @@
 
 Each closed form takes a pseudotree and returns the exact value when a
 characterization covers the instance, and the certified interval otherwise.
-What they read of the graph, the profile, the SR graph and the k-dimensional
-value, is kept on it (graph.kept), where the oracle reads the same
-k-dimensional value and the distances it was counted on.  The engine never
-guesses: interval results carry the bounded-by-theorem method and can be
-upgraded to the oracle on request.
+The profile and the SR graph they read are kept on the graph
+(graph.kept).  Only dimk at k >= 3 on a twin-free graph reads distances:
+its k-range rule, resolvers.check_k_range, counts the oracle's vertex-pair
+masks, which the oracle reads again.  The engine never guesses: interval
+results carry the bounded-by-theorem method and can be upgraded to the
+oracle on request.
 
 The unicyclic theorems of dmd, dim and mdim ask the profile's two tests of
 a set of cycle vertices, antipodal_pairs and has_geodesic_triple, and
@@ -17,7 +18,7 @@ from __future__ import annotations
 
 from itertools import combinations
 
-from .errors import KOutOfRange, SizeCapExceeded
+from .errors import SizeCapExceeded
 from .graph import Graph, kept
 from .resolvers import (
     METHOD_BOUNDED,
@@ -26,7 +27,7 @@ from .resolvers import (
     ParameterResult,
     brute_force_dimension,
     check_k,
-    k_dimensional_value,
+    check_k_range,
 )
 from .structure import (
     FamilyKind,
@@ -223,10 +224,8 @@ def _i_r(ter: int, low: int, r: int) -> int:
 
 
 def dimk_closed(g: Graph, k: int) -> ParameterResult:
-    """k-metric dimension, for 2 <= k <= the k-dimensional value."""
-    kmax = kept(g, k_dimensional_value)
-    if k > kmax:
-        raise KOutOfRange(f"k={k} exceeds the k-dimensional value {kmax}")
+    """k-metric dimension, for 2 <= k <= the k-dimensional value, the
+    range closed_result checks."""
     prof = kept(g, profile)
     kind = prof.kind
     if kind is FamilyKind.PATH:
@@ -327,23 +326,18 @@ _CLOSED_FORMS = {
 }
 
 
-def _singleton_result(param: str) -> ParameterResult:
-    if param in ("dim2", "dimk"):
-        # dim2 is the k-metric dimension at k = 2; no vertex pair means no k
-        raise KOutOfRange(f"{param}: the k-metric dimension is undefined on a single vertex")
-    return _exact(1, "SINGLETON", witness=(0,))
-
-
 def closed_result(g: Graph, param: str, k: int | None = None) -> ParameterResult:
     """Closed-form (or certified-interval) result; never calls the oracle.
 
-    Only dimk on a twin-free graph (its k-dimensional value) reads the
-    distance matrix.  The profile, and the SR graph of odd-girth sdim, are
-    read off the leaf stripping.
+    Only dimk at k >= 3 on a twin-free graph reads the distance matrix,
+    through the oracle's vertex-pair masks that its k-range rule counts.
+    The profile, and the SR graph of odd-girth sdim, are read off the leaf
+    stripping.
     """
     check_k(param, k)
+    check_k_range(g, param, k)  # a single vertex has no pair: no dim2 or dimk
     if g.n == 1:
-        return _singleton_result(param)
+        return _exact(1, "SINGLETON", witness=(0,))
     return dimk_closed(g, k) if param == "dimk" else _CLOSED_FORMS[param](g)
 
 

@@ -170,11 +170,11 @@ def from_edge_list(n: int, pairs) -> Graph:
         canonical.append(e)
     canonical.sort()
     adjacency: list[list[int]] = [[] for _ in range(n)]
+    # ascending lists: v gets its smaller neighbours from edges (u, v), then
+    # its larger ones from edges (v, w), each in sorted edge order
     for u, v in canonical:
         adjacency[u].append(v)
         adjacency[v].append(u)
-    for lst in adjacency:
-        lst.sort()
     if not _check_connected(n, adjacency):
         raise Disconnected(f"graph on {n} vertices is not connected")
     return Graph(

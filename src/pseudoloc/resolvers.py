@@ -3,7 +3,8 @@
 The oracle takes the parameter names the closed forms, the CLI and the
 reports use (PARAMETER_NAMES), with a k for dimk only.  check_name holds
 the one unknown-name rule (ValueError) and check_k the one k rule
-(KOutOfRange); every entry point applies them.
+(KOutOfRange); every entry point applies them.  check_k_range holds the one
+k-range rule (KOutOfRange), which the closed forms and the oracle apply.
 
 Every parameter is a cover problem over vertex bitmasks: a set locates iff
 it meets each constraint mask of the graph at least `need` times (one mask
@@ -65,6 +66,17 @@ def check_k(param: str, k) -> None:
         raise KOutOfRange("dimk requires k")
     elif not isinstance(k, int) or k < 2:
         raise KOutOfRange(f"k must be an integer >= 2, got {k}")
+
+
+def check_k_range(g: Graph, param: str, k) -> None:
+    """The one k-range rule, after check_k: a k-locating set exists iff k is
+    at most the k-dimensional value.  Every pair is resolved by its own two
+    ends, so dim2 and dimk at k = 2 read no value on two or more vertices."""
+    need = 2 if param == "dim2" else k
+    if need is not None and (need > 2 or g.n < 2):
+        kmax = kept(g, k_dimensional_value)
+        if need > kmax:
+            raise KOutOfRange(f"no {need}-locating set exists (k-dimensional value {kmax})")
 
 
 def parameter_label(param: str, k: int | None = None) -> str:
@@ -394,20 +406,15 @@ def brute_force_dimension(g: Graph, param: str, k: int | None = None) -> Paramet
     the lexicographically first locating set of that size (lex_first_cover).
 
     The rules go in order: a pseudotree (NotPseudotree), the name and k
-    (check_k), k within the k-dimensional value, then the oracle cap,
-    ORACLE_CAP or its PSEUDOLOC_MAX_N override (SizeCapExceeded).
+    (check_k), k within the k-dimensional value (check_k_range), then the
+    oracle cap, ORACLE_CAP or its PSEUDOLOC_MAX_N override (SizeCapExceeded).
     The distances, the shared masks and the k-dimensional value are kept on
     the graph, for every parameter and for the closed forms.
     """
     check_pseudotree(g)
     check_k(param, k)
+    check_k_range(g, param, k)
     cap = size_cap(ORACLE_CAP)
-    need = 2 if param == "dim2" else k
-    if need is not None:
-        # k is range-checked before the cap, as the closed form checks it
-        kmax = kept(g, k_dimensional_value)
-        if need > kmax:
-            raise KOutOfRange(f"no {need}-locating set exists (k-dimensional value {kmax})")
     if g.n > cap:
         raise SizeCapExceeded(f"n={g.n} exceeds oracle cap {cap} for {parameter_label(param, k)}")
     witness = lex_first_cover(g.n, *cover_problem(g, param, k))
@@ -422,57 +429,20 @@ def brute_force_dimension(g: Graph, param: str, k: int | None = None) -> Paramet
 
 
 def k_dimensional_value(g: Graph) -> int:
-    """Largest k admitting a k-locating set of a pseudotree: the minimum
-    pair resolver count, 0 on a single vertex, which has no pair.
+    """Largest k admitting a k-locating set of a pseudotree: the fewest
+    resolvers of any vertex pair, 0 on a single vertex, which has no pair.
 
     Every pair is resolved by its own two ends, and by no other vertex iff
     the two are twins (equal open or equal closed neighbourhoods), so a
-    graph with twins has value 2, read off the adjacency.  Only a twin-free
-    graph reads distances, the matrix kept on the graph.
-    Its value is at least 3, so the pairs within distance 2 go first and one
-    with 3 resolvers ends the search.  A pair x, y at distance 3 or more is
-    resolved by x, y and every neighbour of either, at least
-    2 + deg x + deg y vertices, so after them only the pairs whose bound is
-    below the best count so far are counted.
-
-    The resolvers of x and y are the nonzero fields of packed row x XOR
-    packed row y, counted with one mask, add, or and bit count.  Raises
-    NotPseudotree when m > n, before the twin test.
+    graph with twins has value 2, read off the adjacency.  A twin-free graph
+    counts the bits of the oracle's vertex-pair masks, kept on the graph for
+    dim, dim2, dimk, ddim and mdim.  Raises NotPseudotree when m > n, before
+    the twin test.
     """
     check_pseudotree(g)
     n = g.n
     if n < 2:
         return 0  # no vertex pair, so no k
-    adjacency = g.adjacency
-    if len(set(adjacency)) < n or len(set(closed_neighbourhoods(g))) < n:
+    if len(set(g.adjacency)) < n or len(set(closed_neighbourhoods(g))) < n:
         return 2
-    dm = kept(g, distance_matrix)
-    packed, ones = dm.packed, dm.ones
-    low = ones * 0x7F  # all but the top bit of each byte
-    top = ones * 0x80
-
-    def resolvers(x: int, y: int) -> int:
-        diff = packed[x] ^ packed[y]
-        # a field's top bit ends up set iff the field is nonzero; no carry
-        # leaves a field, since (diff & low) + low < 256
-        return ((((diff & low) + low) | diff) & top).bit_count()
-
-    best = n
-    for c, nbrs in enumerate(adjacency):
-        near = [(c, x) for x in nbrs if x > c]  # at distance 1
-        near += [(x, y) for i, x in enumerate(nbrs) for y in nbrs[i + 1 :]]  # 1 or 2
-        for x, y in near:
-            count = resolvers(x, y)
-            if count == 3:
-                return 3
-            best = min(best, count)
-    # in order of degree, a pair whose bound reaches the best count ends the
-    # scan of its first vertex
-    degree = [len(nbrs) for nbrs in adjacency]
-    order = sorted(range(n), key=degree.__getitem__)
-    for i, x in enumerate(order):
-        for y in order[i + 1 :]:
-            if 2 + degree[x] + degree[y] >= best:
-                break
-            best = min(best, resolvers(x, y))
-    return best
+    return min(map(int.bit_count, kept(g, _vertex_pairs)))

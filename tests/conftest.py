@@ -84,8 +84,8 @@ def twin_free_bicyclic_graphs() -> list[Graph]:
     """Two twin-free graphs with m = n + 1, outside the pseudotrees the
     package takes.  The fewest resolvers of a pair in each, 5, are those of
     a pair at distance 3 with 2 + deg x + deg y = 5, while every pair within
-    distance 2 has 6: the k-dimensional value's degree-bound pass would
-    decide them."""
+    distance 2 has 6: a count over the near pairs alone would miss them, as
+    on the 13-vertex unicyclic graph of test_packed_rows."""
     return [
         from_edge_list(9, [(0, 7), (1, 4), (1, 5), (1, 7), (2, 3), (2, 6), (2, 7), (4, 6), (4, 8), (6, 8)]),
         from_edge_list(

@@ -3,10 +3,12 @@ major vertex by BFS, closed forms with distance_matrix made to raise,
 canonical forms without the profile, and one k-dimensional value per
 verified graph.
 
-Of the closed forms, only dimk on a twin-free graph (its k-dimensional
-value) builds a distance matrix, at most one per graph: sdim reads its
-strong resolving graph off the profile.  dimk reads the k-dimensional value
-off the twins when there are any, and tree leg lengths off the profile."""
+Of the closed forms, only dimk at k >= 3 on a twin-free graph builds a
+distance matrix, at most one per graph: its k-range rule counts the
+oracle's vertex-pair masks.  sdim reads its strong resolving graph off the
+profile.  dim2 and dimk at k = 2 read no k-dimensional value, since every
+pair is resolved by its own two ends; at k >= 3 dimk reads it off the twins
+when there are any, and tree leg lengths off the profile."""
 
 from __future__ import annotations
 
@@ -22,6 +24,7 @@ from pseudoloc import (
     compute_parameter,
     enumerate_trees,
     enumerate_unicyclic,
+    from_edge_list,
     k_dimensional_value,
     ldim_closed,
     profile,
@@ -40,9 +43,11 @@ from conftest import (
 )
 
 DISTANCE_FREE = ("dmd", "dim", "dim2", "edim", "mdim", "ldim")
-# every module that binds distance_matrix; closed_form and corpus bind the
-# k-dimensional value kernel, which reads the matrix through resolvers
+# every module that binds distance_matrix; corpus binds the k-dimensional
+# value, which reads the matrix through resolvers
 MODULES_THAT_BUILD_DISTANCES = ("resolvers", "graph")
+# every module that binds k_dimensional_value
+MODULES_THAT_COUNT_RESOLVERS = ("resolvers", "corpus")
 
 
 @pytest.fixture
@@ -124,18 +129,33 @@ class TestDimkDistances:
         for g in graphs:
             assert compute_parameter(g, "dimk", k=2, method="closed").theorem_tag
 
+    def test_k2_reads_no_k_dimensional_value(
+        self, monkeypatch, no_distances, tree_classes_by_n, unicyclic_classes_by_n
+    ):
+        # every pair is resolved by its own two ends, twin-free graphs included
+        graphs = tree_classes_by_n[8] + unicyclic_classes_by_n[8] + random_pseudotrees(64, 20)
+        assert sum(not twin_pairs_by_definition(g) for g in graphs) > 10
+        calls = count_calls(monkeypatch, "k_dimensional_value", MODULES_THAT_COUNT_RESOLVERS)
+        for g in graphs:
+            assert closed_result(g, "dim2").theorem_tag
+            assert compute_parameter(g, "dimk", k=2, method="closed").theorem_tag
+        assert calls == []
+
     def test_dimk_on_a_twin_free_graph_builds_one(self, monkeypatch, spider122):
         trees = [path_graph(9), spider122, random_pseudotree("tree", 64, random.Random(143))]
         unicyclic = [cycle_graph(9), random_pseudotree("unicyclic", 64, random.Random(143))]
-        # the k-ranges first: the matrix they read is kept under the real builder
-        ranges = [(g, range(2, k_dimensional_value(g) + 1)) for g in trees + unicyclic]
+        # the k-ranges on copies, which keep nothing on the graphs asked
+        copies = [(g, from_edge_list(g.n, g.edges)) for g in trees + unicyclic]
+        ranges = [(g, range(2, k_dimensional_value(copy) + 1)) for g, copy in copies]
         dms = count_calls(monkeypatch, "distance_matrix", MODULES_THAT_BUILD_DISTANCES)
         for g, ks in ranges:
             assert not twin_pairs_by_definition(g) and len(ks) >= 2
             dms.clear()
-            for k in ks:
+            assert compute_parameter(g, "dimk", k=2, method="closed").theorem_tag
+            assert dms == []  # k = 2 reads no k-dimensional value
+            for k in ks[1:]:
                 assert compute_parameter(g, "dimk", k=k, method="closed").theorem_tag
-            assert dms == [g]  # one matrix for the whole k-range
+            assert dms == [g]  # one matrix for the rest of the k-range
 
 
 class TestSharedWork:
@@ -152,11 +172,10 @@ class TestSharedWork:
         assert list(enumerate_unicyclic(8, dedup=True)) == unicyclic_classes_by_n[8]
 
     def test_one_k_dimensional_value_per_verified_graph(self, monkeypatch, unicyclic_classes_by_n):
-        # the packed-row kernel is the one computation of the value: the
-        # k-range, every dimk closed form and the oracle's k check share one call
+        # the kept value is the one computation of it: the k-range and the
+        # k-range rule of every dimk closed form and oracle share one call
         expected = {g: k_dimensional_value(g) for g in unicyclic_classes_by_n[6]}
-        # every module that binds the kernel
-        calls = count_calls(monkeypatch, "k_dimensional_value", ("resolvers", "closed_form", "corpus"))
+        calls = count_calls(monkeypatch, "k_dimensional_value", MODULES_THAT_COUNT_RESOLVERS)
         for g, kmax in expected.items():
             calls.clear()
             records = verify_graph(g, PARAMETER_NAMES)

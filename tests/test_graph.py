@@ -57,6 +57,19 @@ class TestFromEdgeList:
         assert len(paw.adjacency[0]) == 3
         assert 2 in paw.adjacency[0] and 3 not in paw.adjacency[1]
 
+    def test_adjacency_ascending_from_any_order(self):
+        # shuffled, flipped and reversed pair lists build the same graph, with
+        # sorted edges and ascending neighbour tuples
+        rng = random.Random(5)
+        graphs = random_pseudotrees(64, 40) + [parse_graph6("C~")] + twin_free_bicyclic_graphs()
+        for g in graphs:
+            pairs = [(v, u) if rng.random() < 0.5 else (u, v) for u, v in g.edges]
+            rng.shuffle(pairs)
+            for order in (pairs, pairs[::-1], [(v, u) for u, v in reversed(g.edges)]):
+                built = from_edge_list(g.n, order)
+                assert built == g and built.edges == tuple(sorted(built.edges))
+                assert all(list(nbrs) == sorted(nbrs) for nbrs in built.adjacency)
+
     def test_duplicate_edge(self):
         with pytest.raises(DuplicateEdge):
             from_edge_list(4, [(0, 1), (1, 2), (2, 3), (0, 3), (0, 2), (2, 0)])

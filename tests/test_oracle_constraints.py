@@ -102,7 +102,7 @@ class TestSharedOracle:
 # every module that binds each function
 DISTANCE_MODULES = ("resolvers", "graph")
 PROFILE_MODULES = ("structure", "closed_form")
-KERNEL_MODULES = ("resolvers", "closed_form", "corpus")
+KERNEL_MODULES = ("resolvers", "corpus")
 
 # C5 with a leg: odd girth, so its sdim closed form reads the SR graph, and
 # the SR graph reads the profile, no distances
@@ -117,6 +117,10 @@ class TestOneDistanceMatrix:
         kernel = count_calls(monkeypatch, "k_dimensional_value", KERNEL_MODULES)
         result = compute_parameter(g, "dimk", k=2)
         assert result.method == "brute_force"  # the closed form gave an interval
+        assert matrices == profiles == [g]
+        assert kernel == []  # every pair is resolved by its own two ends
+        # k = 3 reads the k-dimensional value off the masks that k = 2 kept
+        assert compute_parameter(g, "dimk", k=3).method == "brute_force"
         assert matrices == profiles == kernel == [g]
 
     def test_sdim_closed_oracle_and_predicate_share_one(self, monkeypatch):

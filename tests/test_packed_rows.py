@@ -6,24 +6,30 @@ from __future__ import annotations
 
 import hashlib
 import importlib
+import io
 import itertools
 import operator
 import random
+import sys
 
 import pytest
 
 from pseudoloc import (
+    KOutOfRange,
     NotPseudotree,
     boundary_and_sr_graph,
+    compute_parameter,
     distance_matrix,
     encode_graph6,
     from_edge_list,
     hanging_trees,
     k_dimensional_value,
     kept,
+    parse_graph6,
     profile_json,
     random_pseudotree,
 )
+from pseudoloc.cli import main
 from pseudoloc.structure import _twin_pairs
 
 from conftest import (
@@ -232,7 +238,7 @@ def twin_free(g) -> bool:
 
 
 class TestKDimensionalValue:
-    """The twin test and the degree bound against the count over all pairs."""
+    """The twin test and the oracle's vertex-pair masks against the count over all pairs."""
 
     def assert_matches(self, graphs):
         for g in graphs:
@@ -261,8 +267,8 @@ class TestKDimensionalValue:
     def test_degree_bound_decides_off_pseudotrees(self):
         # two twin-free bicyclic graphs whose fewest resolvers, 5, are those of
         # a pair at distance 3 with 2 + deg x + deg y = 5: every pair within
-        # distance 2 has 6, so only the degree-bound pass would find the
-        # value; with m > n the package refuses them
+        # distance 2 has 6, so a count over the near pairs alone would miss
+        # the value; with m > n the package refuses them
         for g in twin_free_bicyclic_graphs():
             rows = distance_rows_by_bfs(g)
             assert twin_free(g) and g.m == g.n + 1
@@ -271,6 +277,28 @@ class TestKDimensionalValue:
             assert min(sum(map(operator.ne, rows[x], rows[y])) for x, y in near) == 6
             with pytest.raises(NotPseudotree):
                 k_dimensional_value(g)
+
+    def test_least_pair_beyond_distance_2(self, monkeypatch, capsys):
+        # C6 with legs of lengths 3, 1 and 3 at cycle vertices 3, 4 and 5: its
+        # fewest resolvers, 5, are those of pair (1, 9) at distance 4, and
+        # every pair within distance 2 has at least 6.  The only such class
+        # among the unicyclic classes up to n = 13
+        line = "LhEG_C@A?G?@?@"
+        g = parse_graph6(line)
+        rows = distance_rows_by_bfs(g)
+        assert g.m == g.n == 13 and twin_free(g)
+        assert k_dimensional_value(g) == k_dimensional_by_pairs(rows) == 5
+        pairs = itertools.combinations(range(13), 2)
+        counts = {(x, y): sum(map(operator.ne, rows[x], rows[y])) for x, y in pairs}
+        assert [pair for pair, count in counts.items() if count == 5] == [(1, 9)] and rows[1][9] == 4
+        assert min(count for (x, y), count in counts.items() if rows[x][y] <= 2) == 6
+        for method in ("closed", "brute", "auto"):
+            with pytest.raises(KOutOfRange, match=r"no 6-locating set exists \(k-dimensional value 5\)"):
+                compute_parameter(g, "dimk", k=6, method=method)
+        monkeypatch.setattr(sys, "stdin", io.StringIO(line + "\n"))
+        assert main(["compute", "--param", "dimk", "--k", "6"]) == 5
+        assert "k-dimensional value 5" in capsys.readouterr().err
+        assert compute_parameter(g, "dimk", k=5, method="brute").value == 9
 
     def test_twins_need_no_distances(self, monkeypatch, tree_classes_by_n, unicyclic_classes_by_n):
         def refuse(g):
@@ -286,5 +314,8 @@ class TestKDimensionalValue:
         for name in ("graph", "resolvers"):
             monkeypatch.setattr(importlib.import_module(f"pseudoloc.{name}"), "distance_matrix", refuse)
         assert all(k_dimensional_value(g) == 2 for g in with_twins)
+        # a twin-free graph reads the masks kept on it above; a copy keeps none
+        g = next(g for g in graphs if twin_free(g))
+        assert k_dimensional_value(g) >= 3
         with pytest.raises(AssertionError, match="distances read"):
-            k_dimensional_value(next(g for g in graphs if twin_free(g)))
+            k_dimensional_value(from_edge_list(g.n, g.edges))
