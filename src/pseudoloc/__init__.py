@@ -46,7 +46,6 @@ from .errors import (
     VertexOutOfRange,
 )
 from .graph import (
-    DistanceMatrix,
     Graph,
     distance_matrix,
     encode_graph6,

@@ -1,5 +1,5 @@
-"""Immutable graph core: construction, text formats, leaf stripping and
-distances.
+"""Immutable graph core: construction, text formats, leaf stripping,
+closed neighbourhoods and distances.
 
 Vertices are dense 0-based integers.  Every constructor validates that the
 graph is simple and connected; everything downstream relies on both.  The
@@ -15,10 +15,10 @@ one leaf stripping: the distances, the cycle, the profile, gamma, the strong
 resolving graph and the canonical keys read the core and hanging trees it
 finds.
 
-A distance row is kept packed: one Python integer with a one-byte field per
-vertex, field v holding d(u, v), which fits since no graph exceeds GRAPH_CAP
-vertices.  Whole-row comparisons and updates are then a few integer
-operations instead of a loop over vertices.
+The distance matrix is a tuple of packed rows: row u is one Python integer
+with a one-byte field per vertex, field v holding d(u, v), which fits since
+no graph exceeds GRAPH_CAP vertices.  Whole-row comparisons and updates are
+then a few integer operations instead of a loop over vertices.
 """
 
 from __future__ import annotations
@@ -47,8 +47,6 @@ CAP_ENV_VAR = "PSEUDOLOC_MAX_N"
 GRAPH6_HEADER = ">>graph6<<"
 _G6_INVALID = re.compile(r"[^?-~]")  # graph6 characters are chr(63)..chr(126)
 _G6_BITS = {chr(c): format(c - 63, "06b") for c in range(63, 127)}
-# byte value -> ASCII "0" for 0, "1" otherwise: gathers nonzero bytes into a bit string
-_NONZERO = b"0" + b"1" * 255
 
 
 def size_cap(default: int) -> int:
@@ -112,23 +110,6 @@ def kept(g: Graph, build):
 
 def pack_row(values) -> int:
     return int.from_bytes(bytes(values), "little")
-
-
-@dataclass(frozen=True)
-class DistanceMatrix:
-    """All-pairs hop distances of a pseudotree.
-
-    `packed[u]` is row u packed, with a one-byte field per vertex holding
-    d(u, v) in field v; `ones` is the packed row with 1 in each field.
-    """
-
-    packed: tuple[int, ...]
-    ones: int
-
-
-def nonzero_bytes_mask(data: bytes) -> int:
-    """The integer whose bit i is set iff byte i of data is nonzero."""
-    return int(data.translate(_NONZERO)[::-1], 2) if data else 0
 
 
 def _check_connected(n: int, adjacency: list[list[int]]) -> bool:
@@ -220,21 +201,14 @@ def _g6_encode_n(n: int) -> str:
 
 
 def encode_graph6(g: Graph) -> str:
-    """Encode per the standard graph6 format (6-bit groups, bias 63)."""
-    bits: list[int] = []
-    for j in range(1, g.n):
-        row = g.adjacency[j]
-        for i in range(j):
-            bits.append(1 if i in row else 0)
-    while len(bits) % 6:
-        bits.append(0)
-    chars = []
-    for k in range(0, len(bits), 6):
-        value = 0
-        for b in bits[k : k + 6]:
-            value = (value << 1) | b
-        chars.append(chr(value + 63))
-    return _g6_encode_n(g.n) + "".join(chars)
+    """Encode per the standard graph6 format (6-bit groups, bias 63): bit
+    j(j-1)/2 + i of the body, from the top, is set iff g has edge (i, j), i < j."""
+    groups = (g.n * (g.n - 1) // 2 + 5) // 6
+    top = 6 * groups - 1
+    body = 0
+    for i, j in g.edges:
+        body |= 1 << top - j * (j - 1) // 2 - i
+    return _g6_encode_n(g.n) + "".join([chr((body >> s & 63) + 63) for s in range(top - 5, -1, -6)])
 
 
 def parse_graph6(text: str) -> Graph:
@@ -284,6 +258,17 @@ def parse_graph6(text: str) -> Graph:
         pairs.append((k - first, j))
         k = bits.find("1", k + 1)
     return from_edge_list(n, pairs)
+
+
+def closed_neighbourhoods(g: Graph) -> list[int]:
+    """N[v] of every vertex v, as bitmasks."""
+    masks = []
+    for v in range(g.n):
+        mask = 1 << v
+        for w in g.adjacency[v]:
+            mask |= 1 << w
+        masks.append(mask)
+    return masks
 
 
 def hanging_trees(g: Graph) -> tuple[tuple[int, ...], ...]:
@@ -341,8 +326,9 @@ def _strip_leaves(g: Graph) -> tuple[tuple[int, ...], ...]:
     return tuple(core), tuple(order), tuple(parent), tuple(root), tuple(depth)
 
 
-def distance_matrix(g: Graph) -> DistanceMatrix:
-    """Exact hop distances between all vertex pairs of a pseudotree.
+def distance_matrix(g: Graph) -> tuple[int, ...]:
+    """Exact hop distances between all vertex pairs of a pseudotree, as the
+    tuple of packed rows: field v of row u holds d(u, v).
 
     Each vertex x hangs off its core vertex r = root[x] by bridges
     (hanging_trees), so a core vertex c is at d_core(c, r) + depth(x) from x.
@@ -382,5 +368,5 @@ def distance_matrix(g: Graph) -> DistanceMatrix:
         twice_arc += entering - twice_hang[i]
     for u in reversed(order):
         packed[u] = packed[parent[u]] + ones - twice_below[u]
-    return DistanceMatrix(tuple(packed), ones)
+    return tuple(packed)
 

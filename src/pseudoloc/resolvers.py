@@ -8,10 +8,11 @@ k-range rule (KOutOfRange), which the closed forms and the oracle apply.
 
 Every parameter is a cover problem over vertex bitmasks: a set locates iff
 it meets each constraint mask of the graph at least `need` times (one mask
-per pair it must tell apart, plus the closed neighbourhoods for ddim); dim2
-is the dimk problem at k = 2.  `cover_problem` builds them from the packed
-distance rows; the masks that several parameters share are kept on the
-graph (graph.kept), so each is built once per graph.
+per pair it must tell apart, plus the closed neighbourhoods for ddim and
+each vertex's complement for dmd); dim2 is the dimk problem at k = 2.
+`cover_problem` builds them from the packed distance rows, one bit per field
+(_NONZERO, _STRONG, _OFF_LEVEL); the masks that several parameters share are
+kept on the graph (graph.kept), so each is built once per graph.
 The oracle, the ground truth every closed form is verified against, solves
 that problem with one exact search, `lex_first_cover`, which the tests also
 check the domination number against.
@@ -34,7 +35,7 @@ from dataclasses import dataclass
 from functools import cache
 
 from .errors import KOutOfRange, SizeCapExceeded
-from .graph import Graph, check_pseudotree, distance_matrix, kept, nonzero_bytes_mask, size_cap
+from .graph import Graph, check_pseudotree, closed_neighbourhoods, distance_matrix, kept, pack_row, size_cap
 
 ORACLE_CAP = 16
 
@@ -124,15 +125,16 @@ class ParameterResult:
         return out
 
 
-# byte value -> ASCII "0" or "1", as graph.nonzero_bytes_mask gathers a bit per
-# field: for each d, "1" at 0 and 2d; for each value, "1" at every other value
+# byte value -> ASCII "0" or "1", to gather one bit per field of a packed row:
+# "1" if nonzero; for each d, at 0 and 2d; for each value, at every other value
+_NONZERO = b"0" + b"1" * 255
 _STRONG = {d: b"1" + b"0" * (2 * d - 1) + b"1" + b"0" * (255 - 2 * d) for d in range(1, 64)}
 _OFF_LEVEL = [b"1" * b + b"0" + b"1" * (255 - b) for b in range(128)]
 
 
 def _masks(n: int, diffs: list[int]) -> tuple[int, ...]:
     """For each packed row difference, the mask of its nonzero fields."""
-    return tuple([nonzero_bytes_mask(d.to_bytes(n, "little")) for d in diffs])
+    return tuple([int(d.to_bytes(n, "little").translate(_NONZERO)[::-1], 2) for d in diffs])
 
 
 def _pair_sums(g: Graph):
@@ -140,8 +142,8 @@ def _pair_sums(g: Graph):
     packed row_x + d(x, y) * ONES - row_y as bytes.  Field w is
     d(x, w) - d(y, w) + d(x, y), in 0..2 d(x, y) by the triangle
     inequality, so nothing carries or borrows across fields."""
-    dm, n = kept(g, distance_matrix), g.n
-    packed, ones = dm.packed, dm.ones
+    packed, n = kept(g, distance_matrix), g.n
+    ones = pack_row([1] * n)
     for x, px in enumerate(packed):
         for y in range(x + 1, n):
             d = px >> (8 * y) & 255
@@ -150,7 +152,7 @@ def _pair_sums(g: Graph):
 
 def _vertex_pairs(g: Graph) -> tuple[int, ...]:
     """Resolvers of each vertex pair x < y, in lexicographic pair order."""
-    packed = kept(g, distance_matrix).packed
+    packed = kept(g, distance_matrix)
     return _masks(g.n, [px ^ py for x, px in enumerate(packed) for py in packed[x + 1 :]])
 
 
@@ -158,8 +160,8 @@ def _edge_rows(g: Graph) -> tuple[int, ...]:
     """Packed distances to each edge, in edge order: the fieldwise minimum
     of its endpoint rows.  Adjacent rows differ by at most 1 per field, so
     bit 1 of each field of row_u + ONES - row_v marks where row_u is larger."""
-    dm = kept(g, distance_matrix)
-    packed, ones = dm.packed, dm.ones
+    packed = kept(g, distance_matrix)
+    ones = pack_row([1] * g.n)
     return tuple([packed[u] - ((packed[u] + ones - packed[v]) >> 1 & ones) for u, v in g.edges])
 
 
@@ -168,10 +170,9 @@ def _edge_pairs(g: Graph) -> tuple[int, ...]:
     return _masks(g.n, [ei ^ ej for i, ei in enumerate(rows) for ej in rows[i + 1 :]])
 
 
-def cover_problem(g: Graph, param: str, k: int | None = None) -> tuple[tuple[int, ...], int, int]:
-    """(masks, need, floor) of the cover problem for param: a set locates iff
-    it meets every mask at least `need` times and has at least `floor`
-    members; dim2 is the dimk problem at k = 2.
+def cover_problem(g: Graph, param: str, k: int | None = None) -> tuple[tuple[int, ...], int]:
+    """(masks, need) of the cover problem for param: a set locates iff it
+    meets every mask at least `need` times; dim2 is the dimk problem at k = 2.
 
     The vertex-pair masks (dim, dim2, dimk, ddim with the closed
     neighbourhoods, mdim), the edge rows and the edge-pair masks (edim,
@@ -181,47 +182,37 @@ def cover_problem(g: Graph, param: str, k: int | None = None) -> tuple[tuple[int
     """
     check_k(param, k)
     need = 2 if param == "dim2" else k or 1
-    floor = min(2, g.n) if param == "dmd" else 1
     if param in ("dim", "dim2", "dimk"):
         masks = kept(g, _vertex_pairs)
     elif param == "ddim":
         masks = kept(g, _vertex_pairs) + tuple(closed_neighbourhoods(g))
     elif param == "ldim":
         # m gathers: cheaper than all n(n-1)/2 pairs when ldim runs alone
-        packed = kept(g, distance_matrix).packed
+        packed = kept(g, distance_matrix)
         masks = _masks(g.n, [packed[x] ^ packed[y] for x, y in g.edges])
     elif param == "edim":
         masks = kept(g, _edge_pairs)
     elif param == "mdim":
         edge_rows = kept(g, _edge_rows)
-        to_edges = _masks(g.n, [px ^ e for px in kept(g, distance_matrix).packed for e in edge_rows])
+        to_edges = _masks(g.n, [px ^ e for px in kept(g, distance_matrix) for e in edge_rows])
         masks = kept(g, _vertex_pairs) + to_edges + kept(g, _edge_pairs)
     elif param == "sdim":
         # w strongly resolves x and y iff d(x, w) = d(y, w) +- d(x, y), iff
         # its field is 0 or 2 d(x, y)
         masks = tuple([int(t.translate(_STRONG[d])[::-1], 2) for d, t in _pair_sums(g)])
     else:
-        # a level is the vertices v of one d(x, v) - d(y, v), one byte value; a
-        # set fails the pair iff it sits inside one level, so it must meet the
-        # complement of each level (singletons are below the floor)
+        # a level is the vertices v of one d(x, v) - d(y, v), one byte value; two
+        # or more vertices fail the pair iff they sit inside one level, so a set
+        # meets the complement of each level of two or more; one vertex doubly
+        # resolves no pair, so a set also meets the complement of each vertex
+        full = (1 << g.n) - 1
         masks = tuple([
             int(t.translate(_OFF_LEVEL[b])[::-1], 2)
             for _, t in _pair_sums(g)
             for b in dict.fromkeys(t)  # the levels in order of their first vertex
             if t.count(b) >= 2
-        ])
-    return masks, need, floor
-
-
-def closed_neighbourhoods(g: Graph) -> list[int]:
-    """N[v] of every vertex v, as bitmasks."""
-    masks = []
-    for v in range(g.n):
-        mask = 1 << v
-        for w in g.adjacency[v]:
-            mask |= 1 << w
-        masks.append(mask)
-    return masks
+        ] + ([full ^ 1 << v for v in range(g.n)] if g.n >= 2 else []))
+    return masks, need
 
 
 # Orders up to this one are solved on the subset lattice, above it by the DFS.
@@ -282,9 +273,9 @@ def _subset_lattice(n: int) -> tuple[tuple[int, ...], tuple[int, ...], int, tupl
     return tuple(contains), tuple(members), half, _or_table(contains[:half]), _or_table(contains[half:])
 
 
-def _lattice_cover(n: int, masks, need: int, floor: int) -> tuple[int, ...] | None:
+def _lattice_cover(n: int, masks, need: int) -> tuple[int, ...] | None:
     """lex_first_cover on the subset lattice: the codes meeting every mask at
-    least `need` times, then the highest code of the smallest size from floor."""
+    least `need` times, then the highest code of the smallest nonzero size."""
     contains, members, half, meets_low, meets_high = _subset_lattice(n)
     feasible = (1 << (1 << n)) - 1
     if need == 1:
@@ -301,7 +292,7 @@ def _lattice_cover(n: int, masks, need: int, floor: int) -> tuple[int, ...] | No
                         at_least[i] |= at_least[i - 1] & contains[v]
                     at_least[0] |= contains[v]
             feasible &= at_least[-1]
-    for size in range(floor, n + 1):
+    for size in range(1, n + 1):
         hits = feasible & members[size]
         if hits:
             code = hits.bit_length() - 1
@@ -356,13 +347,13 @@ def _cover_search(
     return None
 
 
-def lex_first_cover(n: int, masks, need: int = 1, floor: int = 1) -> tuple[int, ...] | None:
-    """The lexicographically first of the smallest sets S of vertices 0..n-1
-    with |S & m| >= need for every mask m and |S| >= floor; None if none exists.
+def lex_first_cover(n: int, masks, need: int = 1) -> tuple[int, ...] | None:
+    """The lexicographically first of the smallest nonempty sets S of
+    vertices 0..n-1 with |S & m| >= need for every mask m; None if none exists.
 
     Two solvers give that one answer.  Up to LATTICE_MAX_N vertices every
     subset is evaluated at once, as one bit of a 2**n-bit integer
-    (_lattice_cover).  Above it a DFS deepens over |S| from `floor`; a size
+    (_lattice_cover).  Above it a DFS deepens over |S| from 1; a size
     below the disjoint-packing bound fails at the root.  At each size the DFS
     adds vertices in increasing order and cuts only branches that hold no
     solution or only solutions that a lexicographically smaller set of the
@@ -372,13 +363,13 @@ def lex_first_cover(n: int, masks, need: int = 1, floor: int = 1) -> tuple[int, 
     reference cycle to collect.
     """
     if n <= LATTICE_MAX_N:
-        return _lattice_cover(n, masks, need, floor)
+        return _lattice_cover(n, masks, need)
     cons = _minimal_masks(masks)
     if cons and cons[0].bit_count() < need:
         return None
     # the packing takes tight masks first, and of those the ones that meet fewest others
     clashes = {c: sum(1 for d in cons if c & d) for c in cons}
-    for size in range(floor, n + 1):
+    for size in range(1, n + 1):
         found = _cover_search(n, need, clashes, 0, 0, cons, size)
         if found is not None:
             return tuple(v for v in range(n) if found >> v & 1)
@@ -392,12 +383,10 @@ def is_locating_set(g: Graph, s, param: str, k: int | None = None) -> bool:
         raise ValueError("locating set must be nonempty")
     if any(not 0 <= v < g.n for v in members):
         raise ValueError("locating set contains out-of-range vertices")
-    constraints, need, floor = cover_problem(g, param, k)
+    constraints, need = cover_problem(g, param, k)
     mask = 0
     for v in members:
         mask |= 1 << v
-    if len(members) < floor:
-        return False
     return all((c & mask).bit_count() >= need for c in constraints)
 
 

@@ -20,8 +20,7 @@ import enum
 from dataclasses import dataclass, field
 
 from .errors import SizeCapExceeded
-from .graph import GRAPH_CAP, Graph, check_pseudotree, hanging_trees, kept
-from .resolvers import closed_neighbourhoods
+from .graph import GRAPH_CAP, Graph, check_pseudotree, closed_neighbourhoods, hanging_trees, kept
 
 
 class FamilyKind(enum.Enum):

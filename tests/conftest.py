@@ -13,7 +13,6 @@ from collections import deque
 import pytest
 
 from pseudoloc import (
-    DistanceMatrix,
     FamilyKind,
     Graph,
     PseudotreeProfile,
@@ -433,15 +432,15 @@ def geodesic_triples_by_bfs(g: Graph, subset) -> list[tuple[int, int, int]]:
     ]
 
 
-def packed_matrix(rows) -> DistanceMatrix:
-    """The DistanceMatrix holding the given rows of distances."""
-    return DistanceMatrix(tuple(map(pack_row, rows)), pack_row([1] * len(rows)))
+def packed_matrix(rows) -> tuple[int, ...]:
+    """The packed rows holding the given rows of distances."""
+    return tuple(map(pack_row, rows))
 
 
-def unpacked(dm: DistanceMatrix) -> Rows:
-    """The rows of plain distances of a packed matrix: row u holds d(u, v) at v."""
-    n = len(dm.packed)
-    return tuple(tuple(row.to_bytes(n, "little")) for row in dm.packed)
+def unpacked(dm: tuple[int, ...]) -> Rows:
+    """The rows of plain distances of packed rows: row u holds d(u, v) at v."""
+    n = len(dm)
+    return tuple(tuple(row.to_bytes(n, "little")) for row in dm)
 
 
 def k_dimensional_by_pairs(rows) -> int:
@@ -512,18 +511,18 @@ def _pairs_resolved_by_definition(g: Graph, items: str) -> dict[tuple, int]:
     return {pair: full & ~unresolved.get(pair, 0) for pair in itertools.combinations(listed, 2)}
 
 
-def constraint_masks_by_definition(g: Graph, param: str, k=None) -> tuple[list[int], int, int]:
-    """(sorted masks, need, floor) of the oracle's cover problem for param
-    (k is dimk's k), from the predicates over BFS rows, with no packed rows.
+def constraint_masks_by_definition(g: Graph, param: str, k=None) -> tuple[list[int], int]:
+    """(sorted masks, need) of the oracle's cover problem for param (k is
+    dimk's k), from the predicates over BFS rows, with no packed rows.
 
     Each pair to tell apart gives the mask of the vertices that resolve it;
     for sdim, those that `strong_resolves` it; for dmd, the complement of
     each class of at least two vertices no two of which `doubly_resolves`
-    it.  ddim adds the closed neighbourhoods.
+    it, and on two or more vertices the complement of each vertex, since
+    one vertex doubly resolves no pair.  ddim adds the closed neighbourhoods.
     """
     n = g.n
     need = k if param == "dimk" else 1
-    floor = min(2, n) if param == "dmd" else 1
 
     def mask(members) -> int:
         return sum(1 << v for v in members)
@@ -544,6 +543,8 @@ def constraint_masks_by_definition(g: Graph, param: str, k=None) -> tuple[list[i
                     placed |= level
                     if level.bit_count() >= 2:
                         masks.append(full & ~level)
+        if n >= 2:
+            masks += [full & ~(1 << v) for v in range(n)]
     elif param == "ldim":
         resolved = _pairs_resolved_by_definition(g, "vertices")
         masks = [resolved[e] for e in g.edges]
@@ -552,7 +553,7 @@ def constraint_masks_by_definition(g: Graph, param: str, k=None) -> tuple[list[i
         masks = list(_pairs_resolved_by_definition(g, items).values())
         if param == "ddim":
             masks += [mask((v,) + g.adjacency[v]) for v in range(n)]
-    return sorted(masks), need, floor
+    return sorted(masks), need
 
 
 # reference canonical keys and class enumeration, sharing no code with

@@ -46,6 +46,29 @@ from pseudoloc.corpus import random_pseudotree
 from conftest import cycle_graph, is_bipartite, path_graph, random_pseudotrees, twin_free_bicyclic_graphs, unpacked
 
 
+# graph6 strings in the "~" order form (n >= 63), recorded from an encoder that
+# tested every vertex pair: P64, C64, and the unicyclic graph random_pseudotree
+# draws at n = 63 from random.Random(1)
+P64_G6 = (
+    "~?@?hCGGC@?G?_@?@??_?G?@??C??G??G??C??@???G???_??@???@????_???G???@????C????G????G????C????@????"
+    "?G?????_????@?????@??????_?????G?????@??????C??????G??????G??????C??????@???????G???????_??????@"
+    "???????@????????_???????G???????@????????C????????G????????G????????C????????@?????????G????????"
+    "?_????????@?????????@??????????_?????????G?????????@"
+)
+C64_G6 = (
+    "~?@?hCGGC@?G?_@?@??_?G?@??C??G??G??C??@???G???_??@???@????_???G???@????C????G????G????C????@????"
+    "?G?????_????@?????@??????_?????G?????@??????C??????G??????G??????C??????@???????G???????_??????@"
+    "???????@????????_???????G???????@????????C????????G????????G????????C????????@?????????G????????"
+    "?_????????@?????????@??????????_?????????K?????????@"
+)
+UNICYCLIC63_G6 = (
+    "~??~?????_??O?G????????AA??????????@????????A??O?????O????G??????????C?????????O??A??A????A?O?G?"
+    "?C???????C??GC???C???????????????????@?????????A??GC????????A?C???????G?????????I??G?_?????_????"
+    "?C_?A?G???????A???CA?????@????A?A?_??????????_A???AG???????A????????????A??????_??@?@???????????"
+    "@????A?????_???AOO???????????_???K????????"
+)
+
+
 class TestFromEdgeList:
     def test_path(self, p4):
         assert p4.n == 4
@@ -163,8 +186,11 @@ class TestGraph6:
             parse_graph6("C_")
 
     def test_known_encoding_roundtrip(self):
-        for s in ("C~", "DQc", "EY?W", "D?{"):
+        for s in ("C~", "DQc", "EY?W", "D?{", P64_G6, C64_G6, UNICYCLIC63_G6):
             assert encode_graph6(parse_graph6(s)) == s
+        assert encode_graph6(path_graph(64)) == P64_G6
+        assert encode_graph6(cycle_graph(64)) == C64_G6
+        assert encode_graph6(random_pseudotree("unicyclic", 63, random.Random(1))) == UNICYCLIC63_G6
 
     @settings(max_examples=150, deadline=None)
     @given(st.integers(0, 10**6), st.integers(2, 12))
@@ -248,7 +274,7 @@ def decomposition_readers(g):
     return {
         "gamma": lambda: domination_number(g),
         "profile": lambda: profile_json(g),
-        "distances": lambda: distance_matrix(g).packed,
+        "distances": lambda: distance_matrix(g),
         "sr_graph": lambda: boundary_and_sr_graph(g),
         "key": lambda: key(g),
     }

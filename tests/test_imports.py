@@ -1,5 +1,7 @@
-"""Every name a module of the package imports is read in that module, and
-every public function, class and method is read somewhere in the package.
+"""Every name a module of the package imports is read in that module, every
+public function, class and method is read somewhere in the package, and the
+modules import one another in one direction: errors, graph, then structure
+and resolvers, which import neither each other nor the modules above them.
 
 The package's __init__ re-exports what it imports, and `from __future__`
 imports are directives, so both are exempt.  A public name that only the
@@ -94,3 +96,41 @@ def test_no_public_name_only_the_tests_read():
     paths = [path for path in sorted(PACKAGE.glob("*.py")) if path.name != "__init__.py"]
     sources = [path.read_text(encoding="utf-8") for path in paths]
     assert unread_public_names(sources) == sorted(UNREAD_ALLOWED)
+
+
+def package_imports(source: str) -> set[str]:
+    """The modules of the package that a module source imports, at any depth:
+    `from .m import ...` and `from . import m`, or their pseudoloc forms."""
+    found = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ImportFrom):
+            module = node.module or ""
+            if not node.level:
+                if module.split(".")[0] != "pseudoloc":
+                    continue
+                module = module.removeprefix("pseudoloc").lstrip(".")
+            found |= {module.split(".")[0]} if module else {a.name for a in node.names}
+        elif isinstance(node, ast.Import):
+            found |= {a.name.split(".")[1] for a in node.names if a.name.startswith("pseudoloc.")}
+    return found
+
+
+def test_finds_package_imports():
+    source = (
+        "from __future__ import annotations\n"
+        "import os, pseudoloc.cli\n"
+        "from .graph import kept\n"
+        "from . import errors\n"
+        "def f():\n"
+        "    from pseudoloc.resolvers import cover_problem\n"
+    )
+    assert package_imports(source) == {"cli", "errors", "graph", "resolvers"}
+
+
+def test_import_graph():
+    def imports(name: str) -> set[str]:
+        return package_imports((PACKAGE / f"{name}.py").read_text(encoding="utf-8"))
+
+    assert imports("graph") == {"errors"}
+    assert imports("structure") == {"errors", "graph"}
+    assert not imports("resolvers") & {"structure", "closed_form", "corpus", "cli"}

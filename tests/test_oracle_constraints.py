@@ -43,8 +43,8 @@ C4_WITH_LEGS = [(0, 1), (1, 2), (2, 3), (3, 0), (0, 4), (4, 5), (1, 6), (2, 7)]
 
 def assert_constraints_match(g, params=PARAMS):
     for param, k in params:
-        masks, need, floor = cover_problem(g, param, k)
-        assert (sorted(masks), need, floor) == constraint_masks_by_definition(g, param, k), (
+        masks, need = cover_problem(g, param, k)
+        assert (sorted(masks), need) == constraint_masks_by_definition(g, param, k), (
             param,
             k,
             g.edges,

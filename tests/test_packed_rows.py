@@ -118,7 +118,7 @@ def unicyclic_of_girth(n: int, girth: int):
 def rows_pin_text(graphs) -> str:
     """Per graph, its graph6, packed distance rows, SR rows and boundary in hex."""
     return "\n".join(
-        " ".join([encode_graph6(g), *map("{:x}".format, dm.packed + sr.rows), f"{sr.boundary_mask:x}"])
+        " ".join([encode_graph6(g), *map("{:x}".format, dm + sr.rows), f"{sr.boundary_mask:x}"])
         for g in graphs
         for dm in [distance_matrix(g)]
         for sr in [boundary_and_sr_graph(g)]
@@ -131,14 +131,13 @@ class TestFieldWidth:
         # C64 hold the longest distances, 63 and 32, one byte per field
         for g in (path_graph(64), cycle_graph(64)):
             dm = distance_matrix(g)
-            assert all(p.bit_length() <= 8 * g.n for p in dm.packed)
-            assert tuple(tuple(p.to_bytes(g.n, "little")) for p in dm.packed) == distance_rows_by_bfs(g)
+            assert all(p.bit_length() <= 8 * g.n for p in dm)
+            assert tuple(tuple(p.to_bytes(g.n, "little")) for p in dm) == distance_rows_by_bfs(g)
         assert max(unpacked(distance_matrix(path_graph(64)))[0]) == 63
 
     def test_rows_given_alone_are_packed(self, paw):
         dm = packed_matrix(distance_rows_by_bfs(paw))
         assert dm == distance_matrix(paw)
-        assert dm.packed == distance_matrix(paw).packed
 
 
 class TestAgainstReferences:

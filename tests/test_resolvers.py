@@ -9,6 +9,7 @@ import pytest
 
 from pseudoloc import (
     KOutOfRange,
+    ParameterResult,
     SizeCapExceeded,
     boundary_and_sr_graph,
     brute_force_dimension,
@@ -83,6 +84,27 @@ class TestPredicates:
         assert edge_distance(unpacked(distance_matrix(p4)), 0, (2, 3)) == 2
         assert edge_distance(unpacked(distance_matrix(paw)), 3, (1, 2)) == 2
         assert edge_distance(unpacked(distance_matrix(paw)), 0, (0, 1)) == 0
+
+
+class TestParameterResult:
+    """An exact value or a nonempty interval, never both or neither."""
+
+    @pytest.mark.parametrize(
+        "fields",
+        [{}, {"value": 3, "bounds": (3, 3)}, {"bounds": (4, 3)}],
+        ids=["neither", "both", "lo above hi"],
+    )
+    def test_rejects(self, fields):
+        with pytest.raises(ValueError):
+            ParameterResult(**fields)
+
+    def test_to_json_value_or_interval(self):
+        exact = ParameterResult(value=3, witness=(0, 2, 5), theorem_tag="T")
+        assert exact.to_json() == {"value": 3, "witness": [0, 2, 5], "method": "closed_form", "theorem_tag": "T"}
+        interval = ParameterResult(bounds=(2, 4), theorem_tag="B")
+        assert interval.to_json() == {"value": [2, 4], "method": "closed_form", "theorem_tag": "B"}
+        assert (interval.lo, interval.hi, interval.is_exact) == (2, 4, False)
+        assert ParameterResult(bounds=(3, 3)).to_json()["value"] == [3, 3]
 
 
 class TestIsLocatingSet:
@@ -191,24 +213,22 @@ class TestExactSearch:
         for n in range(1, LATTICE_MAX_N + 3):
             for _ in range(25):
                 masks = [rng.getrandbits(n) for _ in range(rng.randint(0, 8))]
-                need, floor = rng.randint(1, 3), rng.randint(1, 3)
+                need = rng.randint(1, 3)
                 expected = next(
                     (
                         combo
-                        for size in range(floor, n + 1)
+                        for size in range(1, n + 1)
                         for combo in itertools.combinations(range(n), size)
                         if all(sum(1 for v in combo if m >> v & 1) >= need for m in masks)
                     ),
                     None,
                 )
-                assert lex_first_cover(n, masks, need, floor) == expected, (n, masks, need, floor)
+                assert lex_first_cover(n, masks, need) == expected, (n, masks, need)
 
     def test_edge_cases(self):
         for n in (1, 2, LATTICE_MAX_N, LATTICE_MAX_N + 1):
             full = (1 << n) - 1
             assert lex_first_cover(n, []) == (0,)
-            assert lex_first_cover(n, [], floor=n) == tuple(range(n))
-            assert lex_first_cover(n, [full], floor=n + 1) is None
             assert lex_first_cover(n, [full, 0]) is None  # nothing meets the zero mask
             assert lex_first_cover(n, [full], need=n) == tuple(range(n))
             assert lex_first_cover(n, [full], need=n + 1) is None

@@ -22,7 +22,7 @@ from pseudoloc import (
     profile_json,
 )
 from pseudoloc.corpus import random_pseudotree, unicyclic_canonical_key
-from pseudoloc.resolvers import closed_neighbourhoods
+from pseudoloc.graph import closed_neighbourhoods
 
 from conftest import (
     NotProperUnicyclic,
