@@ -10,9 +10,11 @@ Every parameter is a cover problem over vertex bitmasks: a set locates iff
 it meets each constraint mask of the graph at least `need` times (one mask
 per pair it must tell apart, plus the closed neighbourhoods for ddim and
 each vertex's complement for dmd); dim2 is the dimk problem at k = 2.
-`cover_problem` builds them from the packed distance rows, one bit per field
-(_NONZERO, _STRONG, _OFF_LEVEL); the masks that several parameters share are
-kept on the graph (graph.kept), so each is built once per graph.
+`cover_problem` builds them from the packed distance rows, one bit per
+big-endian byte (_NONZERO, _STRONG, _OFF_LEVEL), read by int(..., 2); each
+vertex pair is gathered once, for dim, sdim and dmd alike (_pair_diffs).
+What several parameters share is kept on the graph (graph.kept), so each
+is built once per graph.
 The oracle, the ground truth every closed form is verified against, solves
 that problem with one exact search, `lex_first_cover`, which the tests also
 check the domination number against.
@@ -33,6 +35,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cache
+from itertools import combinations
 
 from .errors import KOutOfRange, SizeCapExceeded
 from .graph import Graph, check_pseudotree, closed_neighbourhoods, distance_matrix, kept, pack_row, size_cap
@@ -126,34 +129,31 @@ class ParameterResult:
 
 
 # byte value -> ASCII "0" or "1", to gather one bit per field of a packed row:
-# "1" if nonzero; for each d, at 0 and 2d; for each value, at every other value
+# "1" if nonzero; for each value, at every other value; for each d, at 63 +- d
 _NONZERO = b"0" + b"1" * 255
-_STRONG = {d: b"1" + b"0" * (2 * d - 1) + b"1" + b"0" * (255 - 2 * d) for d in range(1, 64)}
 _OFF_LEVEL = [b"1" * b + b"0" + b"1" * (255 - b) for b in range(128)]
+_STRONG = {d: b"0" * (63 - d) + b"1" + b"0" * (2 * d - 1) + b"1" + b"0" * (192 - d) for d in range(1, 64)}
 
 
 def _masks(n: int, diffs: list[int]) -> tuple[int, ...]:
     """For each packed row difference, the mask of its nonzero fields."""
-    return tuple([int(d.to_bytes(n, "little").translate(_NONZERO)[::-1], 2) for d in diffs])
+    return tuple([int(d.to_bytes(n, "big").translate(_NONZERO), 2) for d in diffs])
 
 
-def _pair_sums(g: Graph):
-    """For each vertex pair x < y in lexicographic order, d(x, y) and the
-    packed row_x + d(x, y) * ONES - row_y as bytes.  Field w is
-    d(x, w) - d(y, w) + d(x, y), in 0..2 d(x, y) by the triangle
-    inequality, so nothing carries or borrows across fields."""
-    packed, n = kept(g, distance_matrix), g.n
-    ones = pack_row([1] * n)
-    for x, px in enumerate(packed):
-        for y in range(x + 1, n):
-            d = px >> (8 * y) & 255
-            yield d, (px + d * ones - packed[y]).to_bytes(n, "little")
+def _pair_diffs(g: Graph) -> tuple[bytes, ...]:
+    """For each vertex pair x < y in lexicographic order, the packed
+    row_x + 63 * ONES - row_y as big-endian bytes: byte n - 1 - w holds field
+    w, d(x, w) - d(y, w) + 63, in 0..126 since no distance passes 63 at the
+    graph cap, so no field borrows.  The fields other than 63 resolve x and
+    y, and field y is 63 + d(x, y)."""
+    rows, n = kept(g, distance_matrix), g.n
+    offset = pack_row([63] * n)
+    return tuple([(rx + offset - ry).to_bytes(n, "big") for x, rx in enumerate(rows) for ry in rows[x + 1 :]])
 
 
 def _vertex_pairs(g: Graph) -> tuple[int, ...]:
     """Resolvers of each vertex pair x < y, in lexicographic pair order."""
-    packed = kept(g, distance_matrix)
-    return _masks(g.n, [px ^ py for x, px in enumerate(packed) for py in packed[x + 1 :]])
+    return tuple([int(t.translate(_OFF_LEVEL[63]), 2) for t in kept(g, _pair_diffs)])
 
 
 def _edge_rows(g: Graph) -> tuple[int, ...]:
@@ -177,7 +177,8 @@ def cover_problem(g: Graph, param: str, k: int | None = None) -> tuple[tuple[int
     The vertex-pair masks (dim, dim2, dimk, ddim with the closed
     neighbourhoods, mdim), the edge rows and the edge-pair masks (edim,
     mdim) are kept on the graph, so every parameter of one graph reads the
-    same ones, tuples that no caller can change.  A pair mask gathers the
+    same ones, tuples that no caller can change.  A vertex-pair mask gathers
+    the fields of the kept pair gather other than 63, an edge-pair mask the
     nonzero fields of two XORed packed rows.
     """
     check_k(param, k)
@@ -198,8 +199,9 @@ def cover_problem(g: Graph, param: str, k: int | None = None) -> tuple[tuple[int
         masks = kept(g, _vertex_pairs) + to_edges + kept(g, _edge_pairs)
     elif param == "sdim":
         # w strongly resolves x and y iff d(x, w) = d(y, w) +- d(x, y), iff
-        # its field is 0 or 2 d(x, y)
-        masks = tuple([int(t.translate(_STRONG[d])[::-1], 2) for d, t in _pair_sums(g)])
+        # its field is 63 +- d(x, y)
+        pairs = zip(combinations(range(g.n), 2), kept(g, _pair_diffs))
+        masks = tuple([int(t.translate(_STRONG[t[g.n - 1 - y] - 63]), 2) for (_, y), t in pairs])
     else:
         # a level is the vertices v of one d(x, v) - d(y, v), one byte value; two
         # or more vertices fail the pair iff they sit inside one level, so a set
@@ -207,9 +209,9 @@ def cover_problem(g: Graph, param: str, k: int | None = None) -> tuple[tuple[int
         # resolves no pair, so a set also meets the complement of each vertex
         full = (1 << g.n) - 1
         masks = tuple([
-            int(t.translate(_OFF_LEVEL[b])[::-1], 2)
-            for _, t in _pair_sums(g)
-            for b in dict.fromkeys(t)  # the levels in order of their first vertex
+            int(t.translate(_OFF_LEVEL[b]), 2)
+            for t in kept(g, _pair_diffs)
+            for b in set(t)  # each level once
             if t.count(b) >= 2
         ] + ([full ^ 1 << v for v in range(g.n)] if g.n >= 2 else []))
     return masks, need
@@ -286,17 +288,21 @@ def _lattice_cover(n: int, masks, need: int) -> tuple[int, ...] | None:
         for c in _minimal_masks(masks):
             # at_least[i]: the codes meeting c in at least i + 1 of its vertices so far
             at_least = [0] * need
-            for v in range(n):
-                if c >> v & 1:
-                    for i in range(need - 1, 0, -1):
-                        at_least[i] |= at_least[i - 1] & contains[v]
-                    at_least[0] |= contains[v]
+            while c:
+                row = contains[(c & -c).bit_length() - 1]
+                c &= c - 1
+                for i in range(need - 1, 0, -1):
+                    at_least[i] |= at_least[i - 1] & row
+                at_least[0] |= row
             feasible &= at_least[-1]
     for size in range(1, n + 1):
         hits = feasible & members[size]
         if hits:
-            code = hits.bit_length() - 1
-            return tuple(v for v in range(n) if code >> (n - 1 - v) & 1)
+            code, witness = hits.bit_length() - 1, []
+            while code:  # its top bit is the smallest vertex left
+                witness.append(n - code.bit_length())
+                code ^= 1 << code.bit_length() - 1
+            return tuple(witness)
     return None
 
 

@@ -2,8 +2,9 @@
 conftest; one oracle search for dim2 and dimk[2]; one distance matrix, one
 profile and one k-dimensional value per `auto` request that falls through
 to the oracle, per graph across the closed form, the oracle and the set
-predicate, and per verified graph; one canonical key and one canonical form
-per class of a corpus."""
+predicate, and per verified graph; one gather of the vertex pairs per
+verified graph; one canonical key and one canonical form per class of a
+corpus."""
 
 from __future__ import annotations
 
@@ -29,10 +30,12 @@ from conftest import (
     random_pseudotrees,
 )
 
-# (parameter, k) of the problems whose masks gather the nonzero fields of
-# XORed packed rows, those on vertex pairs first (the reference keeps its last
-# pair table); sdim and dmd read the fields of row_x + d(x, y) * ONES - row_y,
-# and their reference takes about a second per graph at n = 64
+# (parameter, k) of the problems whose masks gather one bit per field: the
+# fields other than 63 of a vertex pair's row_x + 63 * ONES - row_y, or the
+# nonzero fields of two XORed packed rows (ldim, edim, mdim); those on vertex
+# pairs first (the reference keeps its last pair table).  sdim and dmd read
+# other fields of the same pair gather, and their reference takes about a
+# second per graph at n = 64
 PACKED = (("dim", None), ("dimk", 2), ("dimk", 3), ("ddim", None), ("ldim", None),
           ("edim", None), ("mdim", None))
 PARAMS = PACKED + (("sdim", None), ("dmd", None))
@@ -69,9 +72,16 @@ class TestAgainstDefinition:
         for g in graphs[:2]:  # one tree, one unicyclic graph
             assert_constraints_match(g, (("sdim", None), ("dmd", None)))
 
+    def test_random_pseudotrees_between_the_corpora_and_the_cap(self):
+        # the offset of 63 and the byte order of the one pair gather, at
+        # orders past the exhaustive corpora and below the cap
+        for n in (20, 33):
+            for g in random_pseudotrees(n, 20):
+                assert_constraints_match(g, (("sdim", None), ("dmd", None), ("dim", None)))
+
     def test_longest_distances_at_the_cap(self):
-        # P64 holds distance 63, where a field of row_x + d * ONES - row_y
-        # reaches 2 * 63 = 126: still one byte
+        # P64 holds distance 63, where a field of row_x + 63 * ONES - row_y
+        # reaches 0 and 126: still one byte, with no borrow
         assert_constraints_match(path_graph(64))
 
 
@@ -158,6 +168,20 @@ class TestOnePerVerifiedGraph:
             profiles.clear()
             verify_graph(g, PARAMETER_NAMES)
             assert matrices == profiles == [g], g.edges
+
+    def test_one_pair_gather_across_all_nine_and_kappa(self, monkeypatch):
+        # dim, sdim, dmd and the k-dimensional value read one gather of the
+        # vertex pairs; both graphs are twin-free, so the dimk k-range reads
+        # the k-dimensional value off the vertex-pair masks
+        matrices = count_calls(monkeypatch, "distance_matrix", DISTANCE_MODULES)
+        gathers = count_calls(monkeypatch, "_pair_diffs", ("resolvers",))
+        spider = [(0, 1), (1, 2), (0, 3), (3, 4), (4, 5), (0, 6), (6, 7), (7, 8)]
+        for g in (from_edge_list(6, C5_WITH_A_LEG), from_edge_list(9, spider)):
+            matrices.clear()
+            gathers.clear()
+            records = verify_graph(g, PARAMETER_NAMES)
+            assert "dimk[3]" in {r.parameter for r in records}
+            assert matrices == gathers == [g], g.edges
 
 
 class TestTreeClassLevels:
