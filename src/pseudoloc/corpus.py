@@ -415,9 +415,10 @@ def random_pseudotree(family: str, n: int, rng) -> Graph:
 # Verification pipeline
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class VerificationRecord:
-    """One graph x one parameter: closed form versus oracle."""
+    """One graph x one parameter: closed form versus oracle.  Slotted, as
+    ParameterResult is: `verify` keeps a pass of them."""
 
     graph6: str
     parameter: str

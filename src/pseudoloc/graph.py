@@ -1,8 +1,10 @@
 """Immutable graph core: construction, text formats, leaf stripping,
 closed neighbourhoods and distances.
 
-Vertices are dense 0-based integers.  Every constructor validates that the
-graph is simple and connected; everything downstream relies on both.  The
+Vertices are dense 0-based integers.  Every graph is simple and connected;
+everything downstream relies on both.  `from_edge_list` checks its pairs for
+range, self-loops and duplicates, which no graph6 body can encode, and it and
+`parse_graph6` build through one core that checks connectivity.  The
 package answers pseudotrees only, connected graphs with m <= n: paths,
 cycles, trees and unicyclic graphs.  `check_pseudotree` holds that one rule,
 and every public function that computes on a graph applies it, directly or
@@ -127,6 +129,21 @@ def _check_connected(n: int, adjacency: list[list[int]]) -> bool:
     return count == n
 
 
+def _graph(n: int, canonical: list[tuple[int, int]]) -> Graph:
+    """The Graph on 0..n-1 with these distinct pairs (u, v), u < v, all in
+    range: sorted, then the ascending adjacency, then the connectivity check."""
+    canonical.sort()
+    adjacency: list[list[int]] = [[] for _ in range(n)]
+    # ascending lists: v gets its smaller neighbours from edges (u, v), then
+    # its larger ones from edges (v, w), each in sorted edge order
+    for u, v in canonical:
+        adjacency[u].append(v)
+        adjacency[v].append(u)
+    if not _check_connected(n, adjacency):
+        raise Disconnected(f"graph on {n} vertices is not connected")
+    return Graph(n=n, adjacency=tuple(map(tuple, adjacency)), edges=tuple(canonical))
+
+
 def from_edge_list(n: int, pairs) -> Graph:
     """Build the canonical Graph on vertices 0..n-1 from unordered pairs.
 
@@ -149,20 +166,7 @@ def from_edge_list(n: int, pairs) -> Graph:
             raise DuplicateEdge(f"edge {e} listed twice")
         seen.add(e)
         canonical.append(e)
-    canonical.sort()
-    adjacency: list[list[int]] = [[] for _ in range(n)]
-    # ascending lists: v gets its smaller neighbours from edges (u, v), then
-    # its larger ones from edges (v, w), each in sorted edge order
-    for u, v in canonical:
-        adjacency[u].append(v)
-        adjacency[v].append(u)
-    if not _check_connected(n, adjacency):
-        raise Disconnected(f"graph on {n} vertices is not connected")
-    return Graph(
-        n=n,
-        adjacency=tuple(tuple(a) for a in adjacency),
-        edges=tuple(canonical),
-    )
+    return _graph(n, canonical)
 
 
 def parse_edgelist(text: str) -> Graph:
@@ -212,7 +216,10 @@ def encode_graph6(g: Graph) -> str:
 
 
 def parse_graph6(text: str) -> Graph:
-    """Decode a graph6 line (optional '>>graph6<<' header) into a Graph."""
+    """Decode a graph6 line (optional '>>graph6<<' header) into a Graph.
+    Checks the header, characters, order, body length, padding and graph cap;
+    a body holds each pair i < j < n at most once, so no loop, duplicate or
+    out-of-range endpoint, and of from_edge_list's checks only connectivity runs."""
     s = text.strip()
     if s.startswith(GRAPH6_HEADER):
         s = s[len(GRAPH6_HEADER) :]
@@ -257,7 +264,7 @@ def parse_graph6(text: str) -> Graph:
             j += 1
         pairs.append((k - first, j))
         k = bits.find("1", k + 1)
-    return from_edge_list(n, pairs)
+    return _graph(n, pairs)
 
 
 def closed_neighbourhoods(g: Graph) -> list[int]:

@@ -88,9 +88,11 @@ def parameter_label(param: str, k: int | None = None) -> str:
     return f"dimk[{k}]" if param == "dimk" else param
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True, init=False)
 class ParameterResult:
-    """Exact value or certified interval, with provenance."""
+    """Exact value or certified interval, with provenance.  `__init__`
+    validates on every build, `dataclasses.replace` included, then fills the
+    frozen slots, with no `__post_init__` round trip."""
 
     value: int | None = None
     bounds: tuple[int, int] | None = None
@@ -98,11 +100,17 @@ class ParameterResult:
     method: str = METHOD_CLOSED_FORM
     theorem_tag: str | None = None
 
-    def __post_init__(self):
-        if (self.value is None) == (self.bounds is None):
+    def __init__(self, value=None, bounds=None, witness=None, method=METHOD_CLOSED_FORM, theorem_tag=None):
+        if (value is None) == (bounds is None):
             raise ValueError("exactly one of value/bounds must be set")
-        if self.bounds is not None and self.bounds[0] > self.bounds[1]:
-            raise ValueError(f"empty interval {self.bounds}")
+        if bounds is not None and bounds[0] > bounds[1]:
+            raise ValueError(f"empty interval {bounds}")
+        fill = object.__setattr__
+        fill(self, "value", value)
+        fill(self, "bounds", bounds)
+        fill(self, "witness", witness)
+        fill(self, "method", method)
+        fill(self, "theorem_tag", theorem_tag)
 
     @property
     def is_exact(self) -> bool:

@@ -6,8 +6,11 @@ import random
 import re
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from pseudoloc import (
+    PARAMETER_NAMES,
     FamilyKind,
     KOutOfRange,
     SizeCapExceeded,
@@ -17,6 +20,7 @@ from pseudoloc import (
     compute_parameter,
     cover_problem,
     distance_matrix,
+    encode_graph6,
     from_edge_list,
     hanging_trees,
     is_locating_set,
@@ -30,6 +34,7 @@ from pseudoloc import (
     sdim_even_fast,
     sdim_sr_formula,
 )
+from pseudoloc.corpus import prufer_decode
 from pseudoloc.resolvers import METHOD_BOUNDED, METHOD_BRUTE_FORCE
 
 from conftest import cycle_graph, dimension_by_enumeration, path_graph, thread_gap_c14_graph, tree_zeta, unpacked
@@ -372,6 +377,59 @@ class TestCorpusAgreement:
                     assert closed.value == oracle.value
                 else:
                     assert closed.contains(oracle.value)
+
+
+@st.composite
+def relabelled_pseudotrees(draw):
+    """A pseudotree on up to 64 vertices, a Prüfer sequence plus an optional
+    chord, and a permutation of its labels; half of them on 62-64 vertices,
+    where graph6 writes the order in its one-character and "~" forms."""
+    n = draw(st.integers(1, 61) | st.integers(62, 64))
+    edges = []
+    if n > 1:
+        seq = draw(st.lists(st.integers(0, n - 1), min_size=n - 2, max_size=n - 2))
+        edges = list(prufer_decode(tuple(seq), n).edges)
+    non_edges = sorted({(u, v) for v in range(n) for u in range(v)} - set(edges))
+    if non_edges and draw(st.booleans()):
+        edges.append(draw(st.sampled_from(non_edges)))
+    return n, edges, draw(st.permutations(range(n)))
+
+
+def closed_answers(g) -> list:
+    """Value or interval and tag of all nine closed forms, dimk at k = 2 and
+    3, or the KOutOfRange message."""
+    answers = []
+    for param, k in [(p, None) for p in PARAMETER_NAMES if p != "dimk"] + [("dimk", 2), ("dimk", 3)]:
+        try:
+            result = closed_result(g, param, k=k)
+        except KOutOfRange as exc:
+            answers.append(str(exc))
+        else:
+            answers.append((result.value, result.bounds, result.theorem_tag))
+    return answers
+
+
+# twin-free, so kappa >= 3 (here 4), which random draws seldom reach
+TWIN_FREE_64 = random_pseudotree("unicyclic", 64, random.Random(606))
+
+
+class TestRelabellingThroughGraph6:
+    # two twin-free graphs, so that dimk[3] is answered, not only refused
+    @example((64, list(TWIN_FREE_64.edges), random.Random(0).sample(range(64), 64)))
+    @example((63, [(i, (i + 1) % 63) for i in range(63)], random.Random(1).sample(range(63), 63)))
+    @settings(derandomize=True, max_examples=100, deadline=None)
+    @given(relabelled_pseudotrees())
+    def test_same_answers_after_a_permutation(self, drawn):
+        n, edges, perm = drawn
+        g = parse_graph6(encode_graph6(from_edge_list(n, edges)))
+        h = parse_graph6(encode_graph6(from_edge_list(n, [(perm[u], perm[v]) for u, v in edges])))
+        answers = closed_answers(g)
+        assert answers == closed_answers(h)
+        # dimk[3] exists iff kappa >= 3; dim2 and dimk[2] iff n >= 2
+        assert isinstance(answers[-1], str) == (k_dimensional_value(g) < 3)
+        assert [i for i, a in enumerate(answers) if isinstance(a, str)] == (
+            [4, 8, 9] if n == 1 else [9] if isinstance(answers[-1], str) else []
+        )
 
 
 class TestCorpusLemmas:

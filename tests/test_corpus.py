@@ -2,9 +2,11 @@
 
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 import itertools
 import json
+import pickle
 import random
 
 import pytest
@@ -17,6 +19,7 @@ from pseudoloc import (
     enumerate_unicyclic,
     from_edge_list,
     verify_corpus,
+    verify_graph,
 )
 from pseudoloc.corpus import (
     CorpusSpec,
@@ -282,6 +285,29 @@ class TestVerifyCorpus:
             assert payload["graph6"]
         footer = json.loads(lines[-1])
         assert footer["summary"]["violations"] == violations == 0
+
+    def test_record_frozen_replace_eq_hash_repr_pickle(self):
+        g = from_edge_list(5, [(0, 1), (1, 2), (2, 3), (3, 0), (0, 4)])
+        (record,) = verify_graph(g, ("dim",))
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            record.status = STATUS_VIOLATION
+        (again,) = verify_graph(g, ("dim",))
+        assert again == record and hash(again) == hash(record)
+        assert dataclasses.replace(record, status=STATUS_VIOLATION) != record
+        assert dataclasses.replace(record, status="Agree") == record
+        assert repr(record) == (
+            "VerificationRecord(graph6='Dl_', parameter='dim', closed=ParameterResult(value=2, bounds=None, "
+            "witness=None, method='closed_form', theorem_tag='DIM_EVEN_G4'), oracle=ParameterResult(value=2, "
+            "bounds=None, witness=(1, 2), method='brute_force', theorem_tag='BRUTE_FORCE'), status='Agree')"
+        )
+        assert json.dumps(record.to_json()) == (
+            '{"graph6": "Dl_", "parameter": "dim", "closed": {"value": 2, "method": "closed_form", '
+            '"theorem_tag": "DIM_EVEN_G4"}, "oracle": {"value": 2, "witness": [1, 2], "method": "brute_force", '
+            '"theorem_tag": "BRUTE_FORCE"}, "status": "Agree", "theorem_tag": "DIM_EVEN_G4"}'
+        )
+        # verify --jobs sends records between processes
+        copied = pickle.loads(pickle.dumps(record))
+        assert copied == record and hash(copied) == hash(record) and repr(copied) == repr(record)
 
     def test_jobs_byte_identical(self, tmp_path):
         p1, p4 = tmp_path / "r1.jsonl", tmp_path / "r4.jsonl"

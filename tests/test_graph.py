@@ -222,6 +222,74 @@ class TestGraph6:
         assert parse_graph6(encode_graph6(g)).edges == g.edges
 
 
+def connected_by_masks(n: int, pairs) -> bool:
+    reach = [1 << v for v in range(n)]
+    for i, j in pairs:
+        reach[i] |= 1 << j
+        reach[j] |= 1 << i
+    seen, last = 1, 0
+    while seen != last:
+        last = seen
+        for v in range(n):
+            if seen >> v & 1:
+                seen |= reach[v]
+    return seen == (1 << n) - 1
+
+
+def built_or_message(build, *args):
+    try:
+        return build(*args)
+    except Disconnected as exc:
+        return str(exc)
+
+
+class TestGraph6Core:
+    """parse_graph6 skips from_edge_list's pair checks and shares its core."""
+
+    def test_every_body_on_at_most_six_vertices(self):
+        # all 33,867 zero-padded bodies: each string parses to the Graph that
+        # from_edge_list builds from its pairs, or both raise the same
+        # Disconnected; the edges come sorted and the adjacency ascending
+        count = 0
+        for n in range(1, 7):
+            by_bit = [(i, j) for j in range(1, n) for i in range(j)]  # graph6 bit order
+            nbits = len(by_bit)
+            pad = -nbits % 6
+            for body in range(1 << nbits):
+                padded = body << pad
+                text = chr(n + 63) + "".join(
+                    chr((padded >> s & 63) + 63) for s in range(nbits + pad - 6, -1, -6)
+                )
+                pairs = [p for b, p in enumerate(by_bit) if body >> nbits - 1 - b & 1]
+                got = built_or_message(parse_graph6, text)
+                assert got == built_or_message(from_edge_list, n, pairs), text
+                assert isinstance(got, Graph) == connected_by_masks(n, pairs), text
+                if isinstance(got, Graph):
+                    assert got.n == n and got.edges == tuple(sorted(pairs)), text
+                    assert got.adjacency == tuple(
+                        tuple(sorted([j for i, j in pairs if i == v] + [i for i, j in pairs if j == v]))
+                        for v in range(n)
+                    ), text
+                count += 1
+        assert count == 33_867
+
+    @pytest.mark.parametrize("n", [62, 63, 64])
+    def test_seeded_pseudotrees_in_both_order_forms(self, n, monkeypatch):
+        # 62 is the last order in one character, 63 the first in the "~" form
+        calls = []
+        real = from_edge_list
+        graphs = random_pseudotrees(n, 10)
+        monkeypatch.setattr(
+            "pseudoloc.graph.from_edge_list", lambda *args: calls.append(args) or real(*args)
+        )
+        for g in graphs:
+            text = encode_graph6(g)
+            assert text.startswith("~") == (n >= 63)
+            again = parse_graph6(text)
+            assert (again.n, again.edges, again.adjacency) == (g.n, g.edges, g.adjacency)
+        assert calls == []
+
+
 class TestEdgelistFormat:
     def test_parse_with_comments(self):
         text = "# a paw\n4\n0 1\n1 2 # triangle\n2 0\n0 3\n"

@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import dataclasses
 import itertools
+import pickle
 import random
 
 import pytest
@@ -105,6 +107,36 @@ class TestParameterResult:
         assert interval.to_json() == {"value": [2, 4], "method": "closed_form", "theorem_tag": "B"}
         assert (interval.lo, interval.hi, interval.is_exact) == (2, 4, False)
         assert ParameterResult(bounds=(3, 3)).to_json()["value"] == [3, 3]
+
+    def test_frozen_replace_eq_hash_repr_pickle(self):
+        exact = ParameterResult(value=3, witness=(0, 2, 5), theorem_tag="T")
+        interval = ParameterResult(bounds=(2, 4), method="bounded_by_theorem", theorem_tag="B")
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            exact.value = 4
+        # replace builds a new result, so it validates as a build does
+        with pytest.raises(ValueError, match=r"^empty interval \(4, 3\)$"):
+            dataclasses.replace(interval, bounds=(4, 3))
+        with pytest.raises(ValueError, match="^exactly one of value/bounds must be set$"):
+            dataclasses.replace(exact, bounds=(3, 3))
+        assert dataclasses.replace(interval, bounds=(3, 3)) == ParameterResult(
+            bounds=(3, 3), method="bounded_by_theorem", theorem_tag="B"
+        )
+        twin = ParameterResult(3, None, (0, 2, 5), "closed_form", "T")  # positional, in field order
+        assert twin == exact and hash(twin) == hash(exact)
+        assert twin != interval and twin != dataclasses.replace(exact, theorem_tag="U")
+        assert repr(exact) == (
+            "ParameterResult(value=3, bounds=None, witness=(0, 2, 5), method='closed_form', theorem_tag='T')"
+        )
+        assert repr(interval) == (
+            "ParameterResult(value=None, bounds=(2, 4), witness=None, method='bounded_by_theorem', theorem_tag='B')"
+        )
+        assert interval.to_json() == {"value": [2, 4], "method": "bounded_by_theorem", "theorem_tag": "B"}
+        assert [f.name for f in dataclasses.fields(ParameterResult)] == [
+            "value", "bounds", "witness", "method", "theorem_tag"
+        ]
+        for result in (exact, interval):  # verify --jobs sends results between processes
+            again = pickle.loads(pickle.dumps(result))
+            assert again == result and hash(again) == hash(result) and repr(again) == repr(result)
 
 
 class TestIsLocatingSet:
