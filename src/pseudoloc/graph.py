@@ -27,7 +27,6 @@ from __future__ import annotations
 
 import os
 import re
-from collections import deque
 from dataclasses import dataclass
 
 from .errors import (
@@ -49,6 +48,9 @@ CAP_ENV_VAR = "PSEUDOLOC_MAX_N"
 GRAPH6_HEADER = ">>graph6<<"
 _G6_INVALID = re.compile(r"[^?-~]")  # graph6 characters are chr(63)..chr(126)
 _G6_BITS = {chr(c): format(c - 63, "06b") for c in range(63, 127)}
+_G6_ONE = re.compile("1")
+# body bit k = j(j-1)/2 + i is the pair (i, j), i < j: column j holds j bits
+_G6_PAIRS = tuple([(i, j) for j in range(1, GRAPH_CAP) for i in range(j)])
 
 
 def size_cap(default: int) -> int:
@@ -82,7 +84,7 @@ class Graph:
         return len(self.edges)
 
     def max_degree(self) -> int:
-        return max((len(a) for a in self.adjacency), default=0)
+        return max(map(len, self.adjacency), default=0)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"Graph(n={self.n}, edges={list(self.edges)})"
@@ -117,16 +119,13 @@ def pack_row(values) -> int:
 def _check_connected(n: int, adjacency: list[list[int]]) -> bool:
     seen = [False] * n
     seen[0] = True
-    queue = deque([0])
-    count = 1
-    while queue:
-        u = queue.popleft()
+    order = [0]
+    for u in order:  # order grows while it is walked: it is the queue
         for w in adjacency[u]:
             if not seen[w]:
                 seen[w] = True
-                count += 1
-                queue.append(w)
-    return count == n
+                order.append(w)
+    return len(order) == n
 
 
 def _graph(n: int, canonical: list[tuple[int, int]]) -> Graph:
@@ -219,7 +218,8 @@ def parse_graph6(text: str) -> Graph:
     """Decode a graph6 line (optional '>>graph6<<' header) into a Graph.
     Checks the header, characters, order, body length, padding and graph cap;
     a body holds each pair i < j < n at most once, so no loop, duplicate or
-    out-of-range endpoint, and of from_edge_list's checks only connectivity runs."""
+    out-of-range endpoint, and of from_edge_list's checks only connectivity runs.
+    One scan finds the set bits of the joined body; _G6_PAIRS maps each to its pair."""
     s = text.strip()
     if s.startswith(GRAPH6_HEADER):
         s = s[len(GRAPH6_HEADER) :]
@@ -253,18 +253,7 @@ def parse_graph6(text: str) -> Graph:
     bits = "".join(map(_G6_BITS.__getitem__, body))  # body bit k is bits[k]
     if "1" in bits[nbits:]:
         raise MalformedGraph6("nonzero padding bits in graph6 body")
-    # walk the set bits only; column j holds bits k = first + i for the
-    # pairs (i, j), i < j, where first = j(j-1)/2
-    pairs = []
-    j, first = 1, 0
-    k = bits.find("1")
-    while k >= 0:
-        while k >= first + j:
-            first += j
-            j += 1
-        pairs.append((k - first, j))
-        k = bits.find("1", k + 1)
-    return _graph(n, pairs)
+    return _graph(n, [_G6_PAIRS[m.start()] for m in _G6_ONE.finditer(bits)])
 
 
 def closed_neighbourhoods(g: Graph) -> list[int]:

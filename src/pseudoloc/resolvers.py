@@ -28,7 +28,9 @@ each set by, as the reference; the oracle shares no code with it.
 `lex_first_cover` keeps that one contract with two solvers.  Up to
 LATTICE_MAX_N vertices, the measured crossover, it evaluates all 2**n subsets
 at once, one bit each of a Python integer (broadword evaluation, Knuth,
-TAOCP 4A, 7.1.3); above it a depth-first search runs.
+TAOCP 4A, 7.1.3); above it a depth-first search runs.  For every `need`, a
+subset meets a mask `need` times iff, for some i, it meets the mask's low
+half i times and its high half need - i times: per-half table lookups.
 """
 
 from __future__ import annotations
@@ -231,7 +233,10 @@ def cover_problem(g: Graph, param: str, k: int | None = None) -> tuple[tuple[int
 # six runs on three seed sets: up to 15 the lattice was faster for every
 # parameter in every run (at 15 by 1.1x at least); at 16 it lost one in
 # one run, at 17 four.  Its tables for n = 15 take about 1.5 ms, once per
-# process, and 1.8 MB.
+# process, and 1.8 MB, most of it level 1 of _lattice_levels: (2**7 + 2**8)
+# entries of 2**15 bits, about 1.5 MB.  `need` = k builds levels 1..k, each
+# smaller than the last; CI's largest k, 14 on the path of order 15 in the
+# path verify step, builds 14 levels at n = 15: 6.5 MB in all, in 4 ms.
 LATTICE_MAX_N = 15
 
 
@@ -245,25 +250,27 @@ def _minimal_masks(masks) -> list[int]:
     return cons
 
 
-def _or_table(rows: tuple[int, ...]) -> tuple[int, ...]:
-    """table[x] is the OR of rows[i] over the bits i of x."""
+def _at_least(rows: tuple[int, ...], fewer) -> tuple[int, ...]:
+    """table[x]: the codes in at least i of the rows[t] over the bits t of x,
+    given fewer, the same table at i - 1.  Adding bit t to x adds the codes
+    in rows[t] that were in i - 1 of x's rows."""
     table = [0]
     for row in rows:
-        table += [t | row for t in table]
+        table += [t | f & row for t, f in zip(table, fewer)]
     return tuple(table)
 
 
 @cache
-def _subset_lattice(n: int) -> tuple[tuple[int, ...], tuple[int, ...], int, tuple[int, ...], tuple[int, ...]]:
+def _subset_lattice(n: int) -> tuple[tuple[int, ...], tuple[int, ...], int]:
     """Tables over the 2**n subsets of vertices 0..n-1, one bit of an integer
     each.  Subset code p holds vertex v iff bit n-1-v of p is set: vertex 0 is
     the most significant bit, so of the sets of one size the lexicographically
     first has the highest code.
 
-    Returns (contains, members, half, meets_low, meets_high): bit p of
-    contains[v] is set iff p holds v, and of members[k] iff p has k members.
-    The codes meeting mask m are meets_low[m & (2**half - 1)] | meets_high[m >> half],
-    the OR of contains[v] over v in m, looked up in two halves.
+    Returns (contains, members, half): bit p of contains[v] is set iff p
+    holds v, and of members[k] iff p has k members.  A mask splits at half
+    into its low vertices 0..half-1 and its high vertices half..n-1, which
+    _lattice_levels counts apart.
     """
     contains = []
     for v in range(n):
@@ -279,30 +286,45 @@ def _subset_lattice(n: int) -> tuple[tuple[int, ...], tuple[int, ...], int, tupl
             (members[k] if k <= j else 0) | (members[k - 1] << (1 << j) if k else 0)
             for k in range(j + 2)
         ]
-    half = n // 2
-    return tuple(contains), tuple(members), half, _or_table(contains[:half]), _or_table(contains[half:])
+    return tuple(contains), tuple(members), n // 2
+
+
+@cache
+def _lattice_levels(n: int, need: int) -> tuple[tuple[tuple[int, ...], tuple[int, ...]], ...]:
+    """(low, high) at each level i = 1..need: the codes holding at least i
+    vertices of a mask's low half, low[m & (2**half - 1)], and of its high
+    half, high[m >> half].  Level 1 reads level 0 as every code; each level
+    is built on first use and shared by every larger need."""
+    contains, _, half = _subset_lattice(n)
+    if need == 1:
+        levels, fewer = (), ([(1 << (1 << n)) - 1] * (1 << (n - half)),) * 2
+    else:
+        levels = _lattice_levels(n, need - 1)
+        fewer = levels[-1]
+    return (*levels, (_at_least(contains[:half], fewer[0]), _at_least(contains[half:], fewer[1])))
 
 
 def _lattice_cover(n: int, masks, need: int) -> tuple[int, ...] | None:
     """lex_first_cover on the subset lattice: the codes meeting every mask at
-    least `need` times, then the highest code of the smallest nonzero size."""
-    contains, members, half, meets_low, meets_high = _subset_lattice(n)
+    least `need` times, then the highest code of the smallest nonzero size.
+    A code meets mask c at least `need` times iff for some i = 0..need it
+    holds at least i of c's low half and need - i of its high half."""
+    _, members, half = _subset_lattice(n)
+    levels = _lattice_levels(n, need)
+    low_need, high_need = levels[-1]
     feasible = (1 << (1 << n)) - 1
+    low = (1 << half) - 1
     if need == 1:
-        low = (1 << half) - 1
-        for m in set(masks):
-            feasible &= meets_low[m & low] | meets_high[m >> half]
+        for c in set(masks):
+            feasible &= low_need[c & low] | high_need[c >> half]
     else:
-        for c in _minimal_masks(masks):
-            # at_least[i]: the codes meeting c in at least i + 1 of its vertices so far
-            at_least = [0] * need
-            while c:
-                row = contains[(c & -c).bit_length() - 1]
-                c &= c - 1
-                for i in range(need - 1, 0, -1):
-                    at_least[i] |= at_least[i - 1] & row
-                at_least[0] |= row
-            feasible &= at_least[-1]
+        between = [(levels[i - 1][0], levels[need - i - 1][1]) for i in range(1, need)]
+        for c in set(masks):
+            a, b = c & low, c >> half
+            meets = low_need[a] | high_need[b]  # i = need and i = 0
+            for low_i, high_rest in between:
+                meets |= low_i[a] & high_rest[b]
+            feasible &= meets
     for size in range(1, n + 1):
         hits = feasible & members[size]
         if hits:

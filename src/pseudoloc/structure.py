@@ -153,7 +153,7 @@ def profile(g: Graph) -> PseudotreeProfile:
     """Compute the structural profile of a pseudotree in one pass; no distances."""
     kind = classify(g)
 
-    degree = [len(a) for a in g.adjacency]
+    degree = list(map(len, g.adjacency))
     # the tuples below are built from lists: tuple() of a generator allocates
     # a guessed size and resizes, and CPython frees the result into the free
     # list of its final size, so over many calls those lists fill up (~2 MB)

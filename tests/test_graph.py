@@ -4,6 +4,7 @@ bipartiteness."""
 from __future__ import annotations
 
 import functools
+import itertools
 import random
 
 import pytest
@@ -220,6 +221,17 @@ class TestGraph6:
             assert text.startswith("~") == (n >= 63)
             assert parse_graph6(text) == g
         assert calls == []
+
+    @pytest.mark.parametrize("n", [2, 62, 63, 64])
+    def test_complete_graph_reads_every_pair(self, n):
+        # every body bit set, in both order forms: at 64 each of the 2,016
+        # pairs below the graph cap comes from its own body bit
+        nbits = n * (n - 1) // 2
+        order = chr(n + 63) if n <= 62 else "~" + "".join(chr((n >> s & 63) + 63) for s in (12, 6, 0))
+        body = "1" * nbits + "0" * (-nbits % 6)
+        g = parse_graph6(order + "".join(chr(int(body[t : t + 6], 2) + 63) for t in range(0, len(body), 6)))
+        assert g.n == n and g.edges == tuple(itertools.combinations(range(n), 2))
+        assert g.adjacency == tuple(tuple(w for w in range(n) if w != v) for v in range(n))
 
     def test_large_n_two_byte_order(self):
         g = path_graph(64)

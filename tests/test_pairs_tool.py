@@ -1,4 +1,4 @@
-"""The summary of tools/pairs.py: per-pair values, quartiles and wins."""
+"""The summary of tools/pairs.py: per-pair values, quartiles, wins and the RSS slope."""
 
 from __future__ import annotations
 
@@ -45,3 +45,24 @@ def test_wins_follow_better_and_ties_count_for_neither():
 def test_rejects_a_checkout_without_the_benchmark(tmp_path):
     with pytest.raises(SystemExit):
         pairs_tool.main([str(tmp_path), str(tmp_path), "--workload", "closed-n64", "--pairs", "1", "--seconds", "1"])
+
+
+def test_rss_slope_per_side_and_the_change_at_the_parent_request_count():
+    # r requests at b bytes each add b MiB: the parent runs 64 B per request,
+    # the change 32 B per request and 1 MiB above the parent's line at the
+    # parent's median request count, 2r
+    r = 2**20
+    parent = [(r, 10), (2 * r, 74), (3 * r, 138)]
+    change = [(5 * r // 2, 91), (3 * r, 107), (7 * r // 2, 123)]
+    pairs = [
+        {"order": ["parent", "change"], "parent": run(1, p_rss, p_req), "change": run(1, c_rss, c_req)}
+        for (p_req, p_rss), (c_req, c_rss) in zip(parent, change)
+    ]
+    rss = pairs_tool.rss_per_request(pairs)
+    assert rss["parent"]["bytes_per_request"] == pytest.approx(64)
+    assert rss["change"]["bytes_per_request"] == pytest.approx(32)
+    assert rss["parent"]["median_requests"] == 2 * r and rss["change"]["median_requests"] == 3 * r
+    assert rss["change"]["median_rss_mb_at_parent_requests"] == pytest.approx(75)
+    assert "median_rss_mb_at_parent_requests" not in rss["parent"]
+    one = pairs_tool.rss_per_request(pairs[:1])  # one run per side fits no line
+    assert one["parent"]["bytes_per_request"] is None and "median_rss_mb_at_parent_requests" not in one["change"]

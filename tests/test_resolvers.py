@@ -241,21 +241,35 @@ class TestExactSearch:
     order, on both sides of LATTICE_MAX_N: the lattice up to it, the DFS above."""
 
     def test_random_masks(self):
+        # need 1..6; each mask holds vertices on both sides of the lattice's
+        # n // 2 split where n >= 2, and a fifth of the draws add one mask
+        # with fewer than `need` vertices, which no set meets often enough
         rng = random.Random(7)
+        short = 0
         for n in range(1, LATTICE_MAX_N + 3):
+            half = n // 2
             for _ in range(25):
+                need = rng.randint(1, 6)
                 masks = [rng.getrandbits(n) for _ in range(rng.randint(0, 8))]
-                need = rng.randint(1, 3)
-                expected = next(
-                    (
-                        combo
-                        for size in range(1, n + 1)
-                        for combo in itertools.combinations(range(n), size)
-                        if all(sum(1 for v in combo if m >> v & 1) >= need for m in masks)
-                    ),
-                    None,
-                )
+                if half:
+                    masks = [m | 1 << rng.randrange(half) | 1 << rng.randrange(half, n) for m in masks]
+                if rng.random() < 0.2:
+                    masks.append(sum(1 << v for v in rng.sample(range(n), min(n, need - 1))))
+                    short += 1
+                if any(m.bit_count() < need for m in masks):
+                    expected = None  # no set meets a mask more often than it has vertices
+                else:
+                    expected = next(
+                        (
+                            combo
+                            for size in range(1, n + 1)
+                            for combo in itertools.combinations(range(n), size)
+                            if all(sum(1 for v in combo if m >> v & 1) >= need for m in masks)
+                        ),
+                        None,
+                    )
                 assert lex_first_cover(n, masks, need) == expected, (n, masks, need)
+        assert short >= 50
 
     def test_edge_cases(self):
         for n in (1, 2, LATTICE_MAX_N, LATTICE_MAX_N + 1):

@@ -10,7 +10,11 @@ drift in machine speed falls on both sides alike.  It reads each run's last
 JSON line.  For every end-to-end metric of BENCHMARK.json (at the root of the
 repository holding this script) it prints the per-pair values, each side's
 median [Q1, Q3] and in how many pairs the change was better by the metric's
-``better``, then every run's request count.  It writes the same to
+``better``, then every run's request count.  Since perfbench keeps a sample
+per request, peak_rss_mb grows with the request count: per side it prints
+the least-squares bytes per request of peak_rss_mb over the runs' request
+counts, and the change's median peak_rss_mb moved along the change's line to
+the parent's median request count.  It writes the same to
 ``BENCH_<workload>.json`` at the root of that repository.
 
 Exits 1 if a run gives no JSON result or reports ``correct`` other than true,
@@ -80,6 +84,30 @@ def summary(metrics: list[dict], pairs: list[dict]) -> dict:
     return out
 
 
+def rss_per_request(pairs: list[dict]) -> dict:
+    """Per side, the least-squares slope of peak_rss_mb (MiB, as perfbench
+    reads ru_maxrss) over the request count in bytes per request, None with
+    fewer than two distinct counts; for the change, also its median
+    peak_rss_mb with each run moved along that slope to the parent's median
+    request count."""
+    out = {}
+    for side in SIDES:
+        requests = [p[side]["attempted"] for p in pairs]
+        rss = [p[side]["metrics"]["peak_rss_mb"]["value"] for p in pairs]
+        slope = statistics.linear_regression(requests, rss).slope if len(set(requests)) > 1 else None
+        out[side] = {
+            "bytes_per_request": None if slope is None else slope * 2**20,
+            "median_requests": statistics.median(requests),
+            "median_rss_mb": statistics.median(rss),
+        }
+    if out["change"]["bytes_per_request"] is not None:
+        at = out["parent"]["median_requests"]
+        slope = out["change"]["bytes_per_request"] / 2**20
+        moved = [p["change"]["metrics"]["peak_rss_mb"]["value"] - slope * (p["change"]["attempted"] - at) for p in pairs]
+        out["change"]["median_rss_mb_at_parent_requests"] = statistics.median(moved)
+    return out
+
+
 def fmt(x: float) -> str:
     return f"{x:.4g}" if abs(x) < 1000 else f"{x:,.0f}"
 
@@ -99,6 +127,16 @@ def report(bench: dict) -> str:
         )
     requests = " ".join(f"{p['parent']['attempted']}/{p['change']['attempted']}" for p in bench["pairs"])
     lines.append(f"  requests per pair parent/change: {requests}")
+    rss = bench.get("rss_per_request")
+    if rss:
+        for side in SIDES:
+            r, slope = rss[side], rss[side]["bytes_per_request"]
+            lines.append(
+                f"  peak_rss_mb over requests, {side}: {'n/a' if slope is None else fmt(slope)} B per request; "
+                f"median {fmt(r['median_rss_mb'])} MB at {fmt(r['median_requests'])} requests"
+                + (f"; at the parent's median requests {fmt(r['median_rss_mb_at_parent_requests'])} MB"
+                   if "median_rss_mb_at_parent_requests" in r else "")
+            )
     lines.append(f"  all correct: {bench['all_correct']}")
     return "\n".join(lines)
 
@@ -148,6 +186,7 @@ def main(argv=None) -> int:
         "machine": {"cpus": os.cpu_count(), "python": platform.python_version()},
         "all_correct": all(p[side]["correct"] is True for p in pairs for side in SIDES),
         "metrics": summary(metrics, pairs),
+        "rss_per_request": rss_per_request(pairs),
         "pairs": pairs,
     }
     (ROOT / f"BENCH_{args.workload}.json").write_text(json.dumps(bench, indent=1) + "\n")
