@@ -19,6 +19,7 @@ import bisect
 import contextlib
 import functools
 import itertools
+import json
 from dataclasses import dataclass
 from typing import Iterator
 
@@ -518,15 +519,7 @@ def verify_corpus(
     records: list[VerificationRecord] = []
     violations = verified = 0
     with contextlib.ExitStack() as stack:
-        write = None
-        if report_path:
-            import json  # imported here, as multiprocessing below: only a report needs it
-
-            out = stack.enter_context(open(report_path, "w", encoding="utf-8"))
-
-            def write(obj) -> None:
-                out.write(json.dumps(obj, sort_keys=True) + "\n")
-
+        out = stack.enter_context(open(report_path, "w", encoding="utf-8")) if report_path else None
         if jobs > 1:
             # imported here: it costs every other process, such as each
             # `pseudoloc compute`, about 1.5 MB of resident memory
@@ -539,17 +532,24 @@ def verify_corpus(
         for batch in batches:  # one batch per graph
             verified += 1
             records.extend(batch)
-            violations += _emit(batch, write)
-        if write:
-            write({"summary": {"graphs": verified, "records": len(records), "violations": violations}})
+            violations += _emit(batch, out)
+        if out:
+            footer = {
+                "summary": {
+                    "graphs": verified,
+                    "records": len(records),
+                    "violations": violations,
+                }
+            }
+            out.write(json.dumps(footer, sort_keys=True) + "\n")
     return records, violations
 
 
-def _emit(batch: list[VerificationRecord], write) -> int:
+def _emit(batch: list[VerificationRecord], out) -> int:
     violations = 0
     for rec in batch:
         if rec.status == STATUS_VIOLATION:
             violations += 1
-        if write:
-            write(rec.to_json())
+        if out:
+            out.write(json.dumps(rec.to_json(), sort_keys=True) + "\n")
     return violations

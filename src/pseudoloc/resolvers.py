@@ -233,10 +233,11 @@ def cover_problem(g: Graph, param: str, k: int | None = None) -> tuple[tuple[int
 # six runs on three seed sets: up to 15 the lattice was faster for every
 # parameter in every run (at 15 by 1.1x at least); at 16 it lost one in
 # one run, at 17 four.  Its tables for n = 15 take about 1.5 ms, once per
-# process, and 1.8 MB, most of it level 1 of _lattice_levels: (2**7 + 2**8)
+# process, and 1.8 MB, most of it level 1 of the lattice's levels: (2**7 + 2**8)
 # entries of 2**15 bits, about 1.5 MB.  `need` = k builds levels 1..k, each
-# smaller than the last; CI's largest k, 14 on the path of order 15 in the
-# path verify step, builds 14 levels at n = 15: 6.5 MB in all, in 4 ms.
+# smaller than the last, up to 8 at n = 15, the larger half's size; CI's
+# largest k, 14 on the path of order 15 in the path verify step, builds
+# those 8 levels: 6.5 MB in all, kept for the process, in about 5 ms.
 LATTICE_MAX_N = 15
 
 
@@ -261,16 +262,18 @@ def _at_least(rows: tuple[int, ...], fewer) -> tuple[int, ...]:
 
 
 @cache
-def _subset_lattice(n: int) -> tuple[tuple[int, ...], tuple[int, ...], int]:
+def _subset_lattice(n: int) -> tuple[tuple[int, ...], tuple[int, ...], int, list]:
     """Tables over the 2**n subsets of vertices 0..n-1, one bit of an integer
     each.  Subset code p holds vertex v iff bit n-1-v of p is set: vertex 0 is
     the most significant bit, so of the sets of one size the lexicographically
     first has the highest code.
 
-    Returns (contains, members, half): bit p of contains[v] is set iff p
-    holds v, and of members[k] iff p has k members.  A mask splits at half
-    into its low vertices 0..half-1 and its high vertices half..n-1, which
-    _lattice_levels counts apart.
+    Returns (contains, members, half, levels): bit p of contains[v] is set iff
+    p holds v, and of members[k] iff p has k members.  A mask m splits at half
+    into its low vertices 0..half-1 and its high vertices half..n-1.
+    levels[i] is (low, high): the codes holding at least i vertices of m's
+    low half, low[m & (2**half - 1)], and of its high half, high[m >> half].
+    Level 0, every code, is built here; _lattice_rule appends the others.
     """
     contains = []
     for v in range(n):
@@ -286,22 +289,26 @@ def _subset_lattice(n: int) -> tuple[tuple[int, ...], tuple[int, ...], int]:
             (members[k] if k <= j else 0) | (members[k - 1] << (1 << j) if k else 0)
             for k in range(j + 2)
         ]
-    return tuple(contains), tuple(members), n // 2
+    every = [(1 << (1 << n)) - 1] * (1 << (n - n // 2))
+    return tuple(contains), tuple(members), n // 2, [(every, every)]
 
 
 @cache
-def _lattice_levels(n: int, need: int) -> tuple[tuple[tuple[int, ...], tuple[int, ...]], ...]:
-    """(low, high) at each level i = 1..need: the codes holding at least i
-    vertices of a mask's low half, low[m & (2**half - 1)], and of its high
-    half, high[m >> half].  Level 1 reads level 0 as every code; each level
-    is built on first use and shared by every larger need."""
-    contains, _, half = _subset_lattice(n)
-    if need == 1:
-        levels, fewer = (), ([(1 << (1 << n)) - 1] * (1 << (n - half)),) * 2
-    else:
-        levels = _lattice_levels(n, need - 1)
+def _lattice_rule(n: int, need: int) -> tuple[tuple[int, ...], tuple[int, ...], tuple]:
+    """(low_need, high_need, between) for _lattice_cover: the level tables at
+    need on each half, and the (low level i, high level need - i) pairs for
+    0 < i < need.  Each level is built on first use and shared by every need
+    at n.  Neither half has more than top vertices, so a level above top is
+    all zeros and is not built; a need below 1 is met by every code."""
+    contains, _, half, levels = _subset_lattice(n)
+    top = n - half
+    while len(levels) <= min(need, top):
         fewer = levels[-1]
-    return (*levels, (_at_least(contains[:half], fewer[0]), _at_least(contains[half:], fewer[1])))
+        levels.append((_at_least(contains[:half], fewer[0]), _at_least(contains[half:], fewer[1])))
+    low_need, high_need = levels[max(need, 0)] if need <= top else ((0,) * (1 << top),) * 2
+    return low_need, high_need, tuple(
+        (levels[i][0], levels[need - i][1]) for i in range(max(1, need - top), min(need - 1, top) + 1)
+    )
 
 
 def _lattice_cover(n: int, masks, need: int) -> tuple[int, ...] | None:
@@ -309,22 +316,16 @@ def _lattice_cover(n: int, masks, need: int) -> tuple[int, ...] | None:
     least `need` times, then the highest code of the smallest nonzero size.
     A code meets mask c at least `need` times iff for some i = 0..need it
     holds at least i of c's low half and need - i of its high half."""
-    _, members, half = _subset_lattice(n)
-    levels = _lattice_levels(n, need)
-    low_need, high_need = levels[-1]
+    _, members, half, _ = _subset_lattice(n)
+    low_need, high_need, between = _lattice_rule(n, need)
     feasible = (1 << (1 << n)) - 1
     low = (1 << half) - 1
-    if need == 1:
-        for c in set(masks):
-            feasible &= low_need[c & low] | high_need[c >> half]
-    else:
-        between = [(levels[i - 1][0], levels[need - i - 1][1]) for i in range(1, need)]
-        for c in set(masks):
-            a, b = c & low, c >> half
-            meets = low_need[a] | high_need[b]  # i = need and i = 0
-            for low_i, high_rest in between:
-                meets |= low_i[a] & high_rest[b]
-            feasible &= meets
+    for c in set(masks):
+        a, b = c & low, c >> half
+        meets = low_need[a] | high_need[b]  # i = need and i = 0
+        for low_i, high_rest in between:
+            meets |= low_i[a] & high_rest[b]
+        feasible &= meets
     for size in range(1, n + 1):
         hits = feasible & members[size]
         if hits:

@@ -241,18 +241,25 @@ class TestExactSearch:
     order, on both sides of LATTICE_MAX_N: the lattice up to it, the DFS above."""
 
     def test_random_masks(self):
-        # need 1..6; each mask holds vertices on both sides of the lattice's
-        # n // 2 split where n >= 2, and a fifth of the draws add one mask
+        # need 1..6; about half the masks get a vertex on each side of the
+        # lattice's n // 2 split where n >= 2, the rest are drawn as they
+        # come and may lie in one half; a fifth of the draws add one mask
         # with fewer than `need` vertices, which no set meets often enough
         rng = random.Random(7)
-        short = 0
+        short = one_sided = 0
         for n in range(1, LATTICE_MAX_N + 3):
             half = n // 2
             for _ in range(25):
                 need = rng.randint(1, 6)
                 masks = [rng.getrandbits(n) for _ in range(rng.randint(0, 8))]
                 if half:
-                    masks = [m | 1 << rng.randrange(half) | 1 << rng.randrange(half, n) for m in masks]
+                    masks = [
+                        m | 1 << rng.randrange(half) | 1 << rng.randrange(half, n) if rng.random() < 0.5 else m
+                        for m in masks
+                    ]
+                    one_sided += sum(
+                        1 for m in masks if m.bit_count() >= need and not (m & (1 << half) - 1 and m >> half)
+                    )
                 if rng.random() < 0.2:
                     masks.append(sum(1 << v for v in rng.sample(range(n), min(n, need - 1))))
                     short += 1
@@ -269,7 +276,7 @@ class TestExactSearch:
                         None,
                     )
                 assert lex_first_cover(n, masks, need) == expected, (n, masks, need)
-        assert short >= 50
+        assert short >= 50 and one_sided >= 15
 
     def test_edge_cases(self):
         for n in (1, 2, LATTICE_MAX_N, LATTICE_MAX_N + 1):
@@ -278,6 +285,9 @@ class TestExactSearch:
             assert lex_first_cover(n, [full, 0]) is None  # nothing meets the zero mask
             assert lex_first_cover(n, [full], need=n) == tuple(range(n))
             assert lex_first_cover(n, [full], need=n + 1) is None
+            assert lex_first_cover(n, [], need=5000) == (0,)  # nothing to meet
+            assert lex_first_cover(n, [full], need=5000) is None
+            assert lex_first_cover(n, [full, 1], need=0) == (0,)
             last = 1 << (n - 1)
             assert lex_first_cover(n, [last, full, last]) == (n - 1,)
 
