@@ -3,11 +3,14 @@
 Each closed form takes a pseudotree and returns the exact value when a
 characterization covers the instance, and the certified interval otherwise.
 The profile and the SR graph they read are kept on the graph
-(graph.kept).  Only dimk at k >= 3 on a twin-free graph reads distances:
-its k-range rule, resolvers.check_k_range, counts the oracle's vertex-pair
-masks, which the oracle reads again.  The engine never guesses: interval
-results carry the bounded-by-theorem method and can be upgraded to the
-oracle on request.
+(graph.kept), and each form builds the profile only on the branches whose
+theorem reads it: dim2 and dimk on cycles and proper unicyclic graphs and
+dimk on paths answer from the family, n and k, and mdim on cycles and ldim
+from m against n and the cycle of graph.hanging_trees.  Only dimk at
+k >= 3 on a twin-free graph reads distances: its k-range rule,
+resolvers.check_k_range, counts the oracle's vertex-pair masks, which the
+oracle reads again.  The engine never guesses: interval results carry the
+bounded-by-theorem method and can be upgraded to the oracle on request.
 
 The unicyclic theorems of dmd, dim and mdim ask the profile's two tests of
 a set of cycle vertices, antipodal_pairs and has_geodesic_triple, and
@@ -19,7 +22,7 @@ from __future__ import annotations
 from itertools import combinations
 
 from .errors import SizeCapExceeded
-from .graph import Graph, kept
+from .graph import Graph, hanging_trees, kept
 from .resolvers import (
     METHOD_BOUNDED,
     METHOD_CLOSED_FORM,
@@ -34,6 +37,7 @@ from .structure import (
     PseudotreeProfile,
     StrongResolvingGraph,
     boundary_and_sr_graph,
+    classify,
     domination_number,
     independence_number,
     profile,
@@ -199,18 +203,15 @@ def ddim_closed(g: Graph) -> ParameterResult:
 
 
 def dim2_closed(g: Graph) -> ParameterResult:
-    prof = kept(g, profile)
-    kind = prof.kind
-    if kind is FamilyKind.PATH:
-        return _exact(2, "DIM2_PATH", witness=prof.leaves)
-    if kind is FamilyKind.CYCLE:
-        if prof.girth == 4:
-            # every pair of antipodal vertices is its own sole resolver set
-            return _exact(4, "DIM2_CYCLE")
-        return _exact(3, "DIM2_CYCLE")
-    if kind is FamilyKind.TREE:
+    if g.m < g.n:  # a path or a tree
+        prof = kept(g, profile)
+        if prof.kind is FamilyKind.PATH:
+            return _exact(2, "DIM2_PATH", witness=prof.leaves)
         return _exact(prof.num_strong_leaves, "DIM2_TREE", witness=prof.strong_leaves)
-    return _interval(3, prof.n, "DIM2_UNIC_BOUNDS")
+    if classify(g) is FamilyKind.CYCLE:
+        # C4: every pair of antipodal vertices is its own sole resolver set
+        return _exact(4 if g.n == 4 else 3, "DIM2_CYCLE")
+    return _interval(3, g.n, "DIM2_UNIC_BOUNDS")
 
 
 # ---------------------------------------------------------------------------
@@ -226,23 +227,22 @@ def _i_r(ter: int, low: int, r: int) -> int:
 def dimk_closed(g: Graph, k: int) -> ParameterResult:
     """k-metric dimension, for 2 <= k <= the k-dimensional value, the
     range closed_result checks."""
-    prof = kept(g, profile)
-    kind = prof.kind
+    kind, n = classify(g), g.n
     if kind is FamilyKind.PATH:
         # k = 2 is the fault-tolerant case: both ends already resolve every pair twice
         return _exact(2 if k == 2 else k + 1, "DIMK_PATH")
     if kind is FamilyKind.CYCLE:
-        n = prof.girth
         if n % 2 == 0 and n // 2 <= k <= n - 2:
             return _exact(k + 2, "DIMK_CYCLE")
         return _exact(k + 1, "DIMK_CYCLE")
-    if kind is FamilyKind.TREE:
-        total = 0
-        for w in prof.strong_exterior_major:
-            dists = sorted([prof.leg_lengths[u] for u in prof.terminal_map[w]])
-            total += _i_r(len(dists), dists[0], k)
-        return _exact(total, "DIMK_TREE")
-    return _interval(k + 1, prof.n, "DIMK_UNIC_BOUNDS")
+    if kind is FamilyKind.PROPER_UNICYCLIC:
+        return _interval(k + 1, n, "DIMK_UNIC_BOUNDS")
+    prof = kept(g, profile)
+    total = 0
+    for w in prof.strong_exterior_major:
+        dists = sorted([prof.leg_lengths[u] for u in prof.terminal_map[w]])
+        total += _i_r(len(dists), dists[0], k)
+    return _exact(total, "DIMK_TREE")
 
 
 # ---------------------------------------------------------------------------
@@ -282,14 +282,14 @@ def edim_closed(g: Graph) -> ParameterResult:
 
 
 def mdim_closed(g: Graph) -> ParameterResult:
+    if g.m == g.n and len(hanging_trees(g)[0]) == g.n:  # a cycle: its core is all of it
+        return _exact(3, "MDIM_CYCLE")
     prof = kept(g, profile)
     kind = prof.kind
     if kind is FamilyKind.PATH:
         return _exact(2, "MDIM_PATH", witness=prof.leaves)
     if kind is FamilyKind.TREE:
         return _exact(prof.num_leaves, "MDIM_TREE", witness=prof.leaves)
-    if kind is FamilyKind.CYCLE:
-        return _exact(3, "MDIM_CYCLE")
     t = prof.c3
     # a geodesic triple of roots at either parity
     eps = 1 if t >= 3 and not prof.has_geodesic_triple(prof.root_vertices) else 0
@@ -301,12 +301,12 @@ def mdim_closed(g: Graph) -> ParameterResult:
 
 
 def ldim_closed(g: Graph) -> ParameterResult:
-    prof = kept(g, profile)
-    if prof.kind.is_tree:
+    if g.m < g.n:  # a tree
         return _exact(1, "LDIM_BIPARTITE", witness=(0,))
-    if prof.girth % 2 == 0:  # a unicyclic graph is bipartite iff its girth is even
+    cycle = hanging_trees(g)[0]  # raises NotPseudotree when m > n
+    if len(cycle) % 2 == 0:  # a unicyclic graph is bipartite iff its girth is even
         return _exact(1, "LDIM_PARITY", witness=(0,))
-    return _exact(2, "LDIM_PARITY", witness=(prof.cycle[0], prof.cycle[1]))
+    return _exact(2, "LDIM_PARITY", witness=(cycle[0], cycle[1]))
 
 
 # ---------------------------------------------------------------------------
@@ -331,8 +331,8 @@ def closed_result(g: Graph, param: str, k: int | None = None) -> ParameterResult
 
     Only dimk at k >= 3 on a twin-free graph reads the distance matrix,
     through the oracle's vertex-pair masks that its k-range rule counts.
-    The profile, and the SR graph of odd-girth sdim, are read off the leaf
-    stripping.
+    The profile, where a theorem reads it, and the SR graph of odd-girth
+    sdim are read off the leaf stripping.
     """
     check_k(param, k)
     check_k_range(g, param, k)  # a single vertex has no pair: no dim2 or dimk

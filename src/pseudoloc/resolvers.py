@@ -401,7 +401,7 @@ def lex_first_cover(n: int, masks, need: int = 1) -> tuple[int, ...] | None:
     """
     if n <= LATTICE_MAX_N:
         return _lattice_cover(n, masks, need)
-    cons = _minimal_masks(masks)
+    cons = _minimal_masks(masks) if need > 0 else []  # a need below 1 is met by every set
     if cons and cons[0].bit_count() < need:
         return None
     # the packing takes tight masks first, and of those the ones that meet fewest others

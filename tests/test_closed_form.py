@@ -432,6 +432,46 @@ class TestRelabellingThroughGraph6:
         )
 
 
+def at_most(a, b) -> bool:
+    """Whether a <= b can hold for some values in the two results: on
+    intervals it fails iff lo(a) > hi(b)."""
+    return a.lo <= b.hi
+
+
+def below(a, b) -> bool:
+    """Whether a < b can hold: it fails iff lo(a) >= hi(b)."""
+    return a.lo < b.hi
+
+
+class TestInequalityChain:
+    """Facts of every graph, by definition, on the closed answers at n up
+    to 64: ldim <= dim; dim <= dmd, sdim, ddim and mdim; edim <= mdim;
+    dim < dim2, and dim2 < dimk[3] when kappa >= 3; and dim2 is dimk[2]."""
+
+    # C5: odd girth with dim 2, where ldim = dim; a twin-free graph at the
+    # cap, so that dimk[3] is answered
+    @example((5, [(i, (i + 1) % 5) for i in range(5)], list(range(5))))
+    @example((64, list(TWIN_FREE_64.edges), list(range(64))))
+    @settings(derandomize=True, max_examples=100, deadline=None)
+    @given(relabelled_pseudotrees())
+    def test_chain(self, drawn):
+        n, edges, perm = drawn
+        g = from_edge_list(n, [(perm[u], perm[v]) for u, v in edges])
+        r = {p: closed_result(g, p) for p in PARAMETER_NAMES if p not in ("dim2", "dimk")}
+        dim = r["dim"]
+        assert at_most(r["ldim"], dim)
+        for param in ("dmd", "sdim", "ddim", "mdim"):
+            assert at_most(dim, r[param]), param
+        assert at_most(r["edim"], r["mdim"])
+        if n == 1:
+            return  # a single vertex has no pair: no dim2 or dimk
+        dim2, dimk2 = closed_result(g, "dim2"), closed_result(g, "dimk", k=2)
+        assert (dim2.value, dim2.bounds) == (dimk2.value, dimk2.bounds)
+        assert below(dim, dim2)
+        if k_dimensional_value(g) >= 3:
+            assert below(dim2, closed_result(g, "dimk", k=3))
+
+
 class TestCorpusLemmas:
     def test_edim_edge_deletion_bound(self, unicyclic_classes_by_n):
         # removing any cycle edge lowers the edge dimension by at most one

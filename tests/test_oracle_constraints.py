@@ -1,9 +1,10 @@
 """The oracle's per-graph constraints against the definitional builder in
-conftest; one oracle search for dim2 and dimk[2]; one distance matrix, one
-profile and one k-dimensional value per `auto` request that falls through
-to the oracle, per graph across the closed form, the oracle and the set
-predicate, and per verified graph; one gather of the vertex pairs per
-verified graph; one canonical key and one canonical form per class of a
+conftest; one oracle search for dim2 and dimk[2]; one distance matrix and
+one k-dimensional value per `auto` request that falls through to the
+oracle, per graph across the closed form, the oracle and the set predicate,
+and per verified graph; one profile per verified graph, and per closed
+answer none or one, as its theorem reads it; one gather of the vertex pairs
+per verified graph; one canonical key and one canonical form per class of a
 corpus."""
 
 from __future__ import annotations
@@ -11,6 +12,7 @@ from __future__ import annotations
 from pseudoloc import (
     PARAMETER_NAMES,
     CorpusSpec,
+    classify,
     closed_result,
     compute_parameter,
     cover_problem,
@@ -18,6 +20,7 @@ from pseudoloc import (
     enumerate_unicyclic,
     from_edge_list,
     is_locating_set,
+    k_dimensional_value,
     oracle_result,
     verify_graph,
 )
@@ -26,6 +29,7 @@ from pseudoloc import corpus
 from conftest import (
     constraint_masks_by_definition,
     count_calls,
+    cycle_graph,
     path_graph,
     random_pseudotrees,
 )
@@ -127,11 +131,11 @@ class TestOneDistanceMatrix:
         kernel = count_calls(monkeypatch, "k_dimensional_value", KERNEL_MODULES)
         result = compute_parameter(g, "dimk", k=2)
         assert result.method == "brute_force"  # the closed form gave an interval
-        assert matrices == profiles == [g]
+        assert matrices == [g] and profiles == []  # the interval reads no profile
         assert kernel == []  # every pair is resolved by its own two ends
         # k = 3 reads the k-dimensional value off the masks that k = 2 kept
         assert compute_parameter(g, "dimk", k=3).method == "brute_force"
-        assert matrices == profiles == kernel == [g]
+        assert matrices == kernel == [g] and profiles == []
 
     def test_sdim_closed_oracle_and_predicate_share_one(self, monkeypatch):
         # nothing is passed between the three calls: the closed form builds no
@@ -146,7 +150,8 @@ class TestOneDistanceMatrix:
         assert matrices == [g]
 
     def test_brute_then_closed(self, monkeypatch):
-        # the closed form reads the matrix the oracle built; brute builds no profile
+        # the closed form reads the matrix the oracle built; brute builds no
+        # profile, and nor does closed dimk on a proper unicyclic graph
         matrices = count_calls(monkeypatch, "distance_matrix", DISTANCE_MODULES)
         profiles = count_calls(monkeypatch, "profile", PROFILE_MODULES)
         for param, k in (("sdim", None), ("dimk", 2), ("dimk", 3)):
@@ -156,7 +161,43 @@ class TestOneDistanceMatrix:
             brute = compute_parameter(g, param, k=k, method="brute")
             assert matrices == [g] and profiles == []
             assert closed_result(g, param, k=k).contains(brute.value)
-            assert matrices == profiles == [g], (param, k)
+            assert matrices == [g] and profiles == ([g] if param == "sdim" else []), (param, k)
+
+
+# the closed answers that build no profile, by family: dim2 and dimk answer
+# cycles and proper unicyclic graphs from the family and n, dimk paths from
+# k, mdim cycles with 3, and ldim reads m against n and the girth's parity
+NO_PROFILE = {
+    "Path": {("dimk", 2), ("dimk", 3), ("ldim", None)},
+    "Tree": {("ldim", None)},
+    "Cycle": {("dim2", None), ("dimk", 2), ("dimk", 3), ("mdim", None), ("ldim", None)},
+    "ProperUnicyclic": {("dim2", None), ("dimk", 2), ("dimk", 3), ("ldim", None)},
+}
+SPIDER = [(0, 1), (1, 2), (0, 3), (3, 4), (4, 5), (0, 6), (6, 7), (7, 8)]
+
+
+class TestProfileBuildsPerClosedAnswer:
+    def test_none_or_one_as_the_theorem_reads_it(self, monkeypatch):
+        graphs = [  # P6, C6, C5, a tree, and proper unicyclic graphs of odd and even girth
+            (6, list(path_graph(6).edges)), (6, list(cycle_graph(6).edges)), (5, list(cycle_graph(5).edges)),
+            (9, SPIDER), (6, C5_WITH_A_LEG), (8, C4_WITH_LEGS),
+        ]
+        profiles = count_calls(monkeypatch, "profile", PROFILE_MODULES)
+        rows = []
+        for n, edges in graphs:
+            family = classify(from_edge_list(n, edges)).value
+            kappa = k_dimensional_value(from_edge_list(n, edges))
+            requests = [(p, None) for p in PARAMETER_NAMES if p != "dimk"] + [("dimk", 2)]
+            requests += [("dimk", 3)] if kappa >= 3 else []
+            for param, k in requests:
+                g = from_edge_list(n, edges)  # a new graph keeps nothing yet
+                profiles.clear()
+                closed_result(g, param, k=k)
+                rows.append((family, param, k, len(profiles)))
+        assert sorted({family for family, *_ in rows}) == sorted(NO_PROFILE)
+        assert sum(1 for _, param, k, _ in rows if k == 3) >= 4
+        for family, param, k, builds in rows:
+            assert builds == (0 if (param, k) in NO_PROFILE[family] else 1), (family, param, k)
 
 
 class TestOnePerVerifiedGraph:

@@ -66,3 +66,41 @@ def test_rss_slope_per_side_and_the_change_at_the_parent_request_count():
     assert "median_rss_mb_at_parent_requests" not in rss["parent"]
     one = pairs_tool.rss_per_request(pairs[:1])  # one run per side fits no line
     assert one["parent"]["bytes_per_request"] is None and "median_rss_mb_at_parent_requests" not in one["change"]
+
+
+def test_cpu_share_of_a_busy_and_of_a_sleeping_run(tmp_path):
+    # a stand-in perfbench/run.py: it spins or sleeps for the seconds it is
+    # given and prints one JSON line; a sleeping run uses almost no CPU
+    (tmp_path / "perfbench").mkdir()
+    (tmp_path / "perfbench" / "run.py").write_text(
+        "import json, sys, time\n"
+        "seconds = float(sys.argv[sys.argv.index('--seconds') + 1])\n"
+        "end = time.perf_counter() + seconds\n"
+        "if sys.argv[sys.argv.index('--workload') + 1] == 'busy':\n"
+        "    while time.perf_counter() < end:\n"
+        "        pass\n"
+        "else:\n"
+        "    time.sleep(seconds)\n"
+        "print(json.dumps({'correct': True}))\n"
+    )
+    busy, busy_share = pairs_tool.run_once(tmp_path, "busy", 0, 0.5)
+    idle, idle_share = pairs_tool.run_once(tmp_path, "idle", 0, 0.5)
+    assert busy == idle == {"correct": True}
+    assert idle_share < 0.3 < busy_share
+
+
+def test_pairs_with_a_low_cpu_share_on_either_side():
+    shares = [(0.99, 0.95), (0.85, 0.97), (0.93, 0.89), (0.9, 0.9)]
+    pairs = [
+        {"order": ["parent", "change"], "cpu_share": {"parent": p, "change": c},
+         "parent": run(100, 30, 5), "change": run(100, 30, 5)}
+        for p, c in shares
+    ]
+    low = pairs_tool.low_cpu_share_pairs(pairs)
+    assert low == [2, 3]  # a share of exactly 0.9 is not below it
+    text = pairs_tool.report(
+        {"workload": "w", "seed": 0, "seconds": 1, "revisions": {"parent": "a", "change": "b"},
+         "metrics": pairs_tool.summary(METRICS, pairs), "pairs": pairs, "all_correct": True,
+         "low_cpu_share_pairs": low}
+    )
+    assert "CPU share per pair parent/change: 0.99/0.95 0.85/0.97 0.93/0.89 0.90/0.90; pairs below 0.9: 2, 3" in text

@@ -288,6 +288,9 @@ class TestExactSearch:
             assert lex_first_cover(n, [], need=5000) == (0,)  # nothing to meet
             assert lex_first_cover(n, [full], need=5000) is None
             assert lex_first_cover(n, [full, 1], need=0) == (0,)
+            for need in (0, -1):  # a need below 1 is met by every set, the zero mask too
+                for masks in ([full, 0], [full], []):
+                    assert lex_first_cover(n, masks, need) == (0,), (n, masks, need)
             last = 1 << (n - 1)
             assert lex_first_cover(n, [last, full, last]) == (n - 1,)
 

@@ -14,8 +14,11 @@ median [Q1, Q3] and in how many pairs the change was better by the metric's
 per request, peak_rss_mb grows with the request count: per side it prints
 the least-squares bytes per request of peak_rss_mb over the runs' request
 counts, and the change's median peak_rss_mb moved along the change's line to
-the parent's median request count.  It writes the same to
-``BENCH_<workload>.json`` at the root of that repository.
+the parent's median request count.  Around each run it reads
+getrusage(RUSAGE_CHILDREN) and prints the run's CPU share, the child's CPU
+seconds over its wall seconds, and then the pairs in which either side's
+share is below 0.9: a run that shared its cores with other work.  It writes
+the same to ``BENCH_<workload>.json`` at the root of that repository.
 
 Exits 1 if a run gives no JSON result or reports ``correct`` other than true,
 after writing what it has.
@@ -27,13 +30,16 @@ import argparse
 import json
 import os
 import platform
+import resource
 import statistics
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 SIDES = ("parent", "change")
+LOW_CPU_SHARE = 0.9
 
 
 def revision(checkout: Path) -> str:
@@ -45,17 +51,26 @@ def revision(checkout: Path) -> str:
     return head + ("+dirty" if git("status", "--porcelain", "--untracked-files=no") else "")
 
 
-def run_once(checkout: Path, workload: str, seed: int, seconds: float) -> dict | None:
-    """One benchmark run in checkout: the JSON object of its last stdout line, or None."""
+def cpu_seconds() -> float:
+    """User and system CPU seconds of the children waited for so far."""
+    usage = resource.getrusage(resource.RUSAGE_CHILDREN)
+    return usage.ru_utime + usage.ru_stime
+
+
+def run_once(checkout: Path, workload: str, seed: int, seconds: float) -> tuple[dict | None, float]:
+    """One benchmark run in checkout: the JSON object of its last stdout line,
+    or None, and the run's CPU share, its CPU seconds over its wall seconds."""
     env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}  # run.py imports its own src/
     cmd = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
            "--seconds", str(seconds), "--trace", "0"]
+    cpu, wall = cpu_seconds(), time.perf_counter()
     out = subprocess.run(cmd, cwd=checkout, env=env, capture_output=True, text=True).stdout
+    share = (cpu_seconds() - cpu) / (time.perf_counter() - wall)
     lines = out.strip().splitlines()
     try:
-        return json.loads(lines[-1])
+        return json.loads(lines[-1]), share
     except (IndexError, json.JSONDecodeError):
-        return None
+        return None, share
 
 
 def spread(values: list[float]) -> dict:
@@ -108,6 +123,11 @@ def rss_per_request(pairs: list[dict]) -> dict:
     return out
 
 
+def low_cpu_share_pairs(pairs: list[dict]) -> list[int]:
+    """The 1-based pairs in which either side's CPU share is below LOW_CPU_SHARE."""
+    return [i for i, p in enumerate(pairs, 1) if min(p["cpu_share"].values()) < LOW_CPU_SHARE]
+
+
 def fmt(x: float) -> str:
     return f"{x:.4g}" if abs(x) < 1000 else f"{x:,.0f}"
 
@@ -127,6 +147,10 @@ def report(bench: dict) -> str:
         )
     requests = " ".join(f"{p['parent']['attempted']}/{p['change']['attempted']}" for p in bench["pairs"])
     lines.append(f"  requests per pair parent/change: {requests}")
+    if "low_cpu_share_pairs" in bench:
+        shares = " ".join(f"{p['cpu_share']['parent']:.2f}/{p['cpu_share']['change']:.2f}" for p in bench["pairs"])
+        low = ", ".join(map(str, bench["low_cpu_share_pairs"])) or "none"
+        lines.append(f"  CPU share per pair parent/change: {shares}; pairs below {LOW_CPU_SHARE}: {low}")
     rss = bench.get("rss_per_request")
     if rss:
         for side in SIDES:
@@ -146,15 +170,16 @@ def run_pairs(checkouts: dict, args, metrics: list[dict]) -> list[dict]:
     pairs = []
     for i in range(1, args.pairs + 1):
         order = SIDES if i % 2 else SIDES[::-1]
-        pair = {"order": list(order)}
+        pair = {"order": list(order), "cpu_share": {}}
         for side in order:
-            result = run_once(checkouts[side], args.workload, args.seed, args.seconds)
+            result, pair["cpu_share"][side] = run_once(checkouts[side], args.workload, args.seed, args.seconds)
             if result is None:
                 print(f"pair {i}: the {side} run gave no JSON result", file=sys.stderr)
                 return pairs
             pair[side] = result
             values = " ".join(f"{m['name']}={fmt(result['metrics'][m['name']]['value'])}" for m in metrics)
-            print(f"pair {i} {side}: {values} requests={result['attempted']} correct={result['correct']}", flush=True)
+            print(f"pair {i} {side}: {values} requests={result['attempted']} correct={result['correct']} "
+                  f"cpu_share={pair['cpu_share'][side]:.3f}", flush=True)
         pairs.append(pair)
     return pairs
 
@@ -187,6 +212,7 @@ def main(argv=None) -> int:
         "all_correct": all(p[side]["correct"] is True for p in pairs for side in SIDES),
         "metrics": summary(metrics, pairs),
         "rss_per_request": rss_per_request(pairs),
+        "low_cpu_share_pairs": low_cpu_share_pairs(pairs),
         "pairs": pairs,
     }
     (ROOT / f"BENCH_{args.workload}.json").write_text(json.dumps(bench, indent=1) + "\n")
